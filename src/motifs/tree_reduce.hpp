@@ -14,9 +14,11 @@
 //   every tree node is labelled with a processor (parent = left child's
 //   label; sibling leaves share a label, so at most ONE of each node's
 //   two offspring values crosses processors); leaf values are sent to
-//   their parents' processors; values meet in a per-processor pending
-//   table; each processor evaluates one node at a time (processors are
-//   sequential executors), bounding the number of live intermediate
+//   their parents' processors, one message per processor; values meet in
+//   per-node pending slots; a value whose parent shares its processor is
+//   combined in place, so only values that cross processors become
+//   messages; each processor evaluates one node at a time (processors
+//   are sequential executors), bounding the number of live intermediate
 //   values.
 //
 // static_tree_reduce — the baseline: the top of the tree is cut at a
@@ -32,7 +34,7 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "motifs/tree.hpp"
@@ -168,19 +170,20 @@ TR2Plan<V, Tag> tr2_label(const typename Tree<V, Tag>::Ptr& root,
                           std::uint32_t processors, rt::Rng& rng,
                           LabelPolicy policy = LabelPolicy::Paper) {
   TR2Plan<V, Tag> plan;
-  using Ptr = typename Tree<V, Tag>::Ptr;
+  // Raw pointers: `root` pins the whole tree for the walk, so the stack
+  // need not copy (and count) a shared_ptr per node.
   struct Item {
-    Ptr t;
+    const Tree<V, Tag>* t;
     rt::NodeId label;
     std::int64_t parent;
     rt::NodeId parent_label;
     bool is_right;
   };
   std::vector<Item> stack;
-  stack.push_back({root, static_cast<rt::NodeId>(rng.below(processors)), -1,
-                   0, false});
+  stack.push_back({root.get(), static_cast<rt::NodeId>(rng.below(processors)),
+                   -1, 0, false});
   while (!stack.empty()) {
-    Item it = std::move(stack.back());
+    const Item it = stack.back();
     stack.pop_back();
     if (it.t->is_leaf()) {
       plan.leaves.push_back(
@@ -203,8 +206,8 @@ TR2Plan<V, Tag> tr2_label(const typename Tree<V, Tag>::Ptr& root,
     }
     // Push right first so the left subtree gets the next (prefix) ids —
     // purely cosmetic; correctness only needs parent ids to precede use.
-    stack.push_back({it.t->right(), right_label, id, it.label, true});
-    stack.push_back({it.t->left(), left_label, id, it.label, false});
+    stack.push_back({it.t->right().get(), right_label, id, it.label, true});
+    stack.push_back({it.t->left().get(), left_label, id, it.label, false});
   }
   return plan;
 }
@@ -220,9 +223,25 @@ struct TR2Stats {
 
 namespace detail {
 
-/// The running state of one tree_reduce2 invocation: per-processor
-/// pending tables touched only by that node's (sequential) tasks — no
-/// locks needed.
+/// Where every offspring value of a plan travels is a pure function of
+/// the labels: a value is remote exactly when its own label differs from
+/// its parent's.
+template <class V, class Tag>
+TR2Stats tr2_stats(const TR2Plan<V, Tag>& plan) {
+  TR2Stats s;
+  const auto count = [&s](rt::NodeId from, rt::NodeId to) {
+    ++(from == to ? s.local_values : s.remote_values);
+  };
+  for (const auto& e : plan.entries) {
+    if (e.parent >= 0) count(e.label, e.parent_label);
+  }
+  for (const auto& leaf : plan.leaves) count(leaf.label, leaf.parent_label);
+  return s;
+}
+
+/// The running state of one tree_reduce2 invocation. Only values that
+/// cross processors become messages: a value whose parent lives on the
+/// same processor is combined in place by the task that produced it.
 template <class V, class Tag, class Eval>
 struct TR2State : std::enable_shared_from_this<TR2State<V, Tag, Eval>> {
   using Plan = TR2Plan<V, Tag>;
@@ -234,46 +253,54 @@ struct TR2State : std::enable_shared_from_this<TR2State<V, Tag, Eval>> {
   rt::Machine& m;
   std::shared_ptr<Plan> plan;
   Eval eval;
-  std::vector<std::unordered_map<std::int64_t, Partial>> pending;
+  /// One pending slot per internal node (index = plan entry id). A slot
+  /// is touched only by tasks of its node's processor, which run one at
+  /// a time — no locks needed.
+  std::vector<Partial> slots;
   rt::SVar<V> result;
-  std::atomic<std::uint64_t> local{0}, remote{0};
   TR2State(rt::Machine& mm, std::shared_ptr<Plan> p, Eval e)
       : m(mm), plan(std::move(p)), eval(std::move(e)),
-        pending(mm.node_count()) {}
+        slots(plan->entries.size()) {}
 
-  void deliver(std::int64_t node_id, rt::NodeId to, bool is_right, V v) {
-    const rt::NodeId from = rt::Machine::current_node();
-    if (from != rt::kNoNode) {
-      (from == to ? local : remote).fetch_add(1, std::memory_order_relaxed);
+  /// Delivers one offspring value of entry `id` on that entry's
+  /// processor. While the completed node's parent shares the processor
+  /// the value moves up in this loop; a value bound for another
+  /// processor is posted there.
+  void arrive(std::int64_t id, bool is_right, V v) {
+    for (;;) {
+      Partial& p = slots[static_cast<std::size_t>(id)];
+      (is_right ? p.right : p.left) = std::move(v);
+      (is_right ? p.have_right : p.have_left) = true;
+      if (!(p.have_left && p.have_right)) return;
+      // Empty the slot: a duplicated message (fault injection) that lands
+      // after the node combined must find one side missing, not complete
+      // the node a second time.
+      Partial ready = std::exchange(p, Partial{});
+      const auto& e = plan->entries[static_cast<std::size_t>(id)];
+      {
+        rt::EvalScope scope;  // exactly one evaluation active per node
+        TRACE_SPAN("tree_reduce2.combine");
+        v = eval(e.tag, ready.left, ready.right);
+      }
+      if (e.parent < 0) {
+        result.bind(std::move(v));
+        return;
+      }
+      id = e.parent;
+      is_right = e.is_right;
+      if (e.parent_label != e.label) {
+        // shared_ptr capture: the async entry point returns before the
+        // run finishes, and a duplicated message can run after the root
+        // binds, so in-flight messages are what keep the state alive.
+        // The value is copied out, not moved: a duplicated task runs its
+        // callable twice.
+        m.post(e.parent_label, [self = this->shared_from_this(), id,
+                                is_right, v = std::move(v)] {
+          self->arrive(id, is_right, v);
+        });
+        return;
+      }
     }
-    // shared_ptr capture: the async entry point returns before the run
-    // finishes, so in-flight messages are what keep the state alive.
-    auto self = this->shared_from_this();
-    m.post(to, [self, node_id, is_right, v = std::move(v)]() mutable {
-      self->arrive(node_id, is_right, std::move(v));
-    });
-  }
-
-  void arrive(std::int64_t node_id, bool is_right, V v) {
-    const rt::NodeId here = rt::Machine::current_node();
-    Partial& p = pending[here][node_id];
-    (is_right ? p.right : p.left) = std::move(v);
-    (is_right ? p.have_right : p.have_left) = true;
-    if (!(p.have_left && p.have_right)) return;
-    Partial ready = std::move(p);
-    pending[here].erase(node_id);
-    const auto& e = plan->entries[static_cast<std::size_t>(node_id)];
-    V value;
-    {
-      rt::EvalScope scope;  // exactly one evaluation active per node
-      TRACE_SPAN("tree_reduce2.combine");
-      value = eval(e.tag, ready.left, ready.right);
-    }
-    if (e.parent < 0) {
-      result.bind(std::move(value));
-      return;
-    }
-    deliver(e.parent, e.parent_label, e.is_right, std::move(value));
   }
 };
 
@@ -284,22 +311,31 @@ template <class V, class Tag, class Eval>
 std::shared_ptr<TR2State<V, Tag, Eval>> tr2_start(
     rt::Machine& m, const typename Tree<V, Tag>::Ptr& tree, Eval eval,
     LabelPolicy policy) {
+  // A call-local generator: another node's rng() is not ours to draw
+  // from, and concurrent launches must not share one.
+  rt::Rng rng(m.random_u64());
   auto plan = std::make_shared<TR2Plan<V, Tag>>(
-      tr2_label<V, Tag>(tree, m.node_count(), m.rng(0), policy));
+      tr2_label<V, Tag>(tree, m.node_count(), rng, policy));
   auto st = std::make_shared<TR2State<V, Tag, Eval>>(m, std::move(plan),
                                                      std::move(eval));
   st->result.set_name("tree_reduce2.result");
   // Initial distribution: each leaf value travels from the leaf's own
-  // processor (its label) to its parent's processor. Left leaves and
-  // sibling-rule right leaves are local by construction.
-  for (const auto& leaf : st->plan->leaves) {
-    (leaf.label == leaf.parent_label ? st->local : st->remote)
-        .fetch_add(1, std::memory_order_relaxed);
-    // Copy: messages move data by value between processors (CP.31).
-    m.post(leaf.parent_label,
-           [st, id = leaf.parent, right = leaf.is_right, v = leaf.value] {
-             st->arrive(id, right, v);
-           });
+  // processor (its label) to its parent's processor. The values bound
+  // for one processor travel together, as one message per processor.
+  std::vector<std::vector<std::uint32_t>> to(m.node_count());
+  const auto& leaves = st->plan->leaves;
+  for (std::size_t i = 0; i < leaves.size(); ++i) {
+    to[leaves[i].parent_label].push_back(static_cast<std::uint32_t>(i));
+  }
+  for (rt::NodeId n = 0; n < m.node_count(); ++n) {
+    if (to[n].empty()) continue;
+    m.post(n, [st, ids = std::move(to[n])] {
+      for (const std::uint32_t i : ids) {
+        const auto& leaf = st->plan->leaves[i];
+        // Copy: messages move data by value between processors (CP.31).
+        st->arrive(leaf.parent, leaf.is_right, leaf.value);
+      }
+    });
   }
   return st;
 }
@@ -330,12 +366,8 @@ V tree_reduce2(rt::Machine& m, const typename Tree<V, Tag>::Ptr& tree,
   if (tree->is_leaf()) return tree->value();
   auto st = detail::tr2_start<V, Tag>(m, tree, std::move(eval), policy);
   m.wait_idle();  // rethrows task exceptions; result is bound after this
-  const V& v = st->result.get();
-  if (stats != nullptr) {
-    stats->local_values = st->local.load(std::memory_order_relaxed);
-    stats->remote_values = st->remote.load(std::memory_order_relaxed);
-  }
-  return v;
+  if (stats != nullptr) *stats = detail::tr2_stats(*st->plan);
+  return st->result.get();
 }
 
 /// Static-partition baseline: cut the tree at `cut_depth` (default:

@@ -394,6 +394,13 @@ NodeId Machine::random_node() {
   return static_cast<NodeId>(ext_rng_.below(nodes_.size()));
 }
 
+std::uint64_t Machine::random_u64() {
+  const NodeId cur = tl_current_node;
+  if (cur != kNoNode) return nodes_[cur]->rng.next();
+  std::lock_guard lock(ext_rng_m_);
+  return ext_rng_.next();
+}
+
 Machine::MailNode* Machine::alloc_mail(Worker* w) {
   if (w != nullptr && w->free_head != nullptr) {
     MailNode* m = w->free_head;

@@ -115,6 +115,11 @@ class Machine {
   /// external RNG guarded by a mutex.
   NodeId random_node();
 
+  /// A raw 64-bit draw under the same rule as random_node(), so it is safe
+  /// on any thread. Motifs seed call-local generators from it instead of
+  /// drawing from another node's rng().
+  std::uint64_t random_u64();
+
   /// Per-node deterministic generator. Only the node's own tasks should
   /// draw from it.
   Rng& rng(NodeId n) { return nodes_[n]->rng; }

@@ -114,6 +114,32 @@ TEST(Chaos, SupervisedTreeReduce2SurvivesNodeLoss) {
   EXPECT_TRUE(mach.lost_nodes().empty());
 }
 
+TEST(Chaos, SupervisedTreeReduce2SurvivesDuplicateAndDelay) {
+  // Duplicated and delayed value messages reorder and repeat deliveries
+  // but lose nothing: every plan seed must finish on its first attempt
+  // with the exact sum. A repeat that lands after its node combined
+  // must find the pending slot empty, not complete the node again.
+  std::uint64_t duplicates = 0;
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    rt::FaultPlan plan;
+    plan.seed = seed;
+    plan.duplicate = 0.3;
+    plan.delay = 0.2;
+    rt::Machine mach({.nodes = 4, .workers = 3, .faults = plan});
+    int next = 1;
+    auto tree = balanced_tree(8, next);
+    m::SuperviseOptions opts;
+    opts.deadline = kDeadline;
+    auto res =
+        m::supervised_tree_reduce2<int, int>(mach, tree, SumEval{}, opts);
+    ASSERT_TRUE(res.ok()) << "seed " << seed << ": " << res.last.to_string();
+    EXPECT_EQ(*res.value, expected_sum(256)) << "seed " << seed;
+    EXPECT_EQ(res.attempts, 1u) << "seed " << seed;
+    duplicates += mach.fault_totals().duplicates;
+  }
+  EXPECT_GT(duplicates, 0u);
+}
+
 TEST(Chaos, SupervisedDegradeFallbackWhenAttemptsExhausted) {
   rt::FaultPlan plan;
   plan.drop = 1.0;  // every cross-node message dies: no attempt can finish

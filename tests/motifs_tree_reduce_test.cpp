@@ -7,7 +7,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "motifs/tree.hpp"
 
@@ -133,6 +136,43 @@ TEST(TreeReduce2, IndependentRandomLabelsStillCorrectButChattier) {
                                          m::LabelPolicy::IndependentRandom)),
             expect);
   EXPECT_GT(rnd.remote_values, paper.remote_values);
+}
+
+TEST(TreeReduce2, OnlyCrossProcessorValuesArePosted) {
+  // The leaves travel as one message per processor and same-processor
+  // values combine in place, so the machine runs at most one task per
+  // processor plus one per value that crosses processors.
+  rt::Machine mach({.nodes = 8, .workers = 2});
+  auto t = m::balanced_tree<long, char>(
+      1024, [](std::size_t) { return 1L; }, '+');
+  m::TR2Stats stats;
+  EXPECT_EQ((m::tree_reduce2<long, char>(mach, t, eval_arith, &stats)), 1024);
+  const std::uint64_t internal = t->node_count() - t->leaf_count();
+  EXPECT_EQ(stats.local_values + stats.remote_values, 2 * internal);
+  EXPECT_LE(mach.load_summary().total_tasks,
+            mach.node_count() + stats.remote_values);
+}
+
+TEST(TreeReduce2, ConcurrentExternalLaunches) {
+  // Two external threads launch on one Machine at once: labelling must
+  // not share a generator between them (or with node 0's tasks).
+  rt::Machine mach({.nodes = 4, .workers = 2});
+  auto t = random_sum_tree(17, 300);
+  const long expect = m::reduce_sequential<long, char>(t, eval_arith);
+  std::array<int, 2> wrong{};
+  std::vector<std::thread> callers;
+  for (int c = 0; c < 2; ++c) {
+    callers.emplace_back([&, c] {
+      for (int i = 0; i < 50; ++i) {
+        if (m::tree_reduce2<long, char>(mach, t, eval_arith) != expect) {
+          ++wrong[c];
+        }
+      }
+    });
+  }
+  for (auto& th : callers) th.join();
+  EXPECT_EQ(wrong[0], 0);
+  EXPECT_EQ(wrong[1], 0);
 }
 
 TEST(StaticTreeReduce, PaperTreeIs24) {
