@@ -9,6 +9,9 @@
 // answer).
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <thread>
+
 #include "bench_report.hpp"
 
 #include "align/align.hpp"
@@ -20,6 +23,9 @@ namespace rt = motif::rt;
 namespace {
 
 void run_case(benchmark::State& state, al::MsaSchedule sched) {
+  // One worker per core, less one for the calling thread.
+  const std::uint32_t workers =
+      std::max(2u, std::thread::hardware_concurrency()) - 1;
   const auto taxa = static_cast<std::size_t>(state.range(0));
   const auto len = static_cast<std::size_t>(state.range(1));
   auto fam = al::synthetic_family(taxa, len, 77);
@@ -29,7 +35,7 @@ void run_case(benchmark::State& state, al::MsaSchedule sched) {
   for (auto _ : state) {
     rt::live_bytes().reset();
     rt::active_evals().reset();
-    rt::Machine mach({.nodes = 8, .workers = 2, .seed = 7});
+    rt::Machine mach({.nodes = 8, .workers = workers, .seed = 7});
     auto r = al::progressive_msa(mach, fam.sequences, fam.guide, sched);
     benchmark::DoNotOptimize(r.profile.length());
     score = r.sum_of_pairs_score;
@@ -41,6 +47,7 @@ void run_case(benchmark::State& state, al::MsaSchedule sched) {
   state.counters["peak_evals"] = static_cast<double>(evals);
   state.counters["sp_per_col"] = score / static_cast<double>(columns);
   state.counters["columns"] = static_cast<double>(columns);
+  state.counters["workers"] = static_cast<double>(workers);
 }
 
 void BM_MSA_Sequential(benchmark::State& state) {

@@ -6,50 +6,40 @@
 #include <vector>
 
 #include "align/sequence.hpp"
+#include "align/traceback.hpp"
 #include "motifs/wavefront.hpp"
 
 namespace motif::align {
 
 NWResult needleman_wunsch(const std::string& a, const std::string& b,
                           const NWParams& p) {
+  using detail::Move;
   const std::size_t n = a.size(), m = b.size();
-  // dp[i][j]: best score aligning a[0..i) with b[0..j).
-  std::vector<std::vector<std::int32_t>> dp(n + 1,
-                                            std::vector<std::int32_t>(m + 1));
-  for (std::size_t i = 0; i <= n; ++i) dp[i][0] = static_cast<std::int32_t>(i) * p.gap;
-  for (std::size_t j = 0; j <= m; ++j) dp[0][j] = static_cast<std::int32_t>(j) * p.gap;
+  // prev/cur: rows i-1 and i of the best scores aligning a[0..i) with
+  // b[0..j); moves keeps each cell's winning predecessor for traceback.
+  std::vector<std::int32_t> prev(m + 1), cur(m + 1);
+  std::vector<Move> moves(n * m);
+  for (std::size_t j = 0; j <= m; ++j) {
+    prev[j] = static_cast<std::int32_t>(j) * p.gap;
+  }
   for (std::size_t i = 1; i <= n; ++i) {
+    Move* row = moves.data() + (i - 1) * m;
+    cur[0] = static_cast<std::int32_t>(i) * p.gap;
     for (std::size_t j = 1; j <= m; ++j) {
       const std::int32_t diag =
-          dp[i - 1][j - 1] + (a[i - 1] == b[j - 1] ? p.match : p.mismatch);
-      const std::int32_t up = dp[i - 1][j] + p.gap;
-      const std::int32_t left = dp[i][j - 1] + p.gap;
-      dp[i][j] = std::max({diag, up, left});
+          prev[j - 1] + (a[i - 1] == b[j - 1] ? p.match : p.mismatch);
+      cur[j] = detail::best_move(diag, prev[j] + p.gap, cur[j - 1] + p.gap,
+                                 row[j - 1]);
     }
+    std::swap(prev, cur);
   }
   NWResult r;
-  r.score = dp[n][m];
-  // Traceback.
-  std::size_t i = n, j = m;
+  r.score = prev[m];
   std::string ra, rb;
-  while (i > 0 || j > 0) {
-    if (i > 0 && j > 0 &&
-        dp[i][j] == dp[i - 1][j - 1] +
-                        (a[i - 1] == b[j - 1] ? p.match : p.mismatch)) {
-      ra.push_back(a[i - 1]);
-      rb.push_back(b[j - 1]);
-      --i;
-      --j;
-    } else if (i > 0 && dp[i][j] == dp[i - 1][j] + p.gap) {
-      ra.push_back(a[i - 1]);
-      rb.push_back(kGap);
-      --i;
-    } else {
-      ra.push_back(kGap);
-      rb.push_back(b[j - 1]);
-      --j;
-    }
-  }
+  detail::trace_moves(moves, n, m, [&](Move mv, std::size_t i, std::size_t j) {
+    ra.push_back(mv == Move::Left ? kGap : a[i - 1]);
+    rb.push_back(mv == Move::Up ? kGap : b[j - 1]);
+  });
   std::reverse(ra.begin(), ra.end());
   std::reverse(rb.begin(), rb.end());
   r.aligned_a = std::move(ra);

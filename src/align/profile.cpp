@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "align/sequence.hpp"
+#include "align/traceback.hpp"
 
 namespace motif::align {
 
@@ -58,6 +59,15 @@ double Profile::mean_entropy() const {
   return total / static_cast<double>(cols_.size());
 }
 
+namespace {
+// Score of one symbol pair: match or mismatch between bases, the gap
+// penalty against a gap, and 0 for gap-gap.
+double unit_score(std::size_t x, std::size_t y, const NWParams& p) {
+  if (x == 4 || y == 4) return (x == y) ? 0.0 : p.gap;
+  return (x == y) ? p.match : p.mismatch;
+}
+}  // namespace
+
 double column_score(const Column& a, const Column& b, const NWParams& p) {
   double na = 0.0, nb = 0.0;
   for (float f : a) na += f;
@@ -67,13 +77,8 @@ double column_score(const Column& a, const Column& b, const NWParams& p) {
   for (std::size_t i = 0; i < 5; ++i) {
     for (std::size_t j = 0; j < 5; ++j) {
       if (a[i] <= 0.0f || b[j] <= 0.0f) continue;
-      double unit;
-      if (i == 4 || j == 4) {
-        unit = (i == j) ? 0.0 : p.gap;  // gap-gap is neutral
-      } else {
-        unit = (i == j) ? p.match : p.mismatch;
-      }
-      s += static_cast<double>(a[i]) * static_cast<double>(b[j]) * unit;
+      s += static_cast<double>(a[i]) * static_cast<double>(b[j]) *
+           unit_score(i, j, p);
     }
   }
   return s / (na * nb);
@@ -91,45 +96,83 @@ Column merge_columns(const Column& a, const Column& b) {
   for (std::size_t i = 0; i < 5; ++i) out[i] = a[i] + b[i];
   return out;
 }
+
+// Column j of the second profile, folded with the unit-score table:
+// w[x] = sum_y col[y] * unit(x, y), so column_score(a, col) is
+// (sum_x a[x] * w[x]) / (na * n).
+struct ScoredColumn {
+  std::array<double, 5> w{};
+  double n = 0.0;
+};
 }  // namespace
 
 Profile align_profiles(const Profile& a, const Profile& b,
                        const ProfileAlignParams& params) {
+  using detail::Move;
   const std::size_t n = a.length(), m = b.length();
   const NWParams& p = params.pairwise;
   const double gp = p.gap;
 
-  std::vector<std::vector<double>> dp(n + 1, std::vector<double>(m + 1));
-  for (std::size_t i = 0; i <= n; ++i) dp[i][0] = static_cast<double>(i) * gp;
-  for (std::size_t j = 0; j <= m; ++j) dp[0][j] = static_cast<double>(j) * gp;
-  for (std::size_t i = 1; i <= n; ++i) {
-    for (std::size_t j = 1; j <= m; ++j) {
-      const double diag =
-          dp[i - 1][j - 1] + column_score(a.column(i - 1), b.column(j - 1), p);
-      dp[i][j] = std::max({diag, dp[i - 1][j] + gp, dp[i][j - 1] + gp});
+  // Column counts are whole numbers (see Profile::assemble), so every
+  // product and partial sum of the regrouped score is an exact integer and
+  // the one division rounds exactly as column_score's does.
+  std::vector<ScoredColumn> bcols(m);
+  for (std::size_t j = 0; j < m; ++j) {
+    const Column& col = b.column(j);
+    ScoredColumn& sc = bcols[j];
+    for (std::size_t y = 0; y < 5; ++y) {
+      sc.n += col[y];
+      for (std::size_t x = 0; x < 5; ++x) {
+        sc.w[x] += static_cast<double>(col[y]) * unit_score(x, y, p);
+      }
     }
   }
+
+  std::vector<double> prev(m + 1), cur(m + 1);
+  std::vector<Move> moves(n * m);
+  for (std::size_t j = 0; j <= m; ++j) prev[j] = static_cast<double>(j) * gp;
+  for (std::size_t i = 1; i <= n; ++i) {
+    const Column& col = a.column(i - 1);
+    std::array<double, 5> ac{};
+    double na = 0.0;
+    for (std::size_t x = 0; x < 5; ++x) {
+      ac[x] = col[x];
+      na += col[x];
+    }
+    Move* row = moves.data() + (i - 1) * m;
+    cur[0] = static_cast<double>(i) * gp;
+    for (std::size_t j = 1; j <= m; ++j) {
+      const ScoredColumn& sc = bcols[j - 1];
+      const double nab = na * sc.n;
+      const double score =
+          nab > 0.0 ? (ac[0] * sc.w[0] + ac[1] * sc.w[1] + ac[2] * sc.w[2] +
+                       ac[3] * sc.w[3] + ac[4] * sc.w[4]) /
+                          nab
+                    : 0.0;
+      cur[j] = detail::best_move(prev[j - 1] + score, prev[j] + gp,
+                                 cur[j - 1] + gp, row[j - 1]);
+    }
+    std::swap(prev, cur);
+  }
+
   // Traceback, assembling merged columns.
   std::vector<Column> cols;
   cols.reserve(std::max(n, m));
-  std::size_t i = n, j = m;
   const float da = static_cast<float>(a.depth());
   const float db = static_cast<float>(b.depth());
-  while (i > 0 || j > 0) {
-    if (i > 0 && j > 0 &&
-        dp[i][j] == dp[i - 1][j - 1] +
-                        column_score(a.column(i - 1), b.column(j - 1), p)) {
-      cols.push_back(merge_columns(a.column(i - 1), b.column(j - 1)));
-      --i;
-      --j;
-    } else if (i > 0 && dp[i][j] == dp[i - 1][j] + gp) {
-      cols.push_back(merge_columns(a.column(i - 1), gap_column(db)));
-      --i;
-    } else {
-      cols.push_back(merge_columns(gap_column(da), b.column(j - 1)));
-      --j;
+  detail::trace_moves(moves, n, m, [&](Move mv, std::size_t i, std::size_t j) {
+    switch (mv) {
+      case Move::Diag:
+        cols.push_back(merge_columns(a.column(i - 1), b.column(j - 1)));
+        break;
+      case Move::Up:
+        cols.push_back(merge_columns(a.column(i - 1), gap_column(db)));
+        break;
+      case Move::Left:
+        cols.push_back(merge_columns(gap_column(da), b.column(j - 1)));
+        break;
     }
-  }
+  });
   std::reverse(cols.begin(), cols.end());
   return Profile::assemble(std::move(cols), a.depth() + b.depth());
 }
@@ -149,15 +192,7 @@ double sum_of_pairs(const Profile& p, const NWParams& params) {
           pairs = static_cast<double>(col[x]) * col[y];
         }
         if (pairs <= 0.0) continue;
-        double unit;
-        if (x == 4 && y == 4) {
-          unit = 0.0;
-        } else if (x == 4 || y == 4) {
-          unit = params.gap;
-        } else {
-          unit = (x == y) ? params.match : params.mismatch;
-        }
-        s += pairs * unit;
+        s += pairs * unit_score(x, y, params);
       }
     }
   }

@@ -44,7 +44,11 @@ class Profile {
   /// Bytes of column data (the tracked footprint).
   std::size_t footprint() const { return cols_.size() * sizeof(Column); }
 
-  /// Internal: used by align_profiles to assemble results.
+  /// Internal: used by align_profiles to assemble results. Invariant:
+  /// every count is a whole number and each column sums to `depth`.
+  /// Profile(seq) writes 1.0 per column and align_profiles only adds
+  /// columns and gap columns of weight depth(), so this holds for every
+  /// profile; align_profiles' exactness depends on it.
   static Profile assemble(std::vector<Column> cols, std::size_t depth);
 
  private:
@@ -64,10 +68,19 @@ struct ProfileAlignParams {
 /// O(a.length()*b.length()) — quadratic, so node costs in a guide tree
 /// are non-uniform and grow toward the root, exactly the behaviour the
 /// paper's dynamic motifs target.
+///
+/// The kernel folds each column of `b` with the unit-score table once, so
+/// a DP cell costs five multiply-adds and one division, and keeps two
+/// score rows plus one move byte per cell. Because counts are whole
+/// numbers (see Profile::assemble), every cell score equals
+/// column_score's bit for bit, and the alignment is the one the plain
+/// O(n*m)-doubles DP with a rescoring traceback produces: ties go to the
+/// diagonal, then the gap in `b`, then the gap in `a`.
 Profile align_profiles(const Profile& a, const Profile& b,
                        const ProfileAlignParams& params = {});
 
-/// Expected pairwise score of two columns under the NW scoring scheme.
+/// Expected pairwise score of two columns under the NW scoring scheme:
+/// the reference definition of an align_profiles cell score.
 double column_score(const Column& a, const Column& b, const NWParams& p);
 
 /// Sum-of-pairs score of a finished profile (higher is better), the

@@ -1,10 +1,105 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstring>
+#include <memory>
+#include <vector>
+
+#include "align/msa.hpp"
 #include "align/profile.hpp"
 #include "align/sequence.hpp"
+#include "motifs/tree.hpp"
 
 namespace al = motif::align;
 namespace rt = motif::rt;
+
+namespace {
+
+// The align-node kernel as first written: a full (n+1) x (m+1) matrix of
+// doubles, column_score per cell, and a traceback that rescores each
+// cell to find the move it came from. align_profiles must reproduce it
+// bit for bit.
+al::Column reference_gap_column(float weight) {
+  al::Column c{};
+  c[4] = weight;
+  return c;
+}
+
+al::Column reference_merge_columns(const al::Column& a, const al::Column& b) {
+  al::Column out{};
+  for (std::size_t i = 0; i < 5; ++i) out[i] = a[i] + b[i];
+  return out;
+}
+
+al::Profile reference_align(const al::Profile& a, const al::Profile& b,
+                            const al::ProfileAlignParams& params) {
+  const std::size_t n = a.length(), m = b.length();
+  const al::NWParams& p = params.pairwise;
+  const double gp = p.gap;
+
+  std::vector<std::vector<double>> dp(n + 1, std::vector<double>(m + 1));
+  for (std::size_t i = 0; i <= n; ++i) dp[i][0] = static_cast<double>(i) * gp;
+  for (std::size_t j = 0; j <= m; ++j) dp[0][j] = static_cast<double>(j) * gp;
+  for (std::size_t i = 1; i <= n; ++i) {
+    for (std::size_t j = 1; j <= m; ++j) {
+      const double diag =
+          dp[i - 1][j - 1] +
+          al::column_score(a.column(i - 1), b.column(j - 1), p);
+      dp[i][j] = std::max({diag, dp[i - 1][j] + gp, dp[i][j - 1] + gp});
+    }
+  }
+  std::vector<al::Column> cols;
+  cols.reserve(std::max(n, m));
+  std::size_t i = n, j = m;
+  const float da = static_cast<float>(a.depth());
+  const float db = static_cast<float>(b.depth());
+  while (i > 0 || j > 0) {
+    if (i > 0 && j > 0 &&
+        dp[i][j] == dp[i - 1][j - 1] +
+                        al::column_score(a.column(i - 1), b.column(j - 1), p)) {
+      cols.push_back(reference_merge_columns(a.column(i - 1), b.column(j - 1)));
+      --i;
+      --j;
+    } else if (i > 0 && dp[i][j] == dp[i - 1][j] + gp) {
+      cols.push_back(
+          reference_merge_columns(a.column(i - 1), reference_gap_column(db)));
+      --i;
+    } else {
+      cols.push_back(
+          reference_merge_columns(reference_gap_column(da), b.column(j - 1)));
+      --j;
+    }
+  }
+  std::reverse(cols.begin(), cols.end());
+  return al::Profile::assemble(std::move(cols), a.depth() + b.depth());
+}
+
+using PTree = motif::Tree<al::ProfilePtr, char>;
+
+PTree::Ptr profile_tree(const motif::Tree<int, char>::Ptr& guide,
+                        const std::vector<std::string>& seqs) {
+  if (guide->is_leaf()) {
+    return PTree::leaf(std::make_shared<const al::Profile>(
+        seqs[static_cast<std::size_t>(guide->value())]));
+  }
+  return PTree::node(guide->tag(), profile_tree(guide->left(), seqs),
+                     profile_tree(guide->right(), seqs));
+}
+
+bool bitwise_equal(const al::Profile& x, const al::Profile& y) {
+  if (x.depth() != y.depth() || x.length() != y.length()) return false;
+  for (std::size_t i = 0; i < x.length(); ++i) {
+    if (std::memcmp(x.column(i).data(), y.column(i).data(),
+                    sizeof(al::Column)) != 0) {
+      return false;
+    }
+  }
+  const double sx = al::sum_of_pairs(x), sy = al::sum_of_pairs(y);
+  return std::memcmp(&sx, &sy, sizeof(double)) == 0;
+}
+
+}  // namespace
 
 TEST(Profile, FromSequence) {
   al::Profile p("ACGU");
@@ -63,6 +158,36 @@ TEST(ProfileAlign, MatchesPairwiseNWForSingletons) {
   }
 }
 
+TEST(ProfileAlign, KernelMatchesReferenceBitwise) {
+  // Every node of every guide tree, from singleton pairs (integer scores,
+  // many ties) up to deep merged profiles (fractional scores).
+  int cases = 0;
+  for (std::size_t taxa : {4u, 8u, 16u, 32u, 64u, 128u}) {
+    for (std::size_t len : {50u, 100u, 200u, 400u}) {
+      if (taxa * len > 16384) continue;  // keeps the reference DP quick
+      for (std::uint64_t seed = 1; seed <= 2; ++seed) {
+        SCOPED_TRACE(testing::Message() << "taxa " << taxa << " length "
+                                        << len << " seed " << seed);
+        auto fam = al::synthetic_family(taxa, len, 1000 * taxa + len + seed);
+        int nodes = 0, mismatched = 0;
+        auto eval = [&](const char&, const al::ProfilePtr& a,
+                        const al::ProfilePtr& b) -> al::ProfilePtr {
+          al::Profile got = al::align_profiles(*a, *b);
+          if (!bitwise_equal(got, reference_align(*a, *b, {}))) ++mismatched;
+          ++nodes;
+          return std::make_shared<const al::Profile>(std::move(got));
+        };
+        motif::reduce_sequential<al::ProfilePtr, char>(
+            profile_tree(fam.guide, fam.sequences), eval);
+        EXPECT_EQ(nodes, static_cast<int>(taxa) - 1);
+        EXPECT_EQ(mismatched, 0);
+        ++cases;
+      }
+    }
+  }
+  EXPECT_GE(cases, 30);
+}
+
 TEST(ProfileAlign, DepthAccumulates) {
   al::Profile a("ACGU"), b("ACGU"), c("ACGU");
   auto ab = al::align_profiles(a, b);
@@ -73,6 +198,23 @@ TEST(ProfileAlign, DepthAccumulates) {
     float mass = 0;
     for (float f : abc.column(i)) mass += f;
     EXPECT_FLOAT_EQ(mass, 3.0f);
+  }
+}
+
+TEST(Profile, CountsStayWholeNumbers) {
+  // align_profiles' bit-identity with column_score rests on this.
+  auto fam = al::synthetic_family(64, 200, 5);
+  rt::Machine mach({.nodes = 2, .workers = 1, .seed = 1});
+  auto r = al::progressive_msa(mach, fam.sequences, fam.guide,
+                               al::MsaSchedule::Sequential);
+  ASSERT_EQ(r.profile.depth(), 64u);
+  for (std::size_t i = 0; i < r.profile.length(); ++i) {
+    double mass = 0.0;
+    for (float f : r.profile.column(i)) {
+      EXPECT_EQ(f, std::floor(f)) << "column " << i;
+      mass += f;
+    }
+    EXPECT_EQ(mass, 64.0) << "column " << i;
   }
 }
 
