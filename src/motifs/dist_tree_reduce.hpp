@@ -237,7 +237,7 @@ class DistTreeReduce2 {
 
       auto plan = ensure_plan(gen, depth, seed);
       if (plan == nullptr || parent < 0 ||
-          static_cast<std::size_t>(parent) >= plan->entries.size()) {
+          static_cast<std::size_t>(parent) >= plan->nodes.size()) {
         return drop_malformed("tr2.arrive");
       }
       const rt::NodeId here = rt::Machine::current_node();
@@ -254,14 +254,14 @@ class DistTreeReduce2 {
       if (!(p.have_left && p.have_right)) return;
       const Partial ready = p;
       ns.pending.erase(parent);
-      const auto& e = plan->entries[static_cast<std::size_t>(parent)];
+      const auto& e = plan->nodes[static_cast<std::size_t>(parent)];
       long long combined;
       {
         rt::EvalScope scope;  // one evaluation active per processor (§3.5)
         TRACE_SPAN("dist_tree_reduce2.combine");
         combined = ready.left + ready.right;
       }
-      if (e.parent < 0) {
+      if (e.parent == detail::kTR2Root) {
         cluster_.post(0, h_result,
                       term::Term::tuple(
                           {term::Term::integer(static_cast<std::int64_t>(gen)),

@@ -6,8 +6,11 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <cstdint>
 #include <functional>
+#include <limits>
 #include <memory>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -17,7 +20,9 @@ namespace motif {
 
 /// Immutable binary tree. `V` is the leaf value type, `Tag` identifies the
 /// operation at an internal node (e.g. char '+'/'*', or an index into an
-/// application table).
+/// application table). The leaf count is fixed at construction, so the
+/// count of internal nodes — the ids Tree-Reduce-2 labels — is known
+/// without a walk; it must fit in 32 bits.
 template <class V, class Tag = char>
 class Tree {
  public:
@@ -26,39 +31,35 @@ class Tree {
   static Ptr leaf(V v) {
     auto t = std::make_shared<Tree>(Private{});
     t->value_ = std::move(v);
-    t->is_leaf_ = true;
     return t;
   }
 
   static Ptr node(Tag tag, Ptr left, Ptr right) {
+    const std::size_t leaves = left->leaves_ + right->leaves_;
+    if (leaves - 1 > std::numeric_limits<std::uint32_t>::max()) {
+      throw std::length_error("Tree: internal nodes exceed 32-bit ids");
+    }
     auto t = std::make_shared<Tree>(Private{});
+    t->leaves_ = leaves;
     t->tag_ = std::move(tag);
     t->left_ = std::move(left);
     t->right_ = std::move(right);
-    t->is_leaf_ = false;
     return t;
   }
 
-  bool is_leaf() const { return is_leaf_; }
+  bool is_leaf() const { return leaves_ == 1; }
   const V& value() const { return value_; }
   const Tag& tag() const { return tag_; }
   const Ptr& left() const { return left_; }
   const Ptr& right() const { return right_; }
 
-  // Counting walks are iterative: spine trees can be deeper than the
-  // call stack allows.
-  std::size_t leaf_count() const {
-    std::size_t n = 0;
-    walk([&](const Tree& t) { n += t.is_leaf() ? 1 : 0; });
-    return n;
-  }
+  std::size_t leaf_count() const { return leaves_; }
 
   std::size_t node_count() const {  // internal + leaves
-    std::size_t n = 0;
-    walk([&](const Tree&) { ++n; });
-    return n;
+    return 2 * leaves_ - 1;
   }
 
+  // Iterative: spine trees can be deeper than the call stack allows.
   std::size_t height() const {
     std::vector<std::pair<const Tree*, std::size_t>> stack{{this, 0}};
     std::size_t h = 0;
@@ -66,7 +67,7 @@ class Tree {
       auto [t, d] = stack.back();
       stack.pop_back();
       h = std::max(h, d);
-      if (!t->is_leaf_) {
+      if (!t->is_leaf()) {
         stack.push_back({t->left_.get(), d + 1});
         stack.push_back({t->right_.get(), d + 1});
       }
@@ -82,7 +83,7 @@ class Tree {
       const Tree* t = stack.back();
       stack.pop_back();
       f(*t);
-      if (!t->is_leaf_) {
+      if (!t->is_leaf()) {
         stack.push_back(t->left_.get());
         stack.push_back(t->right_.get());
       }
@@ -114,7 +115,7 @@ class Tree {
   }
 
  private:
-  bool is_leaf_ = true;
+  std::size_t leaves_ = 1;
   V value_{};
   Tag tag_{};
   Ptr left_, right_;

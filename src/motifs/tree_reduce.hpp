@@ -13,13 +13,15 @@
 // tree_reduce2 — Section 3.5 (Tree-Reduce-2 = Server ∘ Tree-Reduce):
 //   every tree node is labelled with a processor (parent = left child's
 //   label; sibling leaves share a label, so at most ONE of each node's
-//   two offspring values crosses processors); leaf values are sent to
-//   their parents' processors, one message per processor; values meet in
-//   per-node pending slots; a value whose parent shares its processor is
-//   combined in place, so only values that cross processors become
-//   messages; each processor evaluates one node at a time (processors
-//   are sequential executors), bounding the number of live intermediate
-//   values.
+//   two offspring values crosses processors). The caller labels only the
+//   top of the tree; each subtree below cut_depth(P) is labelled on its
+//   root's processor, by one task per processor, which sends the leaf
+//   values to their parents' processors, one message per processor.
+//   Values meet in per-node pending slots; a value whose parent shares
+//   its processor is combined in place, so only values that cross
+//   processors become messages; each processor evaluates one node at a
+//   time (processors are sequential executors), bounding the number of
+//   live intermediate values.
 //
 // static_tree_reduce — the baseline: the top of the tree is cut at a
 //   fixed depth and each resulting subtree is reduced sequentially on a
@@ -33,7 +35,9 @@
 
 #include <atomic>
 #include <cstdint>
+#include <limits>
 #include <memory>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -137,206 +141,362 @@ V tree_reduce1(rt::Machine& m, const typename Tree<V, Tag>::Ptr& tree,
   return out.get();
 }
 
-namespace detail {
+/// Depth at which a tree is cut into per-processor pieces: log2(P)+1, so
+/// a balanced tree yields about 2P subtrees. static_tree_reduce reduces
+/// the pieces; tree_reduce2 hands their labelling to the processors.
+inline std::uint32_t cut_depth(std::uint32_t processors) {
+  std::uint32_t depth = 1;
+  for (std::uint32_t p = processors; p > 1; p /= 2) ++depth;
+  return depth;
+}
 
-/// Preprocessing output for tree_reduce2: the labelled node table.
-template <class V, class Tag>
-struct TR2Plan {
-  struct Entry {
-    Tag tag{};
-    std::int64_t parent = -1;   // -1 marks the root
-    rt::NodeId parent_label = 0;
-    bool is_right = false;      // side of this node within its parent
-    rt::NodeId label = 0;
-  };
-  struct LeafMsg {
-    std::int64_t parent;        // id of the parent entry
-    rt::NodeId parent_label;
-    bool is_right;
-    rt::NodeId label;           // the leaf's own label (locality accounting)
-    V value;
-  };
-  std::vector<Entry> entries;   // index = node id
-  std::vector<LeafMsg> leaves;
+/// Observability hook for tree_reduce2 (experiment E3): offspring values
+/// that stayed on their processor vs crossed processors in the last call,
+/// and the messages its launch posted (labelling tasks plus leaf
+/// messages), as counted by the caller and each labelling task.
+struct TR2Stats {
+  std::uint64_t local_values = 0;
+  std::uint64_t remote_values = 0;
+  std::uint64_t launch_messages = 0;
+
+  TR2Stats& operator+=(const TR2Stats& o) {
+    local_values += o.local_values;
+    remote_values += o.remote_values;
+    launch_messages += o.launch_messages;
+    return *this;
+  }
 };
 
-/// Labels the tree (Section 3.5): ids in prefix order; the root's label
-/// is random; a left child inherits its parent's label (so the parent's
-/// label equals its left child's, as the paper specifies bottom-up); the
-/// right child shares the label if both children are leaves (sibling
-/// rule) and draws a fresh random label otherwise.
+namespace detail {
+
+/// Parent link of the root in a TR2 plan.
+inline constexpr std::uint32_t kTR2Root =
+    std::numeric_limits<std::uint32_t>::max();
+
+/// Depth of a walk that labels all the way down.
+inline constexpr std::uint32_t kNoCut =
+    std::numeric_limits<std::uint32_t>::max();
+
+/// One labelled internal node. Plans index these by prefix id, counted
+/// over internal nodes only.
+template <class Tag>
+struct TR2Node {
+  std::uint32_t parent;  // prefix id of the parent; kTR2Root at the root
+  rt::NodeId parent_label;
+  rt::NodeId label;
+  Tag tag;
+  bool is_right;  // side of this node within its parent
+};
+
+/// A node the labelling walk has reached, with the label it was given.
+template <class V, class Tag>
+struct TR2Item {
+  const Tree<V, Tag>* t;
+  std::uint32_t id;  // prefix id (meaningful for internal nodes)
+  std::uint32_t parent;
+  rt::NodeId label;
+  rt::NodeId parent_label;
+  bool is_right;
+  std::uint32_t depth;
+};
+
+/// Labels the tree below `top` (Section 3.5): a left child inherits its
+/// parent's label (so the parent's label equals its left child's, as the
+/// paper specifies bottom-up); the right child shares the label if both
+/// children are leaves (sibling rule) and draws a fresh random label
+/// otherwise. A node's prefix id follows from the cached leaf counts: the
+/// left child of `id` is `id + 1`, the right child `id + left's leaves`.
+/// Internal nodes at depth `cut` go to `on_cut(item)` and are not entered;
+/// every other internal node goes to `on_node(id, record)`, every leaf to
+/// `on_leaf(item)`. Returns the local/remote value counts of the nodes it
+/// labelled.
+template <class V, class Tag, class OnNode, class OnLeaf, class OnCut>
+TR2Stats tr2_walk(const TR2Item<V, Tag>& top, std::uint32_t processors,
+                  rt::Rng& rng, LabelPolicy policy, std::uint32_t cut,
+                  OnNode&& on_node, OnLeaf&& on_leaf, OnCut&& on_cut) {
+  TR2Stats s;
+  const auto draw = [&] {
+    return static_cast<rt::NodeId>(rng.below(processors));
+  };
+  // Raw pointers: the caller pins the whole tree for the walk, so the
+  // stack need not copy (and count) a shared_ptr per node.
+  std::vector<TR2Item<V, Tag>> stack{top};
+  while (!stack.empty()) {
+    const TR2Item<V, Tag> it = stack.back();
+    stack.pop_back();
+    const Tree<V, Tag>& t = *it.t;
+    if (!t.is_leaf() && it.depth == cut) {
+      on_cut(it);
+      continue;
+    }
+    if (it.parent != kTR2Root) {
+      ++(it.label == it.parent_label ? s.local_values : s.remote_values);
+    }
+    if (t.is_leaf()) {
+      on_leaf(it);
+      continue;
+    }
+    on_node(it.id, TR2Node<Tag>{it.parent, it.parent_label, it.label,
+                                t.tag(), it.is_right});
+    const Tree<V, Tag>* l = t.left().get();
+    const Tree<V, Tag>* r = t.right().get();
+    rt::NodeId left_label = it.label;
+    rt::NodeId right_label =
+        l->is_leaf() && r->is_leaf() ? it.label : draw();
+    if (policy == LabelPolicy::IndependentRandom) {
+      left_label = draw();
+      right_label = draw();
+    }
+    // Push right first so the left subtree is labelled first: the draw
+    // order is part of a plan's identity (DistTreeReduce2 rebuilds plans
+    // from seeds on every rank).
+    const auto right_id = it.id + static_cast<std::uint32_t>(l->leaf_count());
+    stack.push_back(
+        {r, right_id, it.id, right_label, it.label, true, it.depth + 1});
+    stack.push_back(
+        {l, it.id + 1, it.id, left_label, it.label, false, it.depth + 1});
+  }
+  return s;
+}
+
+/// The whole tree labelled in one walk, for DistTreeReduce2: every rank
+/// rebuilds it from the same generator.
+template <class V, class Tag>
+struct TR2Plan {
+  struct LeafMsg {
+    std::uint32_t parent;  // prefix id of the parent node
+    rt::NodeId parent_label;
+    bool is_right;
+    V value;
+  };
+  std::vector<TR2Node<Tag>> nodes;  // index = prefix id
+  std::vector<LeafMsg> leaves;      // in tree order
+};
+
+/// The uncut labelling: the root's label is the generator's first draw.
 template <class V, class Tag>
 TR2Plan<V, Tag> tr2_label(const typename Tree<V, Tag>::Ptr& root,
                           std::uint32_t processors, rt::Rng& rng,
                           LabelPolicy policy = LabelPolicy::Paper) {
   TR2Plan<V, Tag> plan;
-  // Raw pointers: `root` pins the whole tree for the walk, so the stack
-  // need not copy (and count) a shared_ptr per node.
-  struct Item {
-    const Tree<V, Tag>* t;
-    rt::NodeId label;
-    std::int64_t parent;
-    rt::NodeId parent_label;
-    bool is_right;
-  };
-  std::vector<Item> stack;
-  stack.push_back({root.get(), static_cast<rt::NodeId>(rng.below(processors)),
-                   -1, 0, false});
-  while (!stack.empty()) {
-    const Item it = stack.back();
-    stack.pop_back();
-    if (it.t->is_leaf()) {
-      plan.leaves.push_back(
-          {it.parent, it.parent_label, it.is_right, it.label,
-           it.t->value()});
-      continue;
-    }
-    const auto id = static_cast<std::int64_t>(plan.entries.size());
-    plan.entries.push_back(
-        {it.t->tag(), it.parent, it.parent_label, it.is_right, it.label});
-    const bool both_leaves =
-        it.t->left()->is_leaf() && it.t->right()->is_leaf();
-    rt::NodeId left_label = it.label;
-    rt::NodeId right_label =
-        both_leaves ? it.label
-                    : static_cast<rt::NodeId>(rng.below(processors));
-    if (policy == LabelPolicy::IndependentRandom) {
-      left_label = static_cast<rt::NodeId>(rng.below(processors));
-      right_label = static_cast<rt::NodeId>(rng.below(processors));
-    }
-    // Push right first so the left subtree gets the next (prefix) ids —
-    // purely cosmetic; correctness only needs parent ids to precede use.
-    stack.push_back({it.t->right().get(), right_label, id, it.label, true});
-    stack.push_back({it.t->left().get(), left_label, id, it.label, false});
-  }
+  plan.nodes.resize(root->leaf_count() - 1);
+  const auto label = static_cast<rt::NodeId>(rng.below(processors));
+  tr2_walk<V, Tag>(
+      {root.get(), 0, kTR2Root, label, 0, false, 0}, processors, rng, policy,
+      kNoCut,
+      [&plan](std::uint32_t id, const TR2Node<Tag>& n) { plan.nodes[id] = n; },
+      [&plan](const TR2Item<V, Tag>& leaf) {
+        plan.leaves.push_back(
+            {leaf.parent, leaf.parent_label, leaf.is_right, leaf.t->value()});
+      },
+      [](const TR2Item<V, Tag>&) {});
   return plan;
 }
 
-}  // namespace detail
-
-/// Observability hook for tree_reduce2 (experiment E3): number of value
-/// messages that crossed processors vs stayed local in the last call.
-struct TR2Stats {
-  std::uint64_t local_values = 0;
-  std::uint64_t remote_values = 0;
-};
-
-namespace detail {
-
-/// Where every offspring value of a plan travels is a pure function of
-/// the labels: a value is remote exactly when its own label differs from
-/// its parent's.
-template <class V, class Tag>
-TR2Stats tr2_stats(const TR2Plan<V, Tag>& plan) {
-  TR2Stats s;
-  const auto count = [&s](rt::NodeId from, rt::NodeId to) {
-    ++(from == to ? s.local_values : s.remote_values);
-  };
-  for (const auto& e : plan.entries) {
-    if (e.parent >= 0) count(e.label, e.parent_label);
-  }
-  for (const auto& leaf : plan.leaves) count(leaf.label, leaf.parent_label);
-  return s;
-}
-
-/// The running state of one tree_reduce2 invocation. Only values that
-/// cross processors become messages: a value whose parent lives on the
-/// same processor is combined in place by the task that produced it.
+/// The running state of one tree_reduce2 invocation. The caller labels
+/// the top of the tree, down to cut_depth(P), and hands each subtree
+/// below the cut to its root's label: one labelling task per processor
+/// that roots any, so the processors label the bulk of the tree in
+/// parallel. Node records and
+/// pending slots are allocated once and left untouched: each is first
+/// written by the walk that labels its node, on whichever worker runs
+/// it. Only values that cross processors become messages: a value whose
+/// parent lives on the same processor is combined in place by the task
+/// that produced it.
 template <class V, class Tag, class Eval>
 struct TR2State : std::enable_shared_from_this<TR2State<V, Tag, Eval>> {
-  using Plan = TR2Plan<V, Tag>;
-  struct Partial {
-    bool have_left = false, have_right = false;
-    V left{}, right{};
+  using TreeT = Tree<V, Tag>;
+  using Item = TR2Item<V, Tag>;
+  /// The value waiting at an internal node for its sibling's, and its
+  /// side. No initialisers: the labelling walk writes `full` first.
+  struct Slot {
+    bool full;
+    bool is_right;
+    V value;
   };
+  /// A leaf value bound for its parent's processor.
+  struct LeafRef {
+    std::uint32_t parent;
+    bool is_right;
+    const TreeT* leaf;
+  };
+  /// The subtrees below the cut whose roots carry one label, labelled by
+  /// one task on that processor: all of its labelling and leaf sends run
+  /// before any of its combines, so no labelling waits behind an eval.
+  struct Launch {
+    std::vector<Item> roots;
+    std::uint64_t seed;  // of the task's own generator
+    bool labelled;       // once-flag: a duplicated task must not reset slots
+    TR2Stats stats;      // counted by the labelling task
+  };
+  using Outbox = std::vector<std::vector<LeafRef>>;  // leaves per processor
 
   rt::Machine& m;
-  std::shared_ptr<Plan> plan;
+  typename TreeT::Ptr tree;  // pins the leaves that launch messages point at
   Eval eval;
-  /// One pending slot per internal node (index = plan entry id). A slot
-  /// is touched only by tasks of its node's processor, which run one at
-  /// a time — no locks needed.
-  std::vector<Partial> slots;
+  LabelPolicy policy;
+  std::unique_ptr<TR2Node<Tag>[]> nodes;  // index = prefix id
+  /// One pending slot per internal node. A slot is touched only by tasks
+  /// of its node's processor, which run one at a time — no locks needed —
+  /// and only after the walk that labelled the node posted its leaves.
+  std::unique_ptr<Slot[]> slots;
+  std::vector<Launch> launches;  // index = processor; fixed before posting
+  TR2Stats top;                  // the caller's counts
   rt::SVar<V> result;
-  TR2State(rt::Machine& mm, std::shared_ptr<Plan> p, Eval e)
-      : m(mm), plan(std::move(p)), eval(std::move(e)),
-        slots(plan->entries.size()) {}
 
-  /// Delivers one offspring value of entry `id` on that entry's
-  /// processor. While the completed node's parent shares the processor
-  /// the value moves up in this loop; a value bound for another
-  /// processor is posted there.
-  void arrive(std::int64_t id, bool is_right, V v) {
+  TR2State(rt::Machine& mm, typename TreeT::Ptr t, Eval e, LabelPolicy p)
+      : m(mm),
+        tree(std::move(t)),
+        eval(std::move(e)),
+        policy(p),
+        nodes(std::make_unique_for_overwrite<TR2Node<Tag>[]>(
+            tree->leaf_count() - 1)),
+        slots(std::make_unique_for_overwrite<Slot[]>(tree->leaf_count() - 1)),
+        launches(m.node_count()) {}
+
+  /// Labels the top of the tree and posts the labelling tasks.
+  void launch(rt::Rng& rng) {
+    const std::uint32_t procs = m.node_count();
+    const auto root_label = static_cast<rt::NodeId>(rng.below(procs));
+    Outbox to(procs);
+    top = walk({tree.get(), 0, kTR2Root, root_label, 0, false, 0}, rng,
+               cut_depth(procs), to);
+    top.launch_messages = send(to, rt::kNoNode);
+    for (rt::NodeId n = 0; n < procs; ++n) {
+      if (launches[n].roots.empty()) continue;
+      launches[n].seed = rng.next();
+      ++top.launch_messages;
+      m.post(n, [self = this->shared_from_this(), n] { self->label_on(n); });
+    }
+  }
+
+  /// Runs on processor `n`: labels the subtrees rooted there, sends their
+  /// leaves, then combines the leaves bound for `n` in place.
+  void label_on(rt::NodeId n) {
+    Launch& l = launches[n];
+    if (std::exchange(l.labelled, true)) return;
+    rt::Rng rng(l.seed);
+    Outbox to(m.node_count());
+    for (const Item& root : l.roots) l.stats += walk(root, rng, kNoCut, to);
+    l.stats.launch_messages = send(to, n);
+  }
+
+  /// Labels the tree below `top_item` down to depth `cut` (only the
+  /// caller's walk has one; the subtrees there go to their roots'
+  /// launches) and files its leaves by their parents' processors.
+  TR2Stats walk(const Item& top_item, rt::Rng& rng, std::uint32_t cut,
+                Outbox& to) {
+    return tr2_walk<V, Tag>(
+        top_item, m.node_count(), rng, policy, cut,
+        [this](std::uint32_t id, const TR2Node<Tag>& n) {
+          nodes[id] = n;
+          slots[id].full = false;
+        },
+        [&to](const Item& leaf) {
+          to[leaf.parent_label].push_back(
+              {leaf.parent, leaf.is_right, leaf.t});
+        },
+        [this](const Item& sub) { launches[sub.label].roots.push_back(sub); });
+  }
+
+  /// Sends the leaves as one message per processor, except that those
+  /// bound for `here` — the processor running this task, if any — are
+  /// combined in place, after the posts. Returns the messages posted.
+  std::uint64_t send(Outbox& to, rt::NodeId here) {
+    std::uint64_t posted = 0;
+    for (rt::NodeId n = 0; n < m.node_count(); ++n) {
+      if (n == here || to[n].empty()) continue;
+      ++posted;
+      m.post(n, [self = this->shared_from_this(),
+                 leaves = std::move(to[n])]() mutable {
+        // A duplicated message runs this same callable again: it must
+        // find its leaves already delivered.
+        self->deliver(std::exchange(leaves, {}));
+      });
+    }
+    if (here != rt::kNoNode) deliver(to[here]);
+    return posted;
+  }
+
+  void deliver(const std::vector<LeafRef>& leaves) {
+    std::optional<rt::EvalScope> scope;
+    for (const LeafRef& l : leaves) {
+      // Copy: messages move data by value between processors (CP.31).
+      arrive(l.parent, l.is_right, l.leaf->value(), scope);
+    }
+  }
+
+  /// Delivers one offspring value of node `id` on that node's processor.
+  /// While the completed node's parent shares the processor the value
+  /// moves up in this loop; a value bound for another processor is posted
+  /// there. `scope` is the task's: it opens at the task's first combine
+  /// and closes with the task, and a processor runs one task at a time.
+  void arrive(std::uint32_t id, bool is_right, V v,
+              std::optional<rt::EvalScope>& scope) {
     for (;;) {
-      Partial& p = slots[static_cast<std::size_t>(id)];
-      (is_right ? p.right : p.left) = std::move(v);
-      (is_right ? p.have_right : p.have_left) = true;
-      if (!(p.have_left && p.have_right)) return;
-      // Empty the slot: a duplicated message (fault injection) that lands
-      // after the node combined must find one side missing, not complete
-      // the node a second time.
-      Partial ready = std::exchange(p, Partial{});
-      const auto& e = plan->entries[static_cast<std::size_t>(id)];
-      {
-        rt::EvalScope scope;  // exactly one evaluation active per node
-        TRACE_SPAN("tree_reduce2.combine");
-        v = eval(e.tag, ready.left, ready.right);
+      Slot& s = slots[id];
+      if (!s.full) {
+        s.value = std::move(v);
+        s.is_right = is_right;
+        s.full = true;
+        return;
       }
-      if (e.parent < 0) {
+      // A repeat of the waiting side (fault injection) is the same value.
+      if (s.is_right == is_right) return;
+      // Empty the slot: a duplicated message that lands after the node
+      // combined must wait there alone, not complete the node again.
+      const V waiting = std::exchange(s.value, V{});
+      s.full = false;
+      const TR2Node<Tag>& n = nodes[id];
+      if (!scope) scope.emplace();
+      {
+        TRACE_SPAN("tree_reduce2.combine");
+        v = is_right ? eval(n.tag, waiting, v) : eval(n.tag, v, waiting);
+      }
+      if (n.parent == kTR2Root) {
         result.bind(std::move(v));
         return;
       }
-      id = e.parent;
-      is_right = e.is_right;
-      if (e.parent_label != e.label) {
+      id = n.parent;
+      is_right = n.is_right;
+      if (n.parent_label != n.label) {
         // shared_ptr capture: the async entry point returns before the
         // run finishes, and a duplicated message can run after the root
         // binds, so in-flight messages are what keep the state alive.
         // The value is copied out, not moved: a duplicated task runs its
         // callable twice.
-        m.post(e.parent_label, [self = this->shared_from_this(), id,
+        m.post(n.parent_label, [self = this->shared_from_this(), id,
                                 is_right, v = std::move(v)] {
-          self->arrive(id, is_right, v);
+          std::optional<rt::EvalScope> task_scope;
+          self->arrive(id, is_right, v, task_scope);
         });
         return;
       }
     }
   }
+
+  /// Counts of the whole call; complete once the machine is idle.
+  TR2Stats stats() const {
+    TR2Stats s = top;
+    for (const Launch& l : launches) s += l.stats;
+    return s;
+  }
 };
 
-/// Labels the tree and launches the leaf distribution; returns the state
-/// (whose `result` variable, named "tree_reduce2.result", binds when the
-/// root value is computed). Non-blocking.
+/// Launches the reduction; returns the state (whose `result` variable,
+/// named "tree_reduce2.result", binds when the root value is computed).
+/// Non-blocking.
 template <class V, class Tag, class Eval>
 std::shared_ptr<TR2State<V, Tag, Eval>> tr2_start(
     rt::Machine& m, const typename Tree<V, Tag>::Ptr& tree, Eval eval,
     LabelPolicy policy) {
+  auto st = std::make_shared<TR2State<V, Tag, Eval>>(m, tree, std::move(eval),
+                                                     policy);
+  st->result.set_name("tree_reduce2.result");
   // A call-local generator: another node's rng() is not ours to draw
   // from, and concurrent launches must not share one.
   rt::Rng rng(m.random_u64());
-  auto plan = std::make_shared<TR2Plan<V, Tag>>(
-      tr2_label<V, Tag>(tree, m.node_count(), rng, policy));
-  auto st = std::make_shared<TR2State<V, Tag, Eval>>(m, std::move(plan),
-                                                     std::move(eval));
-  st->result.set_name("tree_reduce2.result");
-  // Initial distribution: each leaf value travels from the leaf's own
-  // processor (its label) to its parent's processor. The values bound
-  // for one processor travel together, as one message per processor.
-  std::vector<std::vector<std::uint32_t>> to(m.node_count());
-  const auto& leaves = st->plan->leaves;
-  for (std::size_t i = 0; i < leaves.size(); ++i) {
-    to[leaves[i].parent_label].push_back(static_cast<std::uint32_t>(i));
-  }
-  for (rt::NodeId n = 0; n < m.node_count(); ++n) {
-    if (to[n].empty()) continue;
-    m.post(n, [st, ids = std::move(to[n])] {
-      for (const std::uint32_t i : ids) {
-        const auto& leaf = st->plan->leaves[i];
-        // Copy: messages move data by value between processors (CP.31).
-        st->arrive(leaf.parent, leaf.is_right, leaf.value);
-      }
-    });
-  }
+  st->launch(rng);
   return st;
 }
 
@@ -366,24 +526,17 @@ V tree_reduce2(rt::Machine& m, const typename Tree<V, Tag>::Ptr& tree,
   if (tree->is_leaf()) return tree->value();
   auto st = detail::tr2_start<V, Tag>(m, tree, std::move(eval), policy);
   m.wait_idle();  // rethrows task exceptions; result is bound after this
-  if (stats != nullptr) *stats = detail::tr2_stats(*st->plan);
+  if (stats != nullptr) *stats = st->stats();
   return st->result.get();
 }
 
-/// Static-partition baseline: cut the tree at `cut_depth` (default:
-/// log2(processors)+1), reduce each piece sequentially on a processor
+/// Static-partition baseline: cut the tree at `depth` (default:
+/// cut_depth(processors)), reduce each piece sequentially on a processor
 /// assigned round-robin, combine the cap as values arrive.
 template <class V, class Tag, class Eval>
 V static_tree_reduce(rt::Machine& m, const typename Tree<V, Tag>::Ptr& tree,
-                     Eval eval, std::uint32_t cut_depth = 0) {
-  if (cut_depth == 0) {
-    std::uint32_t p = m.node_count();
-    while (p > 1) {
-      ++cut_depth;
-      p /= 2;
-    }
-    ++cut_depth;
-  }
+                     Eval eval, std::uint32_t depth = 0) {
+  if (depth == 0) depth = cut_depth(m.node_count());
   struct Engine {
     rt::Machine& m;
     Eval eval;
@@ -414,7 +567,7 @@ V static_tree_reduce(rt::Machine& m, const typename Tree<V, Tag>::Ptr& tree,
   };
   auto engine = std::make_shared<Engine>(m, std::move(eval));
   rt::SVar<V> out;
-  engine->go(tree, cut_depth, out);
+  engine->go(tree, depth, out);
   m.wait_idle();  // rethrows task exceptions; result is bound after this
   return out.get();
 }

@@ -140,6 +140,118 @@ TEST(Chaos, SupervisedTreeReduce2SurvivesDuplicateAndDelay) {
   EXPECT_GT(duplicates, 0u);
 }
 
+// A Tree-Reduce-2 launched from a task on node 1: the launch's own posts
+// (the labelling tasks, the leaf messages) are then cross-node and
+// eligible for faults.
+rt::SVar<int> tree_reduce2_from_task(rt::Machine& mach,
+                                     const IntTree::Ptr& tree) {
+  rt::SVar<int> out;
+  mach.post(1, [&mach, tree, out] {
+    m::tree_reduce2_async<int, int>(mach, tree, SumEval{})
+        .when_bound([out](const int& v) { out.bind(v); });
+  });
+  return out;
+}
+
+TEST(Chaos, TreeReduce2LaunchedInATaskSurvivesDuplicateAndDelay) {
+  // A duplicated labelling task must be a no-op (it would otherwise
+  // reset slots that already hold values), and a duplicated leaf message
+  // must not deliver its leaves twice.
+  std::uint64_t duplicates = 0;
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    rt::FaultPlan plan;
+    plan.seed = seed;
+    plan.duplicate = 0.3;
+    plan.delay = 0.2;
+    rt::Machine mach({.nodes = 4, .workers = 3, .faults = plan});
+    int next = 1;
+    auto tree = balanced_tree(8, next);
+    m::SuperviseOptions opts;
+    opts.deadline = kDeadline;
+    auto res = m::supervised<int>(
+        mach,
+        [&tree](rt::Machine& mm, std::uint32_t) {
+          return tree_reduce2_from_task(mm, tree);
+        },
+        opts);
+    ASSERT_TRUE(res.ok()) << "seed " << seed << ": " << res.last.to_string();
+    EXPECT_EQ(*res.value, expected_sum(256)) << "seed " << seed;
+    EXPECT_EQ(res.attempts, 1u) << "seed " << seed;
+    duplicates += mach.fault_totals().duplicates;
+  }
+  EXPECT_GT(duplicates, 0u);
+}
+
+TEST(Chaos, TreeReduce2DuplicatedLaunchPostsAreNoOps) {
+  // Every cross-node post delivered twice, on one worker: the two copies
+  // of a message are adjacent in their node's queue, so a repeated value
+  // message finds its side already waiting or its node combined. A
+  // repeated labelling task or leaf message must do nothing at all, so
+  // each internal node is evaluated exactly once.
+  rt::FaultPlan plan;
+  plan.duplicate = 1.0;
+  rt::Machine mach({.nodes = 4, .workers = 1, .faults = plan});
+  int next = 1;
+  auto tree = balanced_tree(8, next);
+  std::atomic<int> evals{0};
+  rt::SVar<int> out;
+  mach.post(1, [&mach, &tree, &evals, out] {
+    m::tree_reduce2_async<int, int>(mach, tree,
+                                    [&evals](const int&, const int& a,
+                                             const int& b) {
+                                      evals.fetch_add(1);
+                                      return a + b;
+                                    })
+        .when_bound([out](const int& v) { out.bind(v); });
+  });
+  const rt::RunOutcome o = mach.wait_idle_for(kDeadline);
+  ASSERT_TRUE(o.ok()) << o.to_string();
+  ASSERT_TRUE(out.bound());
+  EXPECT_EQ(out.get(), expected_sum(256));
+  EXPECT_EQ(evals.load(), 255);
+  EXPECT_GT(mach.fault_totals().duplicates, 0u);
+}
+
+TEST(Chaos, TreeReduce2LaunchDropStallsThenRetryConverges) {
+  int next = 1;
+  auto tree = balanced_tree(5, next);
+  m::SuperviseOptions opts;
+  opts.deadline = kDeadline;
+  opts.reseed_faults = false;
+  rt::FaultPlan lossy;
+  lossy.drop = 1.0;  // every cross-node post is lost
+  {
+    // Lost launch posts leave the machine quiet with the result unbound.
+    rt::Machine mach({.nodes = 4, .workers = 2, .faults = lossy});
+    opts.max_attempts = 1;
+    auto res = m::supervised<int>(
+        mach,
+        [&tree](rt::Machine& mm, std::uint32_t) {
+          return tree_reduce2_from_task(mm, tree);
+        },
+        opts);
+    EXPECT_FALSE(res.ok());
+    EXPECT_EQ(res.last.status, rt::RunStatus::Stalled)
+        << res.last.to_string();
+    EXPECT_GT(mach.fault_totals().drops, 0u);
+  }
+  // The same loss on the first attempt only: the retry, a fresh launch
+  // after the stalled one is abandoned, converges.
+  rt::Machine mach({.nodes = 4, .workers = 2, .faults = lossy});
+  opts.max_attempts = 3;
+  auto res = m::supervised<int>(
+      mach,
+      [&tree](rt::Machine& mm, std::uint32_t attempt) {
+        if (attempt > 1) mm.set_fault_plan(rt::FaultPlan{});
+        return tree_reduce2_from_task(mm, tree);
+      },
+      opts);
+  ASSERT_TRUE(res.ok()) << res.last.to_string();
+  EXPECT_EQ(*res.value, expected_sum(32));
+  EXPECT_EQ(res.attempts, 2u);
+  EXPECT_GT(mach.fault_totals().drops, 0u);
+}
+
 TEST(Chaos, SupervisedDegradeFallbackWhenAttemptsExhausted) {
   rt::FaultPlan plan;
   plan.drop = 1.0;  // every cross-node message dies: no attempt can finish

@@ -139,9 +139,13 @@ TEST(TreeReduce2, IndependentRandomLabelsStillCorrectButChattier) {
 }
 
 TEST(TreeReduce2, OnlyCrossProcessorValuesArePosted) {
-  // The leaves travel as one message per processor and same-processor
-  // values combine in place, so the machine runs at most one task per
-  // processor plus one per value that crosses processors.
+  // The launch posts one labelling task per processor that roots a
+  // subtree below the cut, and each sends its leaves as one message per
+  // processor; after that only values that cross processors are posted,
+  // because same-processor values combine in place. In a balanced
+  // power-of-two tree every leaf shares its parent's label (sibling
+  // rule), so every remote value is an internal node's: the machine runs
+  // exactly the launch messages plus one task per remote value.
   rt::Machine mach({.nodes = 8, .workers = 2});
   auto t = m::balanced_tree<long, char>(
       1024, [](std::size_t) { return 1L; }, '+');
@@ -149,8 +153,45 @@ TEST(TreeReduce2, OnlyCrossProcessorValuesArePosted) {
   EXPECT_EQ((m::tree_reduce2<long, char>(mach, t, eval_arith, &stats)), 1024);
   const std::uint64_t internal = t->node_count() - t->leaf_count();
   EXPECT_EQ(stats.local_values + stats.remote_values, 2 * internal);
-  EXPECT_LE(mach.load_summary().total_tasks,
-            mach.node_count() + stats.remote_values);
+  EXPECT_EQ(mach.load_summary().total_tasks,
+            stats.launch_messages + stats.remote_values);
+  // At most one labelling task plus one leaf message per processor for
+  // each of the (at most 2^cut) subtrees below the cut: never one post
+  // per leaf.
+  const std::uint64_t subtrees = std::uint64_t{1} << m::cut_depth(8);
+  EXPECT_LE(stats.launch_messages, subtrees * (mach.node_count() + 1));
+}
+
+TEST(TreeReduce2, PlanIdsArePrefixOrder) {
+  // The labelling walk derives ids from cached leaf counts; they must be
+  // the left-first pre-order numbering of the internal nodes. random_tree
+  // draws a node's tag before building its subtrees, so a counting tag
+  // generator tags every internal node with exactly that number.
+  rt::Rng shape(23);
+  int next_tag = 0;
+  auto t = m::random_tree<long, int>(
+      shape, 200, [](rt::Rng& r) { return long(r.below(10)); },
+      [&next_tag](rt::Rng&) { return next_tag++; });
+  rt::Rng rng(5);
+  const auto plan = m::detail::tr2_label<long, int>(t, 4, rng);
+  ASSERT_EQ(plan.nodes.size(), t->leaf_count() - 1);
+  ASSERT_EQ(plan.leaves.size(), t->leaf_count());
+  EXPECT_EQ(plan.nodes[0].parent, m::detail::kTR2Root);
+  std::vector<int> children(plan.nodes.size(), 0);
+  for (std::size_t id = 0; id < plan.nodes.size(); ++id) {
+    const auto& n = plan.nodes[id];
+    EXPECT_EQ(n.tag, static_cast<int>(id));
+    if (id == 0) continue;
+    ASSERT_LT(n.parent, id);
+    EXPECT_EQ(n.parent_label, plan.nodes[n.parent].label);
+    ++children[n.parent];
+  }
+  for (const auto& leaf : plan.leaves) {
+    ASSERT_LT(leaf.parent, plan.nodes.size());
+    EXPECT_EQ(leaf.parent_label, plan.nodes[leaf.parent].label);
+    ++children[leaf.parent];
+  }
+  for (int c : children) EXPECT_EQ(c, 2);
 }
 
 TEST(TreeReduce2, ConcurrentExternalLaunches) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 namespace m = motif;
 using IntTree = m::Tree<long, char>;
 
@@ -77,6 +79,39 @@ TEST(Tree, RandomTreeHasRequestedLeaves) {
       EXPECT_EQ(t->node_count(), 2 * n - 1);
     }
   }
+}
+
+TEST(Tree, CachedCountsMatchAWalk) {
+  // leaf_count() is fixed at construction and node_count() derived from
+  // it; both must agree with an explicit walk on every shape.
+  const auto check = [](const IntTree::Ptr& t) {
+    std::size_t leaves = 0, nodes = 0;
+    t->walk([&](const IntTree& n) {
+      ++nodes;
+      leaves += n.is_leaf() ? 1 : 0;
+    });
+    EXPECT_EQ(t->leaf_count(), leaves);
+    EXPECT_EQ(t->node_count(), nodes);
+    EXPECT_EQ(t->node_count(), 2 * t->leaf_count() - 1);
+  };
+  motif::rt::Rng rng(9);
+  for (std::size_t n : {1u, 2u, 3u, 77u, 1000u}) {
+    check(m::random_tree<long, char>(
+        rng, n, [](motif::rt::Rng& r) { return long(r.below(10)); },
+        [](motif::rt::Rng&) { return '+'; }));
+    check(m::balanced_tree<long, char>(
+        n, [](std::size_t i) { return static_cast<long>(i); }, '+'));
+  }
+  check(m::spine_tree<long, char>(
+      100000, [](std::size_t) { return 1L; }, '+'));
+}
+
+TEST(Tree, InternalNodesMustFitThirtyTwoBitIds) {
+  // Subtrees may be shared, so doubling reaches 2^32 leaves in 32 steps.
+  auto t = IntTree::leaf(1);
+  for (int i = 0; i < 32; ++i) t = IntTree::node('+', t, t);
+  EXPECT_EQ(t->leaf_count(), std::size_t{1} << 32);  // 2^32 - 1 internal
+  EXPECT_THROW(IntTree::node('+', t, IntTree::leaf(1)), std::length_error);
 }
 
 TEST(Tree, RandomTreeDeterministicPerSeed) {
