@@ -12,8 +12,6 @@
 // interleaved into one input stream per server (Figure 3).
 #pragma once
 
-#include <condition_variable>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -21,7 +19,7 @@
 #include <utility>
 #include <vector>
 
-#include "runtime/taskfn.hpp"
+#include "runtime/cell.hpp"
 
 namespace motif::rt {
 
@@ -34,9 +32,26 @@ class StreamReuse : public std::logic_error {
 
 template <class T>
 class Stream {
+  /// What a cell is bound to: (value, tail) for Cons, nullopt for Nil.
+  using Link = std::optional<std::pair<T, Stream>>;
+
  public:
   /// A fresh, unbound cell.
-  Stream() : c_(std::make_shared<Cell>()) {}
+  Stream() : c_(std::make_shared<Cell<Link>>()) {}
+  Stream(const Stream&) = default;
+  Stream(Stream&&) noexcept = default;
+  Stream& operator=(const Stream&) = default;
+  Stream& operator=(Stream&&) noexcept = default;
+
+  /// Frees a materialised chain one cell at a time while this handle owns
+  /// it alone: a recursive release takes a stack frame per cell.
+  ~Stream() {
+    for (auto c = std::move(c_); c && c.use_count() == 1;) {
+      const Link* l = c->peek();
+      if (l == nullptr || !l->has_value()) return;
+      c = (*l)->second.c_;  // frees the old cell; its tail is not the last
+    }
+  }
 
   /// Binds this cell to Cons(value, fresh-tail) and returns the tail.
   Stream push(T value) {
@@ -47,76 +62,45 @@ class Stream {
 
   /// Binds this cell to Cons(value, tail) with a caller-supplied tail.
   void bind_cons(T value, Stream tail) {
-    std::vector<TaskFn> waiters;
-    {
-      std::lock_guard lock(c_->m);
-      if (c_->resolved) throw StreamReuse();
-      c_->resolved = true;
-      c_->value.emplace(std::move(value));
-      c_->next = tail.c_;
-      waiters.swap(c_->waiters);
+    if (!c_->try_bind(std::in_place, std::move(value), std::move(tail))) {
+      throw StreamReuse();
     }
-    c_->cv.notify_all();
-    for (auto& w : waiters) w();
   }
 
   /// Binds this cell to Nil (end of stream).
   void close() {
-    std::vector<TaskFn> waiters;
-    {
-      std::lock_guard lock(c_->m);
-      if (c_->resolved) throw StreamReuse();
-      c_->resolved = true;
-      waiters.swap(c_->waiters);
-    }
-    c_->cv.notify_all();
-    for (auto& w : waiters) w();
+    if (!c_->try_bind(std::nullopt)) throw StreamReuse();
   }
 
   /// True once this cell is Cons or Nil.
-  bool resolved() const {
-    std::lock_guard lock(c_->m);
-    return c_->resolved;
-  }
+  bool resolved() const { return c_->bound(); }
 
-  /// Non-blocking inspection: nullopt if unresolved; otherwise a pair
-  /// (value, tail) or, for Nil, an engaged optional holding nullopt.
-  /// Prefer when_ready / next_blocking; this exists for tests.
+  /// True once this cell is Nil (the end of the stream); false while it
+  /// is unresolved or Cons.
   bool is_nil() const {
-    std::lock_guard lock(c_->m);
-    return c_->resolved && !c_->value.has_value();
+    const Link* l = c_->peek();
+    return l != nullptr && !l->has_value();
   }
 
   /// Registers `f()` to run when this cell resolves (inline if already
   /// resolved). `f` should then re-inspect the cell via try_next().
   template <class F>
   void when_ready(F f) {
-    {
-      std::unique_lock lock(c_->m);
-      if (!c_->resolved) {
-        c_->waiters.emplace_back(std::move(f));
-        return;
-      }
-    }
-    f();
+    c_->when_bound([f = std::move(f)](const Link&) mutable { f(); });
   }
 
   /// If resolved to Cons, returns (value-copy, tail); if Nil, returns
   /// nullopt and sets `nil` true; if unresolved, returns nullopt with
   /// `nil` false.
   std::optional<std::pair<T, Stream>> try_next(bool& nil) const {
-    std::lock_guard lock(c_->m);
-    nil = c_->resolved && !c_->value.has_value();
-    if (!c_->resolved || !c_->value.has_value()) return std::nullopt;
-    return std::make_pair(*c_->value, Stream(c_->next));
+    const Link* l = c_->peek();
+    nil = l != nullptr && !l->has_value();
+    return l != nullptr ? *l : std::nullopt;
   }
 
   /// Blocking consume for threads outside the Machine. nullopt = Nil.
   std::optional<std::pair<T, Stream>> next_blocking() const {
-    std::unique_lock lock(c_->m);
-    c_->cv.wait(lock, [&] { return c_->resolved; });
-    if (!c_->value.has_value()) return std::nullopt;
-    return std::make_pair(*c_->value, Stream(c_->next));
+    return c_->wait();
   }
 
   /// Drains the whole stream into a vector (blocking; test helper).
@@ -133,17 +117,7 @@ class Stream {
   bool same_cell(const Stream& o) const { return c_ == o.c_; }
 
  private:
-  struct Cell {
-    mutable std::mutex m;
-    bool resolved = false;
-    std::optional<T> value;        // engaged => Cons, empty+resolved => Nil
-    std::shared_ptr<Cell> next;    // tail cell when Cons
-    std::condition_variable cv;
-    /// Move-only one-shot continuations (see taskfn.hpp).
-    std::vector<TaskFn> waiters;
-  };
-  explicit Stream(std::shared_ptr<Cell> c) : c_(std::move(c)) {}
-  std::shared_ptr<Cell> c_;
+  std::shared_ptr<Cell<Link>> c_;
 };
 
 /// Multi-producer append handle. Several producers may send() concurrently;
@@ -213,7 +187,6 @@ Stream<T> merge(std::vector<Stream<T>> inputs) {
   // (a fully materialised input must not overflow the stack) and
   // re-registering on the first unresolved cell.
   struct Pump {
-    StreamWriter<T> out;
     static void run(Stream<T> cur, StreamWriter<T> out) {
       for (;;) {
         bool nil = false;

@@ -8,8 +8,6 @@
 // the machine — worker threads must never block on data, CP.42/CP.4).
 #pragma once
 
-#include <condition_variable>
-#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -19,7 +17,7 @@
 #include <utility>
 #include <vector>
 
-#include "runtime/taskfn.hpp"
+#include "runtime/cell.hpp"
 
 namespace motif::rt {
 
@@ -84,30 +82,14 @@ class SVar {
   /// own synchronisation, so binding through a captured-by-value copy in
   /// a const lambda is fine.)
   void bind(T value) const {
-    std::vector<SmallFn<void(const T&)>> waiters;
-    {
-      std::lock_guard lock(s_->m);
-      if (s_->value.has_value()) throw SingleAssignmentViolation();
-      s_->value.emplace(std::move(value));
-      waiters.swap(s_->waiters);
-      s_->deregister_name();
-    }
-    s_->cv.notify_all();
-    for (auto& w : waiters) w(*s_->value);
+    if (!try_bind(std::move(value))) throw SingleAssignmentViolation();
   }
 
   /// Binds unless already bound; returns whether this call bound it.
   bool try_bind(T value) const {
-    std::vector<SmallFn<void(const T&)>> waiters;
-    {
-      std::lock_guard lock(s_->m);
-      if (s_->value.has_value()) return false;
-      s_->value.emplace(std::move(value));
-      waiters.swap(s_->waiters);
-      s_->deregister_name();
-    }
-    s_->cv.notify_all();
-    for (auto& w : waiters) w(*s_->value);
+    if (!s_->cell.try_bind(std::move(value))) return false;
+    std::lock_guard lock(s_->name_m);
+    s_->deregister_name();
     return true;
   }
 
@@ -116,8 +98,10 @@ class SVar {
   /// RunOutcome::blocked_on. Renaming an unbound variable replaces the
   /// registration; naming a bound one is a no-op. Returns *this.
   const SVar& set_name(std::string name) const {
-    std::lock_guard lock(s_->m);
-    if (s_->value.has_value()) return *this;
+    // A binder publishes before it takes name_m to deregister, so either
+    // this sees the binding or the binder sees this registration.
+    std::lock_guard lock(s_->name_m);
+    if (s_->cell.bound()) return *this;
     s_->deregister_name();
     s_->name = std::move(name);
     if (!s_->name.empty()) {
@@ -126,24 +110,17 @@ class SVar {
     return *this;
   }
 
-  bool bound() const {
-    std::lock_guard lock(s_->m);
-    return s_->value.has_value();
-  }
+  bool bound() const { return s_->cell.bound(); }
 
   /// Blocking read; for use from threads outside the Machine (e.g. main or
   /// a test). The reference stays valid for the life of the cell: the value
   /// is immutable once bound.
-  const T& get() const {
-    std::unique_lock lock(s_->m);
-    s_->cv.wait(lock, [&] { return s_->value.has_value(); });
-    return *s_->value;
-  }
+  const T& get() const { return s_->cell.wait(); }
 
   /// Non-blocking read.
   std::optional<T> peek() const {
-    std::lock_guard lock(s_->m);
-    return s_->value;
+    if (const T* v = s_->cell.peek()) return *v;
+    return std::nullopt;
   }
 
   /// Registers `f(const T&)` to run when the variable is bound. If it is
@@ -151,14 +128,7 @@ class SVar {
   /// cheap — typically a Machine::post of the real work.
   template <class F>
   void when_bound(F f) const {
-    {
-      std::unique_lock lock(s_->m);
-      if (!s_->value.has_value()) {
-        s_->waiters.emplace_back(std::move(f));
-        return;
-      }
-    }
-    f(*s_->value);
+    s_->cell.when_bound(std::move(f));
   }
 
   /// Identity of the underlying cell; two SVars alias iff they compare equal.
@@ -166,16 +136,11 @@ class SVar {
 
  private:
   struct State {
-    mutable std::mutex m;
-    std::optional<T> value;
-    std::condition_variable cv;
-    /// Move-only continuations (taskfn.hpp): a waiter runs exactly once,
-    /// and the common one — post_when's bound closure — is ~40 bytes,
-    /// past std::function's small-buffer limit but inside SmallFn's.
-    std::vector<SmallFn<void(const T&)>> waiters;
-    std::string name;  // nonempty while registered in the name registry
+    Cell<T> cell;
+    std::mutex name_m;
+    std::string name;  // guarded by name_m; nonempty while registered
 
-    /// Caller holds `m` (or is the last owner, in ~State).
+    /// Caller holds `name_m` (or is the last owner, in ~State).
     void deregister_name() {
       if (!name.empty()) {
         svar_detail::NameRegistry::instance().remove(name);

@@ -14,35 +14,24 @@
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
-#include <functional>
+#include <cstdint>
 #include <memory>
-#include <mutex>
 #include <utility>
-#include <vector>
 
-#include "runtime/taskfn.hpp"
+#include "runtime/cell.hpp"
 
 namespace motif::rt {
 
 class ShortCircuit {
+  struct Closed {};
   struct State {
     std::atomic<std::uint64_t> open{0};
-    std::mutex m;
-    bool done = false;
-    std::condition_variable cv;
-    std::vector<TaskFn> waiters;  // move-only one-shots (taskfn.hpp)
+    Cell<Closed> done;
 
     void close_one() {
-      if (open.fetch_sub(1, std::memory_order_acq_rel) != 1) return;
-      std::vector<TaskFn> ws;
-      {
-        std::lock_guard lock(m);
-        done = true;
-        ws.swap(waiters);
+      if (open.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+        done.try_bind(Closed{});
       }
-      cv.notify_all();
-      for (auto& w : ws) w();
     }
   };
 
@@ -98,28 +87,15 @@ class ShortCircuit {
     return Link(s_);
   }
 
-  bool done() const {
-    std::lock_guard lock(s_->m);
-    return s_->done;
-  }
+  bool done() const { return s_->done.bound(); }
 
   /// Blocking wait (external threads).
-  void wait() const {
-    std::unique_lock lock(s_->m);
-    s_->cv.wait(lock, [&] { return s_->done; });
-  }
+  void wait() const { s_->done.wait(); }
 
   /// Continuation when the circuit closes (inline if already closed).
   template <class F>
   void when_done(F f) {
-    {
-      std::unique_lock lock(s_->m);
-      if (!s_->done) {
-        s_->waiters.emplace_back(std::move(f));
-        return;
-      }
-    }
-    f();
+    s_->done.when_bound([f = std::move(f)](const Closed&) mutable { f(); });
   }
 
  private:

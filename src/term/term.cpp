@@ -4,6 +4,8 @@
 #include <sstream>
 #include <unordered_set>
 
+#include "runtime/cell.hpp"
+
 namespace motif::term {
 
 namespace detail {
@@ -17,11 +19,9 @@ struct Node {
   std::int64_t i = 0;
   double f = 0.0;
 
-  // Var-only state: single-assignment binding with waiter callbacks.
-  // The mutex lives with the data it guards (CP.50).
-  std::mutex var_m;
-  std::optional<Term> binding;
-  std::vector<std::function<void()>> waiters;
+  // Var-only: the binding. Bound values are immutable, so a handle that
+  // reaches a node through bindings keeps the whole chain alive.
+  rt::Cell<Term> binding;
 };
 
 }  // namespace detail
@@ -102,61 +102,58 @@ Term Term::list(std::vector<Term> items, Term tail) {
   return out;
 }
 
-Term Term::deref() const {
-  Term cur = *this;
-  for (;;) {
-    if (cur.n_->tag != Tag::Var) return cur;
-    std::lock_guard lock(cur.n_->var_m);
-    if (!cur.n_->binding.has_value()) return cur;
-    Term next = *cur.n_->binding;
-    // Unlock before following (lock_guard scope ends with the iteration).
+const Term* Term::deref_ptr() const {
+  const Term* cur = this;
+  while (cur->n_->tag == Tag::Var) {
+    const Term* next = cur->n_->binding.peek();
+    if (next == nullptr) break;
     cur = next;
   }
+  return cur;
 }
 
-Tag Term::tag() const { return deref().n_->tag; }
+Term Term::deref() const { return *deref_ptr(); }
+
+Tag Term::tag() const { return deref_ptr()->n_->tag; }
 
 bool Term::is_nil() const {
-  Term d = deref();
-  return d.n_->tag == Tag::Atom && d.n_->text == kNilName;
+  const Node& d = *deref_ptr()->n_;
+  return d.tag == Tag::Atom && d.text == kNilName;
 }
 
 bool Term::is_cons() const {
-  Term d = deref();
-  return d.n_->tag == Tag::Compound && d.n_->text == kConsName &&
-         d.n_->args.size() == 2;
+  const Node& d = *deref_ptr()->n_;
+  return d.tag == Tag::Compound && d.text == kConsName && d.args.size() == 2;
 }
 
 bool Term::is_tuple() const {
-  Term d = deref();
-  return d.n_->tag == Tag::Compound && d.n_->text == kTupleName;
+  const Node& d = *deref_ptr()->n_;
+  return d.tag == Tag::Compound && d.text == kTupleName;
 }
 
 const std::string& Term::functor() const {
-  Term d = deref();
-  if (d.n_->tag != Tag::Atom && d.n_->tag != Tag::Compound) {
+  const Node& d = *deref_ptr()->n_;
+  if (d.tag != Tag::Atom && d.tag != Tag::Compound) {
     throw std::logic_error("functor() on non-atom/compound: " + to_string());
   }
-  return d.n_->text;
+  return d.text;
 }
 
 std::size_t Term::arity() const {
-  Term d = deref();
-  if (d.n_->tag == Tag::Atom) return 0;
-  if (d.n_->tag == Tag::Compound) return d.n_->args.size();
+  const Node& d = *deref_ptr()->n_;
+  if (d.tag == Tag::Atom) return 0;
+  if (d.tag == Tag::Compound) return d.args.size();
   throw std::logic_error("arity() on non-atom/compound: " + to_string());
 }
 
 const std::vector<Term>& Term::args() const {
   static const std::vector<Term> kEmpty;
-  Term d = deref();
-  if (d.n_->tag == Tag::Atom) return kEmpty;
-  if (d.n_->tag != Tag::Compound) {
+  const Node& d = *deref_ptr()->n_;
+  if (d.tag == Tag::Atom) return kEmpty;
+  if (d.tag != Tag::Compound) {
     throw std::logic_error("args() on non-compound: " + to_string());
   }
-  // Safe: the node is immutable and shared; the caller's Term keeps a
-  // reference to a node on the same structure.
-  return d.n_->args;
+  return d.args;
 }
 
 Term Term::arg(std::size_t i) const {
@@ -166,34 +163,35 @@ Term Term::arg(std::size_t i) const {
 }
 
 std::int64_t Term::int_value() const {
-  Term d = deref();
-  if (d.n_->tag != Tag::Int) throw std::logic_error("not an integer: " + to_string());
-  return d.n_->i;
+  const Node& d = *deref_ptr()->n_;
+  if (d.tag != Tag::Int) throw std::logic_error("not an integer: " + to_string());
+  return d.i;
 }
 
 double Term::float_value() const {
-  Term d = deref();
-  if (d.n_->tag != Tag::Float) throw std::logic_error("not a float: " + to_string());
-  return d.n_->f;
+  const Node& d = *deref_ptr()->n_;
+  if (d.tag != Tag::Float) throw std::logic_error("not a float: " + to_string());
+  return d.f;
 }
 
 double Term::as_double() const {
-  Term d = deref();
-  if (d.n_->tag == Tag::Int) return static_cast<double>(d.n_->i);
-  if (d.n_->tag == Tag::Float) return d.n_->f;
+  const Node& d = *deref_ptr()->n_;
+  if (d.tag == Tag::Int) return static_cast<double>(d.i);
+  if (d.tag == Tag::Float) return d.f;
   throw std::logic_error("not a number: " + to_string());
 }
 
 const std::string& Term::str_value() const {
-  Term d = deref();
-  if (d.n_->tag != Tag::Str) throw std::logic_error("not a string: " + to_string());
-  return d.n_->text;
+  const Node& d = *deref_ptr()->n_;
+  if (d.tag != Tag::Str) throw std::logic_error("not a string: " + to_string());
+  return d.text;
 }
 
 const std::string& Term::var_name() const {
-  Term d = deref();
-  if (d.n_->tag != Tag::Var) throw std::logic_error("not a variable: " + to_string());
-  return d.n_->text;
+  // The node this handle holds, never re-dereferenced: a snapshot taken
+  // by deref() keeps its name after another thread binds it.
+  if (n_->tag != Tag::Var) throw std::logic_error("not a variable: " + to_string());
+  return n_->text;
 }
 
 std::optional<std::vector<Term>> Term::proper_list() const {
@@ -217,16 +215,9 @@ void Term::bind(Term value) const {
     // X := X is a no-op alias; Strand treats it as already satisfied.
     return;
   }
-  std::vector<std::function<void()>> waiters;
-  {
-    std::lock_guard lock(self.n_->var_m);
-    if (self.n_->binding.has_value()) {
-      throw BindError("variable " + self.n_->text + " bound twice");
-    }
-    self.n_->binding.emplace(std::move(v));
-    waiters.swap(self.n_->waiters);
+  if (!self.n_->binding.try_bind(std::move(v))) {
+    throw BindError("variable " + self.n_->text + " bound twice");
   }
-  for (auto& w : waiters) w();
 }
 
 void Term::when_bound(std::function<void()> f) const {
@@ -235,18 +226,11 @@ void Term::when_bound(std::function<void()> f) const {
     f();
     return;
   }
-  {
-    std::lock_guard lock(self.n_->var_m);
-    if (!self.n_->binding.has_value()) {
-      self.n_->waiters.emplace_back(std::move(f));
-      return;
-    }
-  }
-  f();
+  self.n_->binding.when_bound([f = std::move(f)](const Term&) { f(); });
 }
 
 bool Term::equals(const Term& other) const {
-  Term a = deref(), b = other.deref();
+  const Term &a = *deref_ptr(), &b = *other.deref_ptr();
   if (a.n_ == b.n_) return true;
   if (a.n_->tag != b.n_->tag) return false;
   switch (a.n_->tag) {
@@ -273,7 +257,7 @@ bool Term::equals(const Term& other) const {
 }
 
 bool Term::ground() const {
-  Term d = deref();
+  const Term& d = *deref_ptr();
   switch (d.n_->tag) {
     case Tag::Var:
       return false;
@@ -286,14 +270,12 @@ bool Term::ground() const {
 }
 
 namespace {
-void collect_vars(const Term& t, std::vector<Term>& out,
-                  std::unordered_set<const void*>& seen) {
+using NodeSet = std::unordered_set<Term, TermHash, TermIdEq>;
+
+void collect_vars(const Term& t, std::vector<Term>& out, NodeSet& seen) {
   Term d = t.deref();
   if (d.is_var()) {
-    const void* key = static_cast<const void*>(&d.var_name());
-    // var_name() returns a reference into the node; its address identifies
-    // the node without exposing internals.
-    if (seen.insert(key).second) out.push_back(d);
+    if (seen.insert(d).second) out.push_back(d);
     return;
   }
   if (d.is_compound()) {
@@ -304,7 +286,7 @@ void collect_vars(const Term& t, std::vector<Term>& out,
 
 std::vector<Term> Term::variables() const {
   std::vector<Term> out;
-  std::unordered_set<const void*> seen;
+  NodeSet seen;
   collect_vars(*this, out, seen);
   return out;
 }

@@ -7,8 +7,9 @@
 //   * run-time values manipulated by the concurrent interpreter (src/interp)
 //
 // A Term is an immutable handle except for variables, which are
-// single-assignment cells (bind once; binding to another variable creates
-// an alias chain followed by deref()). The supported shapes follow Strand:
+// single-assignment cells (rt::Cell: bind once; binding to another
+// variable creates an alias chain, which deref() follows without locks).
+// The supported shapes follow Strand:
 //   variables      X, Xs1, _
 //   atoms          foo, [], 'quoted atom', +, :=
 //   integers       42          floats  3.14       strings  "text"
@@ -20,7 +21,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -92,7 +92,10 @@ class Term {
   double as_double() const;  // int or float
   const std::string& str_value() const;
 
-  /// Variable name as written in the source ("_" for anonymous).
+  /// Variable name as written in the source ("_" for anonymous). Reads
+  /// the node this handle holds, without dereferencing: a deref() snapshot
+  /// keeps its name after a later bind. Throws unless that node is a
+  /// variable.
   const std::string& var_name() const;
 
   Term head() const { return arg(0); }  // of a cons cell
@@ -109,7 +112,7 @@ class Term {
   void bind(Term value) const;
 
   /// True if deref() is no longer a variable.
-  bool bound() const { return !deref().is_var(); }
+  bool bound() const { return !is_var(); }
 
   /// Runs `f` when this variable is bound (inline if already bound, or if
   /// this term is not a variable at all). Used by the interpreter to
@@ -136,6 +139,9 @@ class Term {
 
  private:
   explicit Term(detail::NodePtr n) : n_(std::move(n)) {}
+  /// deref() without the copy: the handle at the end of the binding
+  /// chain, kept alive by this one.
+  const Term* deref_ptr() const;
   detail::NodePtr n_;
   friend struct detail::Node;
   friend struct TermHash;

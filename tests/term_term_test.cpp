@@ -182,6 +182,19 @@ TEST(Term, GroundAndVariables) {
   EXPECT_TRUE(c.variables().empty());
 }
 
+// A deref() snapshot of an unbound variable holds that variable's node.
+// Binding it through another handle must not make the snapshot's readers
+// throw: the interpreter formats suspended goals while other workers bind.
+TEST(Term, SnapshotKeepsVarNameAfterBind) {
+  Term v = Term::var("X");
+  Term d = v.deref();
+  v.bind(Term::integer(1));
+  EXPECT_EQ(d.var_name(), "X");
+  EXPECT_TRUE(d.variables().empty());
+  EXPECT_EQ(d.to_string(), "1");
+  EXPECT_EQ(Term::compound("f", {d}).to_string(), "f(1)");
+}
+
 TEST(Term, ToStringShapes) {
   EXPECT_EQ(Term::atom("foo").to_string(), "foo");
   EXPECT_EQ(Term::atom("Foo").to_string(), "'Foo'");
