@@ -1,49 +1,31 @@
-// Distributed Tree-Reduce-2: the Section 3.5 motif run across a Cluster,
-// where "processor" means a *global* node that may live in another OS
-// process — so the paper's guarantee ("at most one inter-processor
-// communication per node's pair of offspring values") becomes measurable
-// as net_tx frames instead of counted pointer moves (EXPERIMENTS.md).
+// Distributed Tree-Reduce-2: the Section 3.5 motif across a Cluster,
+// whose processors are global nodes that may live in other OS processes,
+// so the paper's bound on inter-processor communication shows up as
+// net_tx frames (EXPERIMENTS.md E3). The engine is native TR2's own
+// (detail::TR2State); this file is its wire boundary (DESIGN.md §11).
+// Every rank builds one engine per generation from (depth, seed) and runs
+// all of its labelling walks itself, because a value for any of its nodes
+// can come from any subtree. Rank 0 starts the run as native TR2 does,
+// and each engine message becomes one Post frame, a tuple of integers:
 //
-// The run is fully message-driven because follower ranks never call run():
-// they sit in Cluster::serve() and everything they need arrives in the
-// messages themselves. Each arrive payload carries {gen, depth, seed,
-// parent, is_right, value}; a rank that sees a new generation rebuilds the
-// tree and the label plan locally from (depth, seed) — the plan is a pure
-// function of those, so every rank derives identical labels without any
-// plan-distribution protocol.
+//   tr2.arrive  {gen, depth, seed, batch, (id, is_right, value)...}
+//   tr2.result  {gen, depth, seed, value}          root value → rank 0
+//   tr2.label   {gen, depth, seed}                 label your subtrees
 //
-// Retry/chaos safety:
-//   * gen — one generation per run() attempt. Stale-generation messages
-//     (late deliveries from an abandoned attempt) are ignored; a node
-//     seeing a newer generation drops its pending partials first.
-//   * duplicates — a duplicated value message re-inserts a half-filled
-//     partial *after* the combine consumed it; the orphan partial never
-//     completes and is cleared by the next generation. The root result is
-//     bound with try_bind, so a duplicated result frame is a no-op.
-//   * drops — a lost value leaves the cluster idle with the result
-//     unbound; run() refines that to Stalled (same rule as supervise.hpp)
-//     so a supervisor can retry with a fresh generation.
-//   * malformed frames — handlers validate payload shape (tuple arity,
-//     integer tags, parent bounds) and drop anything else, the same way
-//     Cluster::deliver_post drops unknown handler indices: a corrupt or
-//     version-skewed peer costs a message, never a crash.
-//
-// Lifetime: the registered handlers capture the motif's state through a
-// shared_ptr, never `this` — so a DistTreeReduce2 destroyed while its
-// Cluster still holds queued handler tasks (any destruction order at the
-// call site) cannot leave dangling references. The Cluster's own
-// destructor abandons those queued tasks before its handler registry
-// goes away.
+// An arrive frame is a leaf batch from processor `batch` (P: the caller)
+// or, with batch -1, one value hop. Followers only serve(): the first
+// frame of a generation tells a rank everything it needs.
 #pragma once
 
 #include <chrono>
+#include <cstddef>
 #include <cstdint>
 #include <cstdio>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <stdexcept>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "motifs/tree.hpp"
@@ -67,6 +49,27 @@ inline Tree<long long, char>::Ptr dist_tr2_tree(std::uint32_t depth,
       '+');
 }
 
+namespace detail {
+
+struct DistTR2Sum {
+  long long operator()(char, long long a, long long b) const { return a + b; }
+};
+
+/// One generation's engine for dist_tr2_tree(depth, seed), labelled in
+/// full as every rank labels it; nothing is posted until start(). `post`
+/// says how its messages travel and how many processors there are.
+template <class Post>
+auto dist_tr2_engine(std::uint32_t depth, std::uint64_t seed, Post post) {
+  auto st = std::make_shared<TR2State<long long, char, DistTR2Sum, Post>>(
+      std::move(post), dist_tr2_tree(depth, seed), DistTR2Sum{},
+      LabelPolicy::Paper);
+  rt::Rng rng(seed ^ 0xD157ull);
+  st->label_all(rng);
+  return st;
+}
+
+}  // namespace detail
+
 /// Sum-reduction of dist_tr2_tree over a cluster. Construct on every rank
 /// (before Cluster::start(), so the handler registry matches), then call
 /// run() on rank 0 only.
@@ -81,12 +84,18 @@ class DistTreeReduce2 {
 
   explicit DistTreeReduce2(net::Cluster& cluster)
       : state_(std::make_shared<State>(cluster)) {
-    // Handlers share ownership of the state (see lifetime note above).
-    auto s = state_;
-    state_->h_arrive = cluster.register_handler(
-        "tr2.arrive", [s](const term::Term& t) { s->on_arrive(t); });
-    state_->h_result = cluster.register_handler(
-        "tr2.result", [s](const term::Term& t) { s->on_result(t); });
+    // The handlers share the state, never `this`: ~Cluster abandons their
+    // queued tasks, but the motif may go first. Registration order is the
+    // wire-level name: tr2.arrive is handler 0.
+    auto reg = [&cluster, s = state_](const char* name,
+                                      void (State::*h)(const term::Term&)) {
+      return cluster.register_handler(
+          name, [s, h](const term::Term& t) { ((*s).*h)(t); });
+    };
+    Wire& w = state_->wire;
+    w.h_arrive = reg("tr2.arrive", &State::on_arrive);
+    w.h_result = reg("tr2.result", &State::on_result);
+    w.h_label = reg("tr2.label", &State::on_label);
   }
 
   /// Rank 0 only: runs one generation end to end and classifies it.
@@ -96,213 +105,209 @@ class DistTreeReduce2 {
   }
 
  private:
-  using Plan = detail::TR2Plan<long long, char>;
-
-  struct Partial {
-    bool have_left = false, have_right = false;
-    long long left = 0, right = 0;
-  };
-
-  /// Touched only by the owning local node's (sequential) tasks.
-  struct NodeState {
+  /// How a generation's engine reaches a global node: one Post frame per
+  /// message (Cluster::post keeps same-rank ones off the wire).
+  struct Wire {
+    net::Cluster* cluster = nullptr;
+    std::uint16_t h_arrive = 0, h_result = 0, h_label = 0;
     std::uint64_t gen = 0;
-    std::unordered_map<std::int64_t, Partial> pending;
+    std::uint32_t depth = 0;
+    std::uint64_t seed = 0;
+    /// Leaf batches delivered, by (sender, destination); the caller is
+    /// sender P. Each entry is touched only by its destination's tasks.
+    std::vector<std::uint8_t> delivered{};
+
+    std::uint32_t processors() const { return cluster->global_nodes(); }
+
+    /// Posts {gen, depth, seed, tail...} to `n`.
+    void send(rt::NodeId n, std::uint16_t h,
+              const std::vector<std::int64_t>& tail) const {
+      std::vector<term::Term> a{
+          term::Term::integer(static_cast<std::int64_t>(gen)),
+          term::Term::integer(depth),
+          term::Term::integer(static_cast<std::int64_t>(seed))};
+      for (std::int64_t x : tail) a.push_back(term::Term::integer(x));
+      cluster->post(n, h, term::Term::tuple(std::move(a)));
+    }
+
+    template <class St>
+    void label(St&, rt::NodeId n) {
+      send(n, h_label, {});
+    }
+
+    template <class St, class Leaves>
+    void leaves(St&, rt::NodeId from, rt::NodeId n, const Leaves& batch) {
+      std::vector<std::int64_t> tail{from == rt::kNoNode ? processors() : from};
+      for (const auto& l : batch) {
+        tail.insert(tail.end(), {l.parent, l.is_right, l.leaf->value()});
+      }
+      send(n, h_arrive, tail);
+    }
+
+    template <class St>
+    void value(St&, rt::NodeId n, std::uint32_t id, bool right, long long v) {
+      send(n, h_arrive, {-1, id, right, v});
+    }
+
+    template <class St>
+    void result(St&, long long v) {
+      send(0, h_result, {v});
+    }
   };
 
-  /// Depths beyond this are rejected at the wire: a legitimate arrive
-  /// always carries the depth rank 0 ran with, so anything absurd is a
-  /// corrupt frame — and rebuilding a 2^depth-leaf plan from it would
-  /// turn one bad message into an allocation bomb.
-  static constexpr std::uint32_t kMaxWireDepth = 30;
+  using Engine = detail::TR2State<long long, char, detail::DistTR2Sum, Wire>;
+
+  /// Depths beyond this are rejected at the wire: a legitimate frame
+  /// carries the depth rank 0 ran with, and rebuilding a 2^depth-leaf
+  /// tree from an absurd one would make one bad frame an allocation bomb.
+  static constexpr std::int64_t kMaxWireDepth = 30;
 
   struct State {
-    explicit State(net::Cluster& cluster)
-        : cluster_(cluster), node_state_(cluster.machine().node_count()) {}
+    explicit State(net::Cluster& cluster) { wire.cluster = &cluster; }
 
     Result run(std::uint32_t depth, std::uint64_t seed,
                std::chrono::nanoseconds deadline) {
-      if (cluster_.rank() != 0) {
+      if (wire.cluster->rank() != 0) {
         throw std::logic_error("DistTreeReduce2::run is rank-0 only");
       }
       Result res;
-      const auto tree = dist_tr2_tree(depth, seed);
-      res.expected = reduce_sequential<long long, char>(
-          tree, [](char, long long a, long long b) { return a + b; });
       if (depth == 0) {  // single leaf: nothing to distribute
-        res.value = tree->value();
-        res.ok = res.value == res.expected;
+        res.value = res.expected = dist_tr2_tree(0, seed)->value();
+        res.ok = true;
         return res;
       }
-
-      std::uint64_t gen;
+      std::shared_ptr<Engine> e;
       {
-        // Allocate the generation under plan_m_: handler tasks on worker
-        // threads read and write last_gen_ under the same lock, and a
-        // late frame from an abandoned attempt can race a retry run().
-        std::lock_guard<std::mutex> lk(plan_m_);
-        gen = ++last_gen_;
+        // Under m_: handler tasks replace the engine under the same lock,
+        // and a late frame of an abandoned attempt can race a retry.
+        std::lock_guard<std::mutex> lk(m_);
+        e = build(current_ ? current_->post.gen + 1 : 1, depth, seed);
       }
-      auto plan = ensure_plan(gen, depth, seed);
-      rt::SVar<long long> result;
-      result.set_name("dist_tree_reduce2.result");
-      {
-        std::lock_guard<std::mutex> lk(run_m_);
-        run_gen_ = gen;
-        result_ = result;
+      res.expected =
+          reduce_sequential<long long, char>(e->tree, detail::DistTR2Sum{});
+      e->result.set_name("dist_tree_reduce2.result");
+      e->start();
+      res.outcome = wire.cluster->wait_idle_for(deadline);
+      if (res.outcome.ok() && !e->result.bound()) {
+        // Globally quiet but the root value never landed: a frame was lost.
+        rt::mark_unfinished(res.outcome, rt::RunStatus::Stalled);
       }
-      for (const auto& leaf : plan->leaves) {
-        cluster_.post(static_cast<net::GlobalNode>(leaf.parent_label),
-                      h_arrive,
-                      arrive_term(gen, depth, seed, leaf.parent, leaf.is_right,
-                                  leaf.value));
-      }
-      res.outcome = cluster_.wait_idle_for(deadline);
-      if (res.outcome.ok() && !result.bound()) {
-        // Globally quiet but the root value never landed: a value message
-        // was lost. Same refinement supervise.hpp applies to Completed.
-        res.outcome.status = rt::RunStatus::Stalled;
-        res.outcome.blocked_on = "dist_tree_reduce2.result";
-      }
-      if (auto v = result.peek()) res.value = *v;
-      res.ok = res.outcome.ok() && result.bound() && res.value == res.expected;
+      if (auto v = e->result.peek()) res.value = *v;
+      res.ok = res.outcome.ok() && res.value == res.expected;
       return res;
     }
 
-    static term::Term arrive_term(std::uint64_t gen, std::uint32_t depth,
-                                  std::uint64_t seed, std::int64_t parent,
-                                  bool is_right, long long value) {
-      return term::Term::tuple(
-          {term::Term::integer(static_cast<std::int64_t>(gen)),
-           term::Term::integer(depth),
-           term::Term::integer(static_cast<std::int64_t>(seed)),
-           term::Term::integer(parent), term::Term::integer(is_right ? 1 : 0),
-           term::Term::integer(value)});
+    /// Makes the engine of `gen` this rank's current one. Caller holds m_.
+    std::shared_ptr<Engine> build(std::uint64_t gen, std::uint32_t depth,
+                                  std::uint64_t seed) {
+      Wire w = wire;
+      w.gen = gen;
+      w.depth = depth;
+      w.seed = seed;
+      const std::size_t procs = w.processors();
+      w.delivered.assign((procs + 1) * procs, 0);
+      current_ = detail::dist_tr2_engine(depth, seed, std::move(w));
+      return current_;
     }
 
-    /// True when `t` is a tuple of exactly `arity` integers — the only
-    /// payload shape the handlers accept.
-    static bool int_tuple(const term::Term& t, std::size_t arity) {
-      if (!t.is_tuple() || t.args().size() != arity) return false;
+    /// True when `t` is a tuple of `arity` integers whose second, the
+    /// depth, is in range: the shape every {gen, depth, seed, ...} has.
+    static bool well_formed(const term::Term& t, std::size_t arity) {
+      if (!t.is_tuple() || t.args().size() != arity || arity < 3) return false;
       for (const auto& a : t.args()) {
         if (!a.is_int()) return false;
       }
-      return true;
+      return t.args()[1].int_value() > 0 &&
+             t.args()[1].int_value() <= kMaxWireDepth;
     }
 
-    static void drop_malformed(const char* what) {
-      std::fprintf(stderr, "[net] %s: malformed payload dropped\n", what);
-    }
-
-    /// Plan for generation `gen`, rebuilt from (depth, seed) on first
-    /// sight. Pure: every rank computes the identical labelling for the
-    /// same (depth, seed, global node count). Returns nullptr when a
-    /// frame claims an already-built generation with a *different*
-    /// (depth, seed) — two frames disagreeing about a generation means
-    /// one of them is corrupt, and silently labelling with the wrong
-    /// plan would misroute values into a wrong (not just missing)
-    /// result. Callers drop such frames; a poisoned generation then
-    /// stalls and a supervisor retries with a fresh one.
-    std::shared_ptr<const Plan> ensure_plan(std::uint64_t gen,
-                                            std::uint32_t depth,
-                                            std::uint64_t seed) {
-      std::lock_guard<std::mutex> lk(plan_m_);
-      if (plan_ == nullptr || plan_gen_ != gen) {
-        const auto tree = dist_tr2_tree(depth, seed);
-        rt::Rng rng(seed ^ 0xD157ull);
-        plan_ = std::make_shared<const Plan>(
-            detail::tr2_label<long long, char>(tree, cluster_.global_nodes(),
-                                               rng, LabelPolicy::Paper));
-        plan_gen_ = gen;
-        plan_depth_ = depth;
-        plan_seed_ = seed;
-        if (gen > last_gen_) last_gen_ = gen;  // followers track rank 0
-      } else if (plan_depth_ != depth || plan_seed_ != seed) {
-        return nullptr;
-      }
-      return plan_;
-    }
-
-    void on_arrive(const term::Term& t) {
-      if (!int_tuple(t, 6)) return drop_malformed("tr2.arrive");
+    /// The engine of a well-formed frame's generation, built on first
+    /// sight; nullptr when the frame is stale, or when its (depth, seed)
+    /// disagree with its generation's: then one of the two is corrupt,
+    /// and routing by the wrong labels would give a wrong (not just
+    /// missing) result. The generation stalls and a retry starts afresh.
+    std::shared_ptr<Engine> engine_for(const term::Term& t) {
       const auto& a = t.args();
       const auto gen = static_cast<std::uint64_t>(a[0].int_value());
       const auto depth = static_cast<std::uint32_t>(a[1].int_value());
       const auto seed = static_cast<std::uint64_t>(a[2].int_value());
-      const std::int64_t parent = a[3].int_value();
-      const bool is_right = a[4].int_value() != 0;
-      long long value = a[5].int_value();
-      if (a[1].int_value() <= 0 || depth > kMaxWireDepth) {
-        return drop_malformed("tr2.arrive");
+      std::lock_guard<std::mutex> lk(m_);
+      if (current_ == nullptr || gen > current_->post.gen) {
+        return build(gen, depth, seed);
       }
+      const Wire& w = current_->post;
+      if (gen < w.gen) return nullptr;  // late frame of an abandoned attempt
+      return w.depth == depth && w.seed == seed ? current_ : drop("tr2");
+    }
 
-      auto plan = ensure_plan(gen, depth, seed);
-      if (plan == nullptr || parent < 0 ||
-          static_cast<std::size_t>(parent) >= plan->nodes.size()) {
-        return drop_malformed("tr2.arrive");
-      }
-      const rt::NodeId here = rt::Machine::current_node();
-      NodeState& ns = node_state_[here];
-      if (gen < ns.gen) return;  // late message from an abandoned attempt
-      if (gen > ns.gen) {
-        ns.gen = gen;
-        ns.pending.clear();
-      }
+    static std::nullptr_t drop(const char* what) {
+      std::fprintf(stderr, "[net] %s: malformed payload dropped\n", what);
+      return nullptr;
+    }
 
-      Partial& p = ns.pending[parent];
-      (is_right ? p.right : p.left) = value;
-      (is_right ? p.have_right : p.have_left) = true;
-      if (!(p.have_left && p.have_right)) return;
-      const Partial ready = p;
-      ns.pending.erase(parent);
-      const auto& e = plan->nodes[static_cast<std::size_t>(parent)];
-      long long combined;
-      {
-        rt::EvalScope scope;  // one evaluation active per processor (§3.5)
-        TRACE_SPAN("dist_tree_reduce2.combine");
-        combined = ready.left + ready.right;
+    /// The global node running the current handler task.
+    rt::NodeId here() const {
+      return wire.cluster->rank() * wire.cluster->nodes_per_rank() +
+             rt::Machine::current_node();
+    }
+
+    void on_label(const term::Term& t) {
+      if (!well_formed(t, 3)) return (void)drop("tr2.label");
+      // Once per generation: the engine's once-flag.
+      if (auto e = engine_for(t)) e->label_on(here());
+    }
+
+    /// A duplicated frame is decoded again as a new message, so the
+    /// engine's closure guards miss it: a leaf batch is checked off in
+    /// `delivered`, and a repeated value finds its slot waiting on that
+    /// side or already combined (a label frame hits the once-flag).
+    void on_arrive(const term::Term& t) {
+      const std::size_t n = t.is_tuple() ? t.args().size() : 0;
+      bool ok = n >= 7 && (n - 4) % 3 == 0 && well_formed(t, n) &&
+                t.args()[3].int_value() >= -1 &&
+                t.args()[3].int_value() <= wire.processors();
+      for (std::size_t i = 4; ok && i < n; i += 3) {
+        const std::int64_t id = t.args()[i].int_value();
+        const std::int64_t side = t.args()[i + 1].int_value();
+        ok = id >= 0 && id < (std::int64_t{1} << t.args()[1].int_value()) - 1 &&
+             (side == 0 || side == 1);
       }
-      if (e.parent == detail::kTR2Root) {
-        cluster_.post(0, h_result,
-                      term::Term::tuple(
-                          {term::Term::integer(static_cast<std::int64_t>(gen)),
-                           term::Term::integer(combined)}));
-        return;
+      if (!ok) return (void)drop("tr2.arrive");
+      auto e = engine_for(t);
+      if (e == nullptr) return;
+      const auto& a = t.args();
+      const rt::NodeId to = here();
+      for (std::size_t i = 4; i < n; i += 3) {
+        if (e->nodes[static_cast<std::size_t>(a[i].int_value())].label != to) {
+          return (void)drop("tr2.arrive");
+        }
       }
-      // Onward to the parent's processor. cluster_.post keeps same-rank
-      // hops off the wire, so net_tx counts exactly the inter-processor
-      // value messages the paper's Section 3.5 bound is about.
-      cluster_.post(static_cast<net::GlobalNode>(e.parent_label), h_arrive,
-                    arrive_term(gen, depth, seed, e.parent, e.is_right,
-                                combined));
+      const std::int64_t batch = a[3].int_value();
+      if (batch >= 0 &&
+          std::exchange(e->post.delivered[static_cast<std::size_t>(batch) *
+                                              wire.processors() + to], 1)) {
+        return;  // a duplicate of a delivered leaf batch
+      }
+      std::optional<rt::EvalScope> scope;
+      for (std::size_t i = 4; i < n; i += 3) {
+        e->arrive(static_cast<std::uint32_t>(a[i].int_value()),
+                  a[i + 1].int_value() == 1, a[i + 2].int_value(), scope);
+      }
     }
 
     void on_result(const term::Term& t) {
-      if (!int_tuple(t, 2)) return drop_malformed("tr2.result");
-      const auto& a = t.args();
-      const auto gen = static_cast<std::uint64_t>(a[0].int_value());
-      const long long value = a[1].int_value();
-      std::lock_guard<std::mutex> lk(run_m_);
-      if (gen == run_gen_ && result_.has_value()) {
-        result_->try_bind(value);  // duplicate-safe
+      if (!well_formed(t, 4)) return (void)drop("tr2.result");
+      const auto gen = static_cast<std::uint64_t>(t.args()[0].int_value());
+      std::lock_guard<std::mutex> lk(m_);
+      if (current_ != nullptr && current_->post.gen == gen) {
+        current_->result.try_bind(t.args()[3].int_value());  // dup-safe
       }
     }
 
-    net::Cluster& cluster_;
-    std::uint16_t h_arrive = 0;
-    std::uint16_t h_result = 0;
+    Wire wire;  // handler ids; each generation's engine gets a copy
 
-    std::mutex plan_m_;
-    std::shared_ptr<const Plan> plan_;
-    std::uint64_t plan_gen_ = 0;
-    std::uint32_t plan_depth_ = 0;
-    std::uint64_t plan_seed_ = 0;
-    std::uint64_t last_gen_ = 0;  // guarded by plan_m_
-
-    std::mutex run_m_;
-    std::uint64_t run_gen_ = 0;
-    std::optional<rt::SVar<long long>> result_;
-
-    std::vector<NodeState> node_state_;
+    std::mutex m_;
+    std::shared_ptr<Engine> current_;  // this rank's newest generation
   };
 
   std::shared_ptr<State> state_;

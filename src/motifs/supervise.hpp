@@ -103,14 +103,9 @@ SupervisedResult<T> supervised(
     }
     rt::SVar<T> out = start(m, attempt);
     rt::RunOutcome o = m.wait_idle_for(opts.deadline);
-    if (o.status == rt::RunStatus::Completed && !out.bound()) {
+    if (o.ok() && !out.bound()) {
       // Quiesced without the answer: somewhere a message died.
-      o.status = o.lost_nodes.empty() ? rt::RunStatus::Stalled
-                                      : rt::RunStatus::NodeLost;
-      for (const auto& name : rt::unbound_svar_names()) {
-        if (!o.blocked_on.empty()) o.blocked_on += ", ";
-        o.blocked_on += name;
-      }
+      rt::mark_unfinished(o, rt::RunStatus::Stalled);
     }
     res.last = std::move(o);
     if (res.last.status == rt::RunStatus::Completed) {

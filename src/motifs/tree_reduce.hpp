@@ -169,7 +169,7 @@ struct TR2Stats {
 
 namespace detail {
 
-/// Parent link of the root in a TR2 plan.
+/// Parent link of the root node.
 inline constexpr std::uint32_t kTR2Root =
     std::numeric_limits<std::uint32_t>::max();
 
@@ -177,136 +177,73 @@ inline constexpr std::uint32_t kTR2Root =
 inline constexpr std::uint32_t kNoCut =
     std::numeric_limits<std::uint32_t>::max();
 
-/// One labelled internal node. Plans index these by prefix id, counted
-/// over internal nodes only.
-template <class Tag>
-struct TR2Node {
-  std::uint32_t parent;  // prefix id of the parent; kTR2Root at the root
-  rt::NodeId parent_label;
-  rt::NodeId label;
-  Tag tag;
-  bool is_right;  // side of this node within its parent
-};
+/// How TR2State's messages reach a processor of one Machine: a closure
+/// posted to its node. Closures hold the state by shared_ptr, because the
+/// async entry point returns before the run finishes and a duplicated
+/// message can run after the root binds. A duplicate runs its callable
+/// twice, so each closure stays fit to run again.
+struct MachinePost {
+  rt::Machine& m;
 
-/// A node the labelling walk has reached, with the label it was given.
-template <class V, class Tag>
-struct TR2Item {
-  const Tree<V, Tag>* t;
-  std::uint32_t id;  // prefix id (meaningful for internal nodes)
-  std::uint32_t parent;
-  rt::NodeId label;
-  rt::NodeId parent_label;
-  bool is_right;
-  std::uint32_t depth;
-};
+  std::uint32_t processors() const { return m.node_count(); }
 
-/// Labels the tree below `top` (Section 3.5): a left child inherits its
-/// parent's label (so the parent's label equals its left child's, as the
-/// paper specifies bottom-up); the right child shares the label if both
-/// children are leaves (sibling rule) and draws a fresh random label
-/// otherwise. A node's prefix id follows from the cached leaf counts: the
-/// left child of `id` is `id + 1`, the right child `id + left's leaves`.
-/// Internal nodes at depth `cut` go to `on_cut(item)` and are not entered;
-/// every other internal node goes to `on_node(id, record)`, every leaf to
-/// `on_leaf(item)`. Returns the local/remote value counts of the nodes it
-/// labelled.
-template <class V, class Tag, class OnNode, class OnLeaf, class OnCut>
-TR2Stats tr2_walk(const TR2Item<V, Tag>& top, std::uint32_t processors,
-                  rt::Rng& rng, LabelPolicy policy, std::uint32_t cut,
-                  OnNode&& on_node, OnLeaf&& on_leaf, OnCut&& on_cut) {
-  TR2Stats s;
-  const auto draw = [&] {
-    return static_cast<rt::NodeId>(rng.below(processors));
-  };
-  // Raw pointers: the caller pins the whole tree for the walk, so the
-  // stack need not copy (and count) a shared_ptr per node.
-  std::vector<TR2Item<V, Tag>> stack{top};
-  while (!stack.empty()) {
-    const TR2Item<V, Tag> it = stack.back();
-    stack.pop_back();
-    const Tree<V, Tag>& t = *it.t;
-    if (!t.is_leaf() && it.depth == cut) {
-      on_cut(it);
-      continue;
-    }
-    if (it.parent != kTR2Root) {
-      ++(it.label == it.parent_label ? s.local_values : s.remote_values);
-    }
-    if (t.is_leaf()) {
-      on_leaf(it);
-      continue;
-    }
-    on_node(it.id, TR2Node<Tag>{it.parent, it.parent_label, it.label,
-                                t.tag(), it.is_right});
-    const Tree<V, Tag>* l = t.left().get();
-    const Tree<V, Tag>* r = t.right().get();
-    rt::NodeId left_label = it.label;
-    rt::NodeId right_label =
-        l->is_leaf() && r->is_leaf() ? it.label : draw();
-    if (policy == LabelPolicy::IndependentRandom) {
-      left_label = draw();
-      right_label = draw();
-    }
-    // Push right first so the left subtree is labelled first: the draw
-    // order is part of a plan's identity (DistTreeReduce2 rebuilds plans
-    // from seeds on every rank).
-    const auto right_id = it.id + static_cast<std::uint32_t>(l->leaf_count());
-    stack.push_back(
-        {r, right_id, it.id, right_label, it.label, true, it.depth + 1});
-    stack.push_back(
-        {l, it.id + 1, it.id, left_label, it.label, false, it.depth + 1});
+  template <class State>
+  void label(State& st, rt::NodeId n) {
+    m.post(n, [self = st.shared_from_this(), n] { self->label_on(n); });
   }
-  return s;
-}
 
-/// The whole tree labelled in one walk, for DistTreeReduce2: every rank
-/// rebuilds it from the same generator.
-template <class V, class Tag>
-struct TR2Plan {
-  struct LeafMsg {
-    std::uint32_t parent;  // prefix id of the parent node
+  template <class State, class Leaves>
+  void leaves(State& st, rt::NodeId /*from*/, rt::NodeId n, Leaves batch) {
+    m.post(n, [self = st.shared_from_this(),
+               batch = std::move(batch)]() mutable {
+      // A duplicate must find its leaves already delivered.
+      self->deliver(std::exchange(batch, {}));
+    });
+  }
+
+  template <class State, class V>
+  void value(State& st, rt::NodeId n, std::uint32_t id, bool is_right, V v) {
+    // The value is copied into arrive, not moved: a duplicate reuses it.
+    m.post(n, [self = st.shared_from_this(), id, is_right, v = std::move(v)] {
+      std::optional<rt::EvalScope> scope;
+      self->arrive(id, is_right, v, scope);
+    });
+  }
+
+  template <class State, class V>
+  void result(State& st, V v) {
+    st.result.bind(std::move(v));
+  }
+};
+
+/// The running state of one Tree-Reduce-2 invocation: the only TR2
+/// engine (see the file comment). `Post` says how a message reaches a
+/// processor: MachinePost, or DistTreeReduce2's wire across a Cluster.
+/// Node records and pending slots are allocated once and left untouched:
+/// each is first written by the walk that labels its node, on whichever
+/// worker runs it.
+template <class V, class Tag, class Eval, class Post = MachinePost>
+struct TR2State : std::enable_shared_from_this<TR2State<V, Tag, Eval, Post>> {
+  using TreeT = Tree<V, Tag>;
+  /// One labelled internal node, indexed by prefix id (counted over
+  /// internal nodes only).
+  struct Node {
+    std::uint32_t parent;  // prefix id of the parent; kTR2Root at the root
+    rt::NodeId parent_label;
+    rt::NodeId label;
+    Tag tag;
+    bool is_right;  // side of this node within its parent
+  };
+  /// A node the labelling walk has reached, with the label it was given.
+  struct Item {
+    const TreeT* t;
+    std::uint32_t id;  // prefix id (meaningful for internal nodes)
+    std::uint32_t parent;
+    rt::NodeId label;
     rt::NodeId parent_label;
     bool is_right;
-    V value;
+    std::uint32_t depth;
   };
-  std::vector<TR2Node<Tag>> nodes;  // index = prefix id
-  std::vector<LeafMsg> leaves;      // in tree order
-};
-
-/// The uncut labelling: the root's label is the generator's first draw.
-template <class V, class Tag>
-TR2Plan<V, Tag> tr2_label(const typename Tree<V, Tag>::Ptr& root,
-                          std::uint32_t processors, rt::Rng& rng,
-                          LabelPolicy policy = LabelPolicy::Paper) {
-  TR2Plan<V, Tag> plan;
-  plan.nodes.resize(root->leaf_count() - 1);
-  const auto label = static_cast<rt::NodeId>(rng.below(processors));
-  tr2_walk<V, Tag>(
-      {root.get(), 0, kTR2Root, label, 0, false, 0}, processors, rng, policy,
-      kNoCut,
-      [&plan](std::uint32_t id, const TR2Node<Tag>& n) { plan.nodes[id] = n; },
-      [&plan](const TR2Item<V, Tag>& leaf) {
-        plan.leaves.push_back(
-            {leaf.parent, leaf.parent_label, leaf.is_right, leaf.t->value()});
-      },
-      [](const TR2Item<V, Tag>&) {});
-  return plan;
-}
-
-/// The running state of one tree_reduce2 invocation. The caller labels
-/// the top of the tree, down to cut_depth(P), and hands each subtree
-/// below the cut to its root's label: one labelling task per processor
-/// that roots any, so the processors label the bulk of the tree in
-/// parallel. Node records and
-/// pending slots are allocated once and left untouched: each is first
-/// written by the walk that labels its node, on whichever worker runs
-/// it. Only values that cross processors become messages: a value whose
-/// parent lives on the same processor is combined in place by the task
-/// that produced it.
-template <class V, class Tag, class Eval>
-struct TR2State : std::enable_shared_from_this<TR2State<V, Tag, Eval>> {
-  using TreeT = Tree<V, Tag>;
-  using Item = TR2Item<V, Tag>;
   /// The value waiting at an internal node for its sibling's, and its
   /// side. No initialisers: the labelling walk writes `full` first.
   struct Slot {
@@ -320,6 +257,7 @@ struct TR2State : std::enable_shared_from_this<TR2State<V, Tag, Eval>> {
     bool is_right;
     const TreeT* leaf;
   };
+  using Outbox = std::vector<std::vector<LeafRef>>;  // leaves per processor
   /// The subtrees below the cut whose roots carry one label, labelled by
   /// one task on that processor: all of its labelling and leaf sends run
   /// before any of its combines, so no labelling waits behind an eval.
@@ -328,75 +266,138 @@ struct TR2State : std::enable_shared_from_this<TR2State<V, Tag, Eval>> {
     std::uint64_t seed;  // of the task's own generator
     bool labelled;       // once-flag: a duplicated task must not reset slots
     TR2Stats stats;      // counted by the labelling task
+    Outbox to;           // its leaves, once labelled
   };
-  using Outbox = std::vector<std::vector<LeafRef>>;  // leaves per processor
 
-  rt::Machine& m;
+  Post post;
   typename TreeT::Ptr tree;  // pins the leaves that launch messages point at
   Eval eval;
   LabelPolicy policy;
-  std::unique_ptr<TR2Node<Tag>[]> nodes;  // index = prefix id
+  std::unique_ptr<Node[]> nodes;  // index = prefix id
   /// One pending slot per internal node. A slot is touched only by tasks
   /// of its node's processor, which run one at a time — no locks needed —
   /// and only after the walk that labelled the node posted its leaves.
   std::unique_ptr<Slot[]> slots;
   std::vector<Launch> launches;  // index = processor; fixed before posting
+  Outbox top_to;                 // the caller's leaves
   TR2Stats top;                  // the caller's counts
   rt::SVar<V> result;
 
-  TR2State(rt::Machine& mm, typename TreeT::Ptr t, Eval e, LabelPolicy p)
-      : m(mm),
+  TR2State(Post p, typename TreeT::Ptr t, Eval e, LabelPolicy pol)
+      : post(std::move(p)),
         tree(std::move(t)),
         eval(std::move(e)),
-        policy(p),
-        nodes(std::make_unique_for_overwrite<TR2Node<Tag>[]>(
+        policy(pol),
+        nodes(std::make_unique_for_overwrite<Node[]>(
             tree->leaf_count() - 1)),
         slots(std::make_unique_for_overwrite<Slot[]>(tree->leaf_count() - 1)),
-        launches(m.node_count()) {}
+        launches(post.processors()) {}
 
-  /// Labels the top of the tree and posts the labelling tasks.
-  void launch(rt::Rng& rng) {
-    const std::uint32_t procs = m.node_count();
+  /// The caller's walk: labels the top of the tree and draws the seed of
+  /// each launch's generator.
+  void label_top(rt::Rng& rng) {
+    const std::uint32_t procs = post.processors();
     const auto root_label = static_cast<rt::NodeId>(rng.below(procs));
-    Outbox to(procs);
+    top_to.resize(procs);
     top = walk({tree.get(), 0, kTR2Root, root_label, 0, false, 0}, rng,
-               cut_depth(procs), to);
-    top.launch_messages = send(to, rt::kNoNode);
-    for (rt::NodeId n = 0; n < procs; ++n) {
-      if (launches[n].roots.empty()) continue;
-      launches[n].seed = rng.next();
-      ++top.launch_messages;
-      m.post(n, [self = this->shared_from_this(), n] { self->label_on(n); });
+               cut_depth(procs), top_to);
+    for (Launch& l : launches) {
+      if (!l.roots.empty()) l.seed = rng.next();
     }
   }
 
-  /// Runs on processor `n`: labels the subtrees rooted there, sends their
-  /// leaves, then combines the leaves bound for `n` in place.
+  /// Labels the subtrees of launch `n` from its own generator.
+  void label(rt::NodeId n) {
+    Launch& l = launches[n];
+    rt::Rng rng(l.seed);
+    l.to.resize(post.processors());
+    for (const Item& root : l.roots) l.stats += walk(root, rng, kNoCut, l.to);
+  }
+
+  /// Every walk on the calling thread, posting nothing: for a substrate
+  /// where any place may receive a value for any node, so each labels
+  /// the whole tree itself (DistTreeReduce2, on every rank).
+  void label_all(rt::Rng& rng) {
+    label_top(rng);
+    for (rt::NodeId n = 0; n < launches.size(); ++n) label(n);
+  }
+
+  /// After label_top: sends the caller's leaves and posts the labelling
+  /// tasks.
+  void start() {
+    top.launch_messages = send(top_to, rt::kNoNode);
+    for (rt::NodeId n = 0; n < launches.size(); ++n) {
+      if (launches[n].roots.empty()) continue;
+      ++top.launch_messages;
+      post.label(*this, n);
+    }
+  }
+
+  /// Runs on processor `n`: labels the subtrees rooted there (unless
+  /// label_all did), sends their leaves, then combines the leaves bound
+  /// for `n` in place.
   void label_on(rt::NodeId n) {
     Launch& l = launches[n];
     if (std::exchange(l.labelled, true)) return;
-    rt::Rng rng(l.seed);
-    Outbox to(m.node_count());
-    for (const Item& root : l.roots) l.stats += walk(root, rng, kNoCut, to);
-    l.stats.launch_messages = send(to, n);
+    if (l.to.empty()) label(n);
+    l.stats.launch_messages = send(l.to, n);
   }
 
-  /// Labels the tree below `top_item` down to depth `cut` (only the
-  /// caller's walk has one; the subtrees there go to their roots'
-  /// launches) and files its leaves by their parents' processors.
+  /// Labels the tree below `top_item` (Section 3.5): a left child
+  /// inherits its parent's label (so the parent's label equals its left
+  /// child's, as the paper specifies bottom-up); the right child shares
+  /// the label if both children are leaves (sibling rule) and draws a
+  /// fresh random label otherwise. A node's prefix id follows from the
+  /// cached leaf counts: the left child of `id` is `id + 1`, the right
+  /// child `id + left's leaves`. Internal nodes at depth `cut` (only the
+  /// caller's walk has one) go to their label's launch and are not
+  /// entered; leaves are filed by their parents' processors. Returns the
+  /// local/remote value counts of the nodes it labelled.
   TR2Stats walk(const Item& top_item, rt::Rng& rng, std::uint32_t cut,
                 Outbox& to) {
-    return tr2_walk<V, Tag>(
-        top_item, m.node_count(), rng, policy, cut,
-        [this](std::uint32_t id, const TR2Node<Tag>& n) {
-          nodes[id] = n;
-          slots[id].full = false;
-        },
-        [&to](const Item& leaf) {
-          to[leaf.parent_label].push_back(
-              {leaf.parent, leaf.is_right, leaf.t});
-        },
-        [this](const Item& sub) { launches[sub.label].roots.push_back(sub); });
+    TR2Stats s;
+    const std::uint32_t procs = post.processors();
+    const auto draw = [&] { return static_cast<rt::NodeId>(rng.below(procs)); };
+    // Raw pointers: `tree` pins the whole tree for the walk, so the stack
+    // need not copy (and count) a shared_ptr per node.
+    std::vector<Item> stack{top_item};
+    while (!stack.empty()) {
+      const Item it = stack.back();
+      stack.pop_back();
+      const TreeT& t = *it.t;
+      if (!t.is_leaf() && it.depth == cut) {
+        launches[it.label].roots.push_back(it);
+        continue;
+      }
+      if (it.parent != kTR2Root) {
+        ++(it.label == it.parent_label ? s.local_values : s.remote_values);
+      }
+      if (t.is_leaf()) {
+        to[it.parent_label].push_back({it.parent, it.is_right, it.t});
+        continue;
+      }
+      nodes[it.id] = {it.parent, it.parent_label, it.label, t.tag(),
+                      it.is_right};
+      slots[it.id].full = false;
+      const TreeT* l = t.left().get();
+      const TreeT* r = t.right().get();
+      rt::NodeId left_label = it.label;
+      rt::NodeId right_label =
+          l->is_leaf() && r->is_leaf() ? it.label : draw();
+      if (policy == LabelPolicy::IndependentRandom) {
+        left_label = draw();
+        right_label = draw();
+      }
+      // Push right first so the left subtree is labelled first: the draw
+      // order is part of the labelling's identity (DistTreeReduce2
+      // relabels from seeds on every rank).
+      const auto right_id = it.id + static_cast<std::uint32_t>(l->leaf_count());
+      stack.push_back(
+          {r, right_id, it.id, right_label, it.label, true, it.depth + 1});
+      stack.push_back(
+          {l, it.id + 1, it.id, left_label, it.label, false, it.depth + 1});
+    }
+    return s;
   }
 
   /// Sends the leaves as one message per processor, except that those
@@ -404,17 +405,12 @@ struct TR2State : std::enable_shared_from_this<TR2State<V, Tag, Eval>> {
   /// combined in place, after the posts. Returns the messages posted.
   std::uint64_t send(Outbox& to, rt::NodeId here) {
     std::uint64_t posted = 0;
-    for (rt::NodeId n = 0; n < m.node_count(); ++n) {
+    for (rt::NodeId n = 0; n < to.size(); ++n) {
       if (n == here || to[n].empty()) continue;
       ++posted;
-      m.post(n, [self = this->shared_from_this(),
-                 leaves = std::move(to[n])]() mutable {
-        // A duplicated message runs this same callable again: it must
-        // find its leaves already delivered.
-        self->deliver(std::exchange(leaves, {}));
-      });
+      post.leaves(*this, here, n, std::move(to[n]));
     }
-    if (here != rt::kNoNode) deliver(to[here]);
+    if (here != rt::kNoNode) deliver(std::exchange(to[here], {}));
     return posted;
   }
 
@@ -447,29 +443,20 @@ struct TR2State : std::enable_shared_from_this<TR2State<V, Tag, Eval>> {
       // combined must wait there alone, not complete the node again.
       const V waiting = std::exchange(s.value, V{});
       s.full = false;
-      const TR2Node<Tag>& n = nodes[id];
+      const Node& n = nodes[id];
       if (!scope) scope.emplace();
       {
         TRACE_SPAN("tree_reduce2.combine");
         v = is_right ? eval(n.tag, waiting, v) : eval(n.tag, v, waiting);
       }
       if (n.parent == kTR2Root) {
-        result.bind(std::move(v));
+        post.result(*this, std::move(v));
         return;
       }
       id = n.parent;
       is_right = n.is_right;
       if (n.parent_label != n.label) {
-        // shared_ptr capture: the async entry point returns before the
-        // run finishes, and a duplicated message can run after the root
-        // binds, so in-flight messages are what keep the state alive.
-        // The value is copied out, not moved: a duplicated task runs its
-        // callable twice.
-        m.post(n.parent_label, [self = this->shared_from_this(), id,
-                                is_right, v = std::move(v)] {
-          std::optional<rt::EvalScope> task_scope;
-          self->arrive(id, is_right, v, task_scope);
-        });
+        post.value(*this, n.parent_label, id, is_right, std::move(v));
         return;
       }
     }
@@ -490,13 +477,14 @@ template <class V, class Tag, class Eval>
 std::shared_ptr<TR2State<V, Tag, Eval>> tr2_start(
     rt::Machine& m, const typename Tree<V, Tag>::Ptr& tree, Eval eval,
     LabelPolicy policy) {
-  auto st = std::make_shared<TR2State<V, Tag, Eval>>(m, tree, std::move(eval),
-                                                     policy);
+  auto st = std::make_shared<TR2State<V, Tag, Eval>>(
+      MachinePost{m}, tree, std::move(eval), policy);
   st->result.set_name("tree_reduce2.result");
   // A call-local generator: another node's rng() is not ours to draw
   // from, and concurrent launches must not share one.
   rt::Rng rng(m.random_u64());
-  st->launch(rng);
+  st->label_top(rng);
+  st->start();
   return st;
 }
 

@@ -270,14 +270,9 @@ rt::RunOutcome Cluster::wait_idle_for(std::chrono::nanoseconds deadline) {
 
 rt::RunOutcome Cluster::deadline_outcome() {
   rt::RunOutcome o = machine_->wait_idle_for(std::chrono::milliseconds(1));
-  if (o.status == rt::RunStatus::Completed) {
+  if (o.ok()) {
     // Locally quiet but the cluster never converged.
-    o.status = o.lost_nodes.empty() ? rt::RunStatus::DeadlineExceeded
-                                    : rt::RunStatus::NodeLost;
-    for (const auto& name : rt::unbound_svar_names()) {
-      if (!o.blocked_on.empty()) o.blocked_on += ", ";
-      o.blocked_on += name;
-    }
+    rt::mark_unfinished(o, rt::RunStatus::DeadlineExceeded);
   }
   return o;
 }

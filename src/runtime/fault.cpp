@@ -1,6 +1,7 @@
 #include "runtime/fault.hpp"
 
 #include "runtime/rng.hpp"
+#include "runtime/svar.hpp"
 
 namespace motif::rt {
 
@@ -69,6 +70,15 @@ std::string RunOutcome::to_string() const {
   if (!error_message.empty()) s += ": " + error_message;
   if (!blocked_on.empty()) s += " (waiting on " + blocked_on + ")";
   return s;
+}
+
+void mark_unfinished(RunOutcome& o, RunStatus why) {
+  o.status = o.lost_nodes.empty() ? why : RunStatus::NodeLost;
+  o.blocked_on.clear();
+  for (const auto& name : unbound_svar_names()) {
+    if (!o.blocked_on.empty()) o.blocked_on += ", ";
+    o.blocked_on += name;
+  }
 }
 
 }  // namespace motif::rt

@@ -134,4 +134,10 @@ struct RunOutcome {
   std::string to_string() const;
 };
 
+/// The one rule for a run that ended without its result: `why` —
+/// Stalled when everything went quiet but the result stayed unbound,
+/// DeadlineExceeded when the run never went quiet — becomes NodeLost if
+/// nodes died, and `blocked_on` names every still-unbound named SVar.
+void mark_unfinished(RunOutcome& o, RunStatus why);
+
 }  // namespace motif::rt

@@ -220,7 +220,11 @@ void Machine::post(NodeId n, Task t) {
     discarded_posts_.fetch_add(1, std::memory_order_relaxed);
     return;
   }
-  const NodeId from = tl_current_node;
+  // A worker of another Machine (loopback clusters deliver on the
+  // sender's thread) runs none of our nodes: it posts as an external.
+  Worker* w = tl_worker_;
+  if (w != nullptr && w->machine != this) w = nullptr;
+  const NodeId from = w != nullptr ? tl_current_node : kNoNode;
   Node& dst = *nodes_[n];
   if (dst.dead.load(std::memory_order_acquire)) {
     // A crashed processor loses its mail silently — the defining hazard
@@ -292,8 +296,6 @@ void Machine::post(NodeId n, Task t) {
     fault_counts_.duplicates.fetch_add(1, std::memory_order_relaxed);
     emit_fault(from, "dup", ordinal, n);
   }
-  Worker* w = tl_worker_;
-  if (w != nullptr && w->machine != this) w = nullptr;
   // The pending credit must be GLOBAL before the push: the instant the
   // entry is visible another worker can run it and apply its drop in that
   // worker's drain-exit flush — a credit still sitting in a producer-side
@@ -864,12 +866,7 @@ RunOutcome Machine::wait_idle_for(std::chrono::nanoseconds deadline) {
   out.faults = fault_totals();
   out.lost_nodes = lost_nodes();
   if (!idle) {
-    out.status = out.lost_nodes.empty() ? RunStatus::DeadlineExceeded
-                                        : RunStatus::NodeLost;
-    for (const auto& name : unbound_svar_names()) {
-      if (!out.blocked_on.empty()) out.blocked_on += ", ";
-      out.blocked_on += name;
-    }
+    mark_unfinished(out, RunStatus::DeadlineExceeded);
     return out;
   }
   std::lock_guard el(error_m_);

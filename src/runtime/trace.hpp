@@ -29,6 +29,7 @@
 // plain-text per-track histogram summary.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -72,12 +73,12 @@ struct TraceEvent {
   char name[kNameBytes] = {};
 
   void set_name(const char* s) {
-    if (s == nullptr) {
-      name[0] = '\0';
-      return;
+    std::size_t n = 0;
+    if (s != nullptr) {
+      n = std::min(std::strlen(s), kNameBytes - 1);
+      std::memcpy(name, s, n);
     }
-    std::strncpy(name, s, kNameBytes - 1);
-    name[kNameBytes - 1] = '\0';
+    name[n] = '\0';
   }
 };
 static_assert(sizeof(TraceEvent) == 56, "keep records cache-friendly");

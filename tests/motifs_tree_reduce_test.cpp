@@ -163,34 +163,49 @@ TEST(TreeReduce2, OnlyCrossProcessorValuesArePosted) {
 }
 
 TEST(TreeReduce2, PlanIdsArePrefixOrder) {
-  // The labelling walk derives ids from cached leaf counts; they must be
+  // The labelling walks derive ids from cached leaf counts; they must be
   // the left-first pre-order numbering of the internal nodes. random_tree
   // draws a node's tag before building its subtrees, so a counting tag
-  // generator tags every internal node with exactly that number.
+  // generator tags every internal node with exactly that number. label_all
+  // runs every walk the engine has — the caller's top down to the cut and
+  // each processor's subtrees — and is how DistTreeReduce2 labels.
   rt::Rng shape(23);
   int next_tag = 0;
   auto t = m::random_tree<long, int>(
       shape, 200, [](rt::Rng& r) { return long(r.below(10)); },
       [&next_tag](rt::Rng&) { return next_tag++; });
+  rt::Machine mach({.nodes = 4});
+  auto eval = [](int, long a, long b) { return a + b; };
+  auto st = std::make_shared<m::detail::TR2State<long, int, decltype(eval)>>(
+      m::detail::MachinePost{mach}, t, eval, m::LabelPolicy::Paper);
   rt::Rng rng(5);
-  const auto plan = m::detail::tr2_label<long, int>(t, 4, rng);
-  ASSERT_EQ(plan.nodes.size(), t->leaf_count() - 1);
-  ASSERT_EQ(plan.leaves.size(), t->leaf_count());
-  EXPECT_EQ(plan.nodes[0].parent, m::detail::kTR2Root);
-  std::vector<int> children(plan.nodes.size(), 0);
-  for (std::size_t id = 0; id < plan.nodes.size(); ++id) {
-    const auto& n = plan.nodes[id];
+  st->label_all(rng);
+  const std::size_t internal = t->leaf_count() - 1;
+  EXPECT_EQ(st->nodes[0].parent, m::detail::kTR2Root);
+  std::vector<int> children(internal, 0);
+  for (std::size_t id = 0; id < internal; ++id) {
+    const auto& n = st->nodes[id];
     EXPECT_EQ(n.tag, static_cast<int>(id));
     if (id == 0) continue;
     ASSERT_LT(n.parent, id);
-    EXPECT_EQ(n.parent_label, plan.nodes[n.parent].label);
+    EXPECT_EQ(n.parent_label, st->nodes[n.parent].label);
     ++children[n.parent];
   }
-  for (const auto& leaf : plan.leaves) {
-    ASSERT_LT(leaf.parent, plan.nodes.size());
-    EXPECT_EQ(leaf.parent_label, plan.nodes[leaf.parent].label);
-    ++children[leaf.parent];
-  }
+  // Every leaf is filed exactly once, under its parent's label.
+  std::size_t leaves = 0;
+  auto count_leaves = [&](const auto& outbox) {
+    for (rt::NodeId p = 0; p < outbox.size(); ++p) {
+      for (const auto& leaf : outbox[p]) {
+        ASSERT_LT(leaf.parent, internal);
+        EXPECT_EQ(st->nodes[leaf.parent].label, p);
+        ++children[leaf.parent];
+        ++leaves;
+      }
+    }
+  };
+  count_leaves(st->top_to);
+  for (const auto& l : st->launches) count_leaves(l.to);
+  EXPECT_EQ(leaves, t->leaf_count());
   for (int c : children) EXPECT_EQ(c, 2);
 }
 

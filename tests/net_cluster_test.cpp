@@ -50,7 +50,45 @@ struct LoopCluster {
   }
 
   n::Cluster& rank0() { return *cs[0]; }
+
+  /// A NetStats counter summed over every rank.
+  std::uint64_t total(std::uint64_t rt::NetStats::*counter) const {
+    std::uint64_t sum = 0;
+    for (const auto& c : cs) sum += c->net_stats().*counter;
+    return sum;
+  }
 };
+
+/// The data frames a run of dist_tr2_tree(depth, seed) on `ranks` ranks
+/// of `per` nodes ships, derived from the generation's labels (the same
+/// engine every rank builds): label posts, leaf batches and value hops
+/// that cross ranks, plus the result frame when the root's processor is
+/// not on rank 0. The distributed twin of the native exact count in
+/// TreeReduce2.OnlyCrossProcessorValuesArePosted.
+std::uint64_t planned_frames(std::uint32_t ranks, std::uint32_t per,
+                             std::uint32_t depth, std::uint64_t seed) {
+  rt::Machine mach({.nodes = ranks * per, .workers = 1});
+  const auto st = motif::detail::dist_tr2_engine(
+      depth, seed, motif::detail::MachinePost{mach});
+  const auto rank = [per](rt::NodeId n) { return n / per; };
+  std::uint64_t frames = 0;
+  for (rt::NodeId to = 0; to < ranks * per; ++to) {
+    if (rank(to) != 0) {
+      // Rank 0's caller: a label post per launch, a batch per processor.
+      frames += !st->launches[to].roots.empty();
+      frames += !st->top_to[to].empty();
+    }
+    // Each labelling task: a leaf batch per processor.
+    for (rt::NodeId from = 0; from < ranks * per; ++from) {
+      frames += rank(from) != rank(to) && !st->launches[from].to[to].empty();
+    }
+  }
+  const std::size_t internal = st->tree->leaf_count() - 1;
+  for (std::size_t id = 1; id < internal; ++id) {
+    frames += rank(st->nodes[id].label) != rank(st->nodes[id].parent_label);
+  }
+  return frames + (rank(st->nodes[0].label) != 0);
+}
 
 }  // namespace
 
@@ -109,11 +147,30 @@ TEST(NetCluster, FrameCountsDeterministicUnderFixedSeed) {
   std::vector<std::uint64_t> tx1, rx1, tx2, rx2;
   run_once(tx1, rx1);
   run_once(tx2, rx2);
-  // The label plan is a pure function of (depth, seed, node count) and
+  // The labels are a pure function of (depth, seed, node count) and
   // Post-frame counters ignore control traffic, so two fresh identical
-  // clusters ship exactly the same data frames.
+  // clusters ship exactly the same data frames — exactly as many as the
+  // labels say cross ranks.
   EXPECT_EQ(tx1, tx2);
   EXPECT_EQ(rx1, rx2);
+  EXPECT_EQ(tx1[0] + tx1[1], planned_frames(2, 2, 6, 2026));
+}
+
+TEST(NetCluster, DuplicatedFramesAreDeliveredOnce) {
+  // Every cross-rank frame arrives twice. The duplicate of a label frame
+  // or a leaf batch must not deliver its leaves again, and a repeated
+  // value must not complete its node twice: either would post more
+  // values than the labels call for, and `dups` counts each logical
+  // cross-rank post once.
+  rt::FaultPlan twice;
+  twice.duplicate = 1.0;
+  LoopCluster lc(2, 2, twice);
+  const auto res = lc.trs[0]->run(6, 2026, kDeadline);
+  ASSERT_TRUE(res.ok) << res.outcome.to_string();
+  EXPECT_EQ(res.value, res.expected);
+  EXPECT_EQ(lc.total(&rt::NetStats::dups), planned_frames(2, 2, 6, 2026));
+  EXPECT_EQ(lc.total(&rt::NetStats::tx_frames),
+            2 * lc.total(&rt::NetStats::dups));
 }
 
 TEST(NetCluster, SchedStatsExposeNetCounters) {
@@ -154,15 +211,19 @@ TEST(NetCluster, MalformedPayloadsAreDroppedNotFatal) {
       Term::tuple({Term::integer(1)}),
       Term::tuple({Term::str("x"), Term::integer(1), Term::integer(1),
                    Term::integer(0), Term::integer(0), Term::integer(1)}),
-      // Right shape, but the parent index is far outside any plan. The
-      // claimed generation (7) deliberately differs from the one the
-      // real run below allocates: a junk frame that *collides* with a
-      // live generation while claiming a different (depth, seed) poisons
-      // that generation's plan, which ensure_plan detects and turns into
-      // dropped frames — a stall-and-retry, not a wrong result.
+      // An arrive frame of the previous wire format (no batch field).
       Term::tuple({Term::integer(7), Term::integer(3), Term::integer(9),
                    Term::integer(1 << 20), Term::integer(0),
                    Term::integer(5)}),
+      // Right shape (a value hop), but the node id is far outside any
+      // tree. The claimed generation (7) deliberately differs from the
+      // one the real run below allocates: a junk frame that *collides*
+      // with a live generation while claiming a different (depth, seed)
+      // is detected by the generation filter and dropped — a
+      // stall-and-retry, not a wrong result.
+      Term::tuple({Term::integer(7), Term::integer(3), Term::integer(9),
+                   Term::integer(-1), Term::integer(1 << 20),
+                   Term::integer(0), Term::integer(5)}),
   };
   for (const auto& t : junk) {
     lc.rank0().post(0, 0, t);  // local arrive
@@ -187,7 +248,8 @@ TEST(NetCluster, MotifDestroyedBeforeClusterIsSafe) {
   lc.rank0().post(
       2, 0,
       Term::tuple({Term::integer(99), Term::integer(4), Term::integer(3),
-                   Term::integer(0), Term::integer(0), Term::integer(5)}));
+                   Term::integer(-1), Term::integer(0), Term::integer(0),
+                   Term::integer(5)}));
   (void)lc.rank0().wait_idle_for(kDeadline);
 }
 

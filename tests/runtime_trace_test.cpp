@@ -53,8 +53,13 @@ TEST(TraceRing, DropsOldestAndCounts) {
 
 TEST(TraceEventRecord, NameTruncatesSafely) {
   rt::TraceEvent e;
-  e.set_name("a.very.long.span.name.that.exceeds.the.inline.budget");
-  EXPECT_EQ(std::string(e.name).size(), rt::TraceEvent::kNameBytes - 1);
+  const std::string long_name =
+      "a.very.long.span.name.that.exceeds.the.inline.budget";
+  e.set_name(long_name.c_str());
+  EXPECT_EQ(std::string(e.name),
+            long_name.substr(0, rt::TraceEvent::kNameBytes - 1));
+  e.set_name("short");  // a shorter name ends at its own length
+  EXPECT_EQ(std::string(e.name), "short");
   e.set_name(nullptr);
   EXPECT_EQ(std::string(e.name), "");
 }
