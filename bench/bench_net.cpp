@@ -7,7 +7,8 @@
 //     end-to-end, so the per-frame numbers have an application anchor.
 //
 // Reported per case: posts_per_s, bytes_per_s (wire bytes, length prefix
-// included) from the receiving side's counters. The loopback/TCP gap is
+// included) from the receiving side's counters; the JSONL line carries
+// them as the totals posts_total and bytes_total. The loopback/TCP gap is
 // the transport tax; the codec is identical in both.
 #include <benchmark/benchmark.h>
 

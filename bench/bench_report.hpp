@@ -76,8 +76,17 @@ class JsonLine {
   std::string body_;
 };
 
+/// A kIsRate counter (SetItemsProcessed, SetBytesProcessed, ...) holds a
+/// total: google-benchmark divides it by the run time only when it prints.
+/// The JSONL line names it for what it holds: "items_per_second" becomes
+/// "items_total", "posts_per_s" becomes "posts_total".
+inline std::string total_name(std::string_view rate_name) {
+  return std::string(rate_name.substr(0, rate_name.find("_per_"))) + "_total";
+}
+
 /// Emits the standard per-case line: bench + case names, iteration count,
-/// every user counter the case recorded, and (when nonempty) the path of
+/// every user counter the case recorded (rate counters under their
+/// total_name), and (when nonempty) the path of
 /// a trace file written for this case. Call at the end of a benchmark
 /// function, after the counters are set.
 inline void report_case(const benchmark::State& state, std::string_view bench,
@@ -88,7 +97,9 @@ inline void report_case(const benchmark::State& state, std::string_view bench,
       .field("case", case_name)
       .field("iterations", static_cast<std::uint64_t>(state.iterations()));
   for (const auto& [name, counter] : state.counters) {
-    line.field(name, static_cast<double>(counter.value));
+    line.field(counter.flags & benchmark::Counter::kIsRate ? total_name(name)
+                                                           : name,
+               static_cast<double>(counter.value));
   }
   if (!trace_path.empty()) line.field("trace", trace_path);
   line.emit();

@@ -12,14 +12,15 @@
 //   sort.hpp          — merge sort (composed from D&C) and sample sort
 //   grid.hpp          — 2-D grid relaxation (Jacobi)
 //   graph.hpp         — CSR graphs, level-synchronous BFS, components
-//   pipeline.hpp      — Figure 1 producer/consumer chain on channels
+//   pipeline.hpp      — Figure 1 producer/consumer chain on streams with
+//       credit acks
 //   parallel_for.hpp  — block-partitioned loops and reductions
 //   scan.hpp          — parallel prefix (inclusive/exclusive)
 //   wavefront.hpp     — tiled anti-diagonal DP grids
 //
-// All motifs execute on runtime/machine.hpp's simulated multicomputer;
-// the Strand-level counterparts (transform/ + interp/) produce the same
-// structures from high-level programs.
+// All motifs, the pipeline included, execute on runtime/machine.hpp's
+// simulated multicomputer; the Strand-level counterparts (transform/ +
+// interp/) produce the same structures from high-level programs.
 #pragma once
 
 #include "motifs/dnc.hpp"

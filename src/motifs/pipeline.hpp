@@ -1,26 +1,29 @@
 // Pipeline motif: the producer/consumer structure of the paper's
-// Figure 1, generalised to a chain of stages connected by bounded
-// channels. The bound plays the role of the sync acknowledgement: with
-// capacity 1 the producer cannot run ahead of the consumer, exactly the
-// synchronous coupling of Figure 1.
+// Figure 1, generalised to a chain of steps — a source, any number of
+// 1-in/1-out stages, a sink — coupled by streams. Each hop is a data
+// Stream<T> plus an ack stream flowing upstream, the sync acknowledgement:
+// a producer starts with `capacity` credits, spends one per item pushed
+// and earns them back from acks, so at most `capacity` items are in
+// flight on a hop. With capacity 1 the producer cannot run ahead of the
+// consumer, exactly the synchronous coupling of Figure 1.
 //
-// Stages run on dedicated OS threads (they block on channels, which
-// Machine tasks must never do) — the conventional-threads counterpart to
-// the stream-based interpreter version tested in interp_figures_test.
+// Every step runs as Stream continuations on a Machine node (step k on
+// node k % node_count). A step out of input or out of credit registers
+// one when_ready waiter on that cell and returns; the wake re-posts the
+// step to its node, where it re-reads its state. No step ever blocks, so
+// even a one-node machine runs the whole chain, and the hops get the
+// Machine's counters, trace tracks and FaultPlan.
 #pragma once
 
 #include <cstddef>
-#include <exception>
 #include <functional>
-#include <memory>
-#include <mutex>
 #include <optional>
-#include <string>
-#include <thread>
+#include <stdexcept>
+#include <utility>
 #include <vector>
 
-#include "runtime/channel.hpp"
-#include "runtime/trace.hpp"
+#include "runtime/machine.hpp"
+#include "runtime/stream.hpp"
 
 namespace motif {
 
@@ -34,8 +37,13 @@ class Pipeline {
   /// Consumes items.
   using Sink = std::function<void(T)>;
 
-  explicit Pipeline(std::size_t channel_capacity = 1)
-      : capacity_(channel_capacity) {}
+  /// `capacity` (>= 1) bounds the items in flight on each hop.
+  explicit Pipeline(rt::Machine& m, std::size_t capacity = 1)
+      : m_(m), capacity_(capacity) {
+    if (capacity == 0) {
+      throw std::invalid_argument("pipeline capacity must be at least 1");
+    }
+  }
 
   Pipeline& source(Source s) {
     source_ = std::move(s);
@@ -50,111 +58,148 @@ class Pipeline {
     return *this;
   }
 
-  /// Attaches a tracer: run() registers one track per stage thread
-  /// ("pipe.source", "pipe.stage1", ..., "pipe.sink") and emits a span
-  /// per item, so stage occupancy and the capacity-1 lockstep coupling
-  /// are visible on a timeline. The tracer must outlive run(); pass
-  /// nullptr to detach. The caller starts/stops/drains it.
-  Pipeline& trace_into(rt::Tracer* t) {
-    tracer_ = t;
-    return *this;
-  }
-
-  /// Runs to completion (source exhausted, all items through the sink).
-  /// Returns the number of items processed. A throwing source, stage or
-  /// sink does NOT terminate the process: the failing thread closes its
-  /// channels so the rest of the chain unwinds, and run() rethrows the
-  /// first exception after every stage thread has joined.
+  /// Runs to completion (source exhausted, all items through the sink)
+  /// and returns the number of items the sink consumed. A throwing
+  /// source, stage or sink stops only its own step: the rest of the chain
+  /// runs dry, the machine quiesces, and run() rethrows the first
+  /// exception. Throws std::runtime_error if the machine quiesced before
+  /// the sink saw the end of the stream (a fault dropped a wake).
   std::size_t run() {
     if (!source_ || !sink_) {
       throw std::logic_error("pipeline needs a source and a sink");
     }
-    const std::size_t n_channels = stages_.size() + 1;
-    std::vector<std::unique_ptr<rt::Channel<T>>> chans;
-    chans.reserve(n_channels);
-    for (std::size_t i = 0; i < n_channels; ++i) {
-      chans.push_back(std::make_unique<rt::Channel<T>>(capacity_));
+    Run r(*this);
+    for (std::size_t k = 0; k < r.steps.size(); ++k) r.wake(k);
+    m_.wait_idle();
+    if (!r.done) {
+      throw std::runtime_error(
+          "pipeline stalled: a wake was lost before the sink saw the end "
+          "of the stream");
     }
-    std::size_t count = 0;
-    std::mutex err_m;
-    std::exception_ptr first_err;
-    auto capture = [&err_m, &first_err] {
-      std::lock_guard lock(err_m);
-      if (!first_err) first_err = std::current_exception();
-    };
-    // Each stage thread is the single writer of its own trace track.
-    std::vector<std::uint32_t> tracks;
-    if (tracer_ != nullptr) {
-      tracks.push_back(tracer_->add_track("pipe.source"));
-      for (std::size_t s = 0; s < stages_.size(); ++s) {
-        tracks.push_back(
-            tracer_->add_track("pipe.stage" + std::to_string(s + 1)));
-      }
-      tracks.push_back(tracer_->add_track("pipe.sink"));
-    }
-    std::vector<std::thread> threads;
-    threads.emplace_back([this, &chans, &tracks, &capture] {
-      rt::ThreadTrackGuard guard(tracer_, tracer_ ? tracks.front() : 0);
-      try {
-        for (;;) {
-          std::optional<T> item;
-          {
-            TRACE_SPAN("pipe.produce");
-            item = source_();
-          }
-          if (!item || !chans.front()->push(std::move(*item))) break;
-        }
-      } catch (...) {
-        capture();
-      }
-      chans.front()->close();
-    });
-    for (std::size_t s = 0; s < stages_.size(); ++s) {
-      threads.emplace_back([this, s, &chans, &tracks, &capture] {
-        rt::ThreadTrackGuard guard(tracer_, tracer_ ? tracks[s + 1] : 0);
-        auto& in = *chans[s];
-        auto& out = *chans[s + 1];
-        try {
-          while (auto item = in.pop()) {
-            std::optional<T> produced;
-            {
-              TRACE_SPAN("pipe.stage");
-              produced.emplace(stages_[s](std::move(*item)));
-            }
-            if (!out.push(std::move(*produced))) break;
-          }
-        } catch (...) {
-          capture();
-          in.close();  // unblock and stop the upstream producer
-        }
-        out.close();
-      });
-    }
-    threads.emplace_back([this, &chans, &count, &tracks, &capture] {
-      rt::ThreadTrackGuard guard(tracer_, tracer_ ? tracks.back() : 0);
-      auto& in = *chans.back();
-      try {
-        while (auto item = in.pop()) {
-          TRACE_SPAN("pipe.consume");
-          sink_(std::move(*item));
-          ++count;
-        }
-      } catch (...) {
-        capture();
-        in.close();
-      }
-    });
-    for (auto& t : threads) t.join();
-    if (first_err) std::rethrow_exception(first_err);
-    return count;
+    return r.count;
   }
 
  private:
+  /// One step's state. Only tasks on the step's node touch it, and they
+  /// run one at a time.
+  struct Step {
+    rt::Stream<T> in;                  // input cursor (not the source)
+    rt::Stream<std::size_t> ack_out;   // ack tail upstream (not the source)
+    std::size_t unacked = 0;           // items taken but not yet acked
+    rt::Stream<T> out;                 // output tail (not the sink)
+    rt::Stream<std::size_t> ack_in;    // credit cursor (not the sink)
+    std::size_t credits = 0;
+    // A waiter sits on the current `in` / `ack_in` cell. Cleared when the
+    // cursor moves past that cell, so each cell gets at most one waiter
+    // however many (duplicated) wakes arrive.
+    bool in_armed = false;
+    bool ack_armed = false;
+    bool stopped = false;  // reached the end, or its user code threw
+  };
+
+  struct Run {
+    explicit Run(Pipeline& p) : p(p), steps(p.stages_.size() + 2) {
+      for (std::size_t k = 0; k + 1 < steps.size(); ++k) {
+        steps[k + 1].in = steps[k].out;
+        steps[k + 1].ack_out = steps[k].ack_in;
+        steps[k].credits = p.capacity_;
+      }
+    }
+    Run(const Run&) = delete;  // wakes hold its address
+    Run& operator=(const Run&) = delete;
+
+    void wake(std::size_t k) {
+      p.m_.post(static_cast<rt::NodeId>(k % p.m_.node_count()),
+                [this, k] { resume(k); });
+    }
+
+    /// A wake may be duplicated or stale: resume only re-reads state.
+    void resume(std::size_t k) {
+      Step& s = steps[k];
+      if (s.stopped) return;
+      try {
+        advance(k, s);
+      } catch (...) {
+        s.stopped = true;  // later wakes do nothing, so the chain runs dry
+        throw;
+      }
+    }
+
+    /// Moves items until the step ends or must wait for input or credit.
+    void advance(std::size_t k, Step& s) {
+      const bool is_source = k == 0;
+      const bool is_sink = k + 1 == steps.size();
+      for (;;) {
+        if (!is_sink) {
+          bool nil = false;
+          while (auto ack = s.ack_in.try_next(nil)) {
+            s.credits += ack->first;
+            s.ack_in = std::move(ack->second);
+            s.ack_armed = false;
+          }
+          if (s.credits == 0) return wait(k, s, s.ack_in, s.ack_armed);
+        }
+        std::optional<T> item;
+        if (is_source) {
+          item = p.source_();
+          if (!item) return finish(s, is_sink);
+        } else {
+          bool nil = false;
+          auto next = s.in.try_next(nil);
+          if (nil) return finish(s, is_sink);
+          if (!next) return wait(k, s, s.in, s.in_armed);
+          item.emplace(std::move(next->first));
+          s.in = std::move(next->second);
+          s.in_armed = false;
+          // Ack in batches of half the capacity: one ack per item costs
+          // a wake per item at large capacities.
+          if (++s.unacked >= (p.capacity_ + 1) / 2) flush_acks(s);
+        }
+        if (is_sink) {
+          p.sink_(std::move(*item));
+          ++count;
+        } else {
+          if (!is_source) *item = p.stages_[k - 1](std::move(*item));
+          s.out = s.out.push(std::move(*item));
+          --s.credits;
+        }
+      }
+    }
+
+    /// Parks step k until `cursor` (its input or its credits) resolves,
+    /// first acking what it took so upstream never waits on credit this
+    /// step holds back.
+    template <class Cursor>
+    void wait(std::size_t k, Step& s, Cursor& cursor, bool& armed) {
+      flush_acks(s);
+      if (armed) return;
+      armed = true;
+      cursor.when_ready([this, k] { wake(k); });
+    }
+
+    void finish(Step& s, bool is_sink) {
+      if (is_sink) done = true;
+      else s.out.close();
+      s.stopped = true;
+    }
+
+    static void flush_acks(Step& s) {
+      if (s.unacked == 0) return;
+      s.ack_out = s.ack_out.push(s.unacked);
+      s.unacked = 0;
+    }
+
+    Pipeline& p;
+    std::vector<Step> steps;
+    std::size_t count = 0;  // written by the sink's node
+    bool done = false;      // the sink saw the end of the stream
+  };
+
+  rt::Machine& m_;
   std::size_t capacity_;
   Source source_;
   std::vector<Stage> stages_;
   Sink sink_;
-  rt::Tracer* tracer_ = nullptr;
 };
 
 }  // namespace motif

@@ -1,7 +1,6 @@
 // Umbrella header for the motif runtime (simulated multicomputer substrate).
 #pragma once
 
-#include "runtime/channel.hpp"
 #include "runtime/fault.hpp"
 #include "runtime/machine.hpp"
 #include "runtime/metrics.hpp"

@@ -13,8 +13,8 @@
 // Design:
 //  * One bounded ring buffer of fixed-size TraceEvent records per track.
 //    A track has a single writer at any moment (a Machine node's tasks
-//    run sequentially; a pipeline stage is one thread), so emission is
-//    lock-free: plain stores plus one release store of the head index.
+//    run sequentially), so emission is lock-free: plain stores plus one
+//    release store of the head index.
 //    On overflow the oldest record is dropped and a dropped-event counter
 //    ticks; exports report it.
 //  * Readers (drain) run only while writers are quiescent (machine idle,
@@ -247,8 +247,8 @@ class Tracer {
 //
 // Emission sites inside motif code (TRACE_SPAN, EvalScope) don't know
 // which Machine or track they run on; the executor binds the calling
-// thread to (tracer, track) for the duration of a node drain / stage
-// loop, and the hooks emit through the binding. Unbound threads no-op.
+// thread to (tracer, track) for the duration of a node drain, and the
+// hooks emit through the binding. Unbound threads no-op.
 
 namespace trace_detail {
 struct ThreadBinding {

@@ -7,6 +7,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -407,9 +408,10 @@ TEST(Chaos, SchedulerRunForCompletesWithoutFaults) {
 // --- pipeline --------------------------------------------------------------
 
 TEST(Chaos, PipelineStageThrowUnwindsAndRethrows) {
-  // A throwing stage must not wedge the chain: channels close, every
-  // thread joins, and run() rethrows the first error.
-  m::Pipeline<int> p(1);
+  // A throwing stage must not wedge the chain: its neighbours run dry,
+  // the machine quiesces, and run() rethrows the first error.
+  rt::Machine mach({.nodes = 3, .workers = 2});
+  m::Pipeline<int> p(mach, 1);
   int produced = 0;
   std::atomic<int> consumed{0};
   p.source([&produced]() -> std::optional<int> {
@@ -425,7 +427,8 @@ TEST(Chaos, PipelineStageThrowUnwindsAndRethrows) {
 }
 
 TEST(Chaos, PipelineSinkThrowUnwindsAndRethrows) {
-  m::Pipeline<int> p(2);
+  rt::Machine mach({.nodes = 2, .workers = 2});
+  m::Pipeline<int> p(mach, 2);
   int produced = 0;
   p.source([&produced]() -> std::optional<int> {
     return produced < 50 ? std::optional<int>(produced++) : std::nullopt;
@@ -434,6 +437,66 @@ TEST(Chaos, PipelineSinkThrowUnwindsAndRethrows) {
     if (v == 5) throw std::logic_error("sink refused item 5");
   });
   EXPECT_THROW(p.run(), std::logic_error);
+}
+
+TEST(Chaos, PipelineSurvivesDuplicateAndDelay) {
+  // Every pipeline hop wakes a step with a cross-node post, so duplicate
+  // and delay faults hit the wakes themselves. A duplicated wake only
+  // re-reads state, and each stream cell gets at most one waiter, so the
+  // output is exact and the task count stays linear in items x steps.
+  constexpr int kItems = 400;
+  constexpr std::uint64_t kSteps = 4;  // source, 2 stages, sink
+  std::uint64_t duplicates = 0;
+  std::uint64_t delays = 0;
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    rt::FaultPlan plan;
+    plan.seed = seed;
+    plan.duplicate = 0.3;
+    plan.delay = 0.2;
+    rt::Machine mach({.nodes = 4, .workers = 2, .faults = plan});
+    m::Pipeline<int> p(mach, 1 + seed % 4);
+    int next = 0;
+    std::vector<int> got;
+    p.source([&next]() -> std::optional<int> {
+       return next < kItems ? std::optional<int>(next++) : std::nullopt;
+     })
+        .stage([](int v) { return v * 3; })
+        .stage([](int v) { return v + 1; })
+        .sink([&got](int v) { got.push_back(v); });
+    ASSERT_EQ(p.run(), static_cast<std::size_t>(kItems)) << "seed " << seed;
+    ASSERT_EQ(got.size(), static_cast<std::size_t>(kItems));
+    for (int i = 0; i < kItems; ++i) {
+      ASSERT_EQ(got[i], i * 3 + 1) << "seed " << seed << " item " << i;
+    }
+    // One waiter per data or ack cell, each wake at most duplicated:
+    // fewer than 2 x 2 x hops x items tasks, plus the initial posts.
+    EXPECT_LE(mach.load_summary().total_tasks, 4 * kItems * kSteps)
+        << "seed " << seed;
+    duplicates += mach.fault_totals().duplicates;
+    delays += mach.fault_totals().delays;
+  }
+  EXPECT_GT(duplicates, 0u);
+  EXPECT_GT(delays, 0u);
+}
+
+TEST(Chaos, PipelineDropThrowsNotHangs) {
+  // A dropped wake strands its step for good: the machine quiesces with
+  // the sink short of the end of the stream, and run() says so.
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    rt::FaultPlan plan;
+    plan.seed = seed;
+    plan.drop = 0.1;
+    rt::Machine mach({.nodes = 3, .workers = 2, .faults = plan});
+    m::Pipeline<int> p(mach, 2);
+    int next = 0;
+    p.source([&next]() -> std::optional<int> {
+       return next < 500 ? std::optional<int>(next++) : std::nullopt;
+     })
+        .stage([](int v) { return v + 1; })
+        .sink([](int) {});
+    EXPECT_THROW(p.run(), std::runtime_error) << "seed " << seed;
+    EXPECT_GT(mach.fault_totals().drops, 0u) << "seed " << seed;
+  }
 }
 
 // --- cluster (loopback transport) ------------------------------------------

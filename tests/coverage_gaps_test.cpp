@@ -113,7 +113,8 @@ TEST(TreeReduce2Stats, TotalsOnBalancedTree) {
 }
 
 TEST(PipelineManyStages, EightStageChain) {
-  m::Pipeline<long> p(8);
+  rt::Machine mach({.nodes = 4, .workers = 2});
+  m::Pipeline<long> p(mach, 8);
   long next = 0;
   long sum = 0;
   p.source([&]() -> std::optional<long> {

@@ -2,7 +2,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <numeric>
+#include <stdexcept>
+#include <thread>
 
 #include "motifs/parallel_for.hpp"
 #include "motifs/pipeline.hpp"
@@ -11,7 +14,8 @@ namespace m = motif;
 namespace rt = motif::rt;
 
 TEST(Pipeline, SourceToSink) {
-  m::Pipeline<int> p;
+  rt::Machine mach({.nodes = 2, .workers = 2});
+  m::Pipeline<int> p(mach);
   int next = 0;
   std::vector<int> got;
   p.source([&]() -> std::optional<int> {
@@ -24,7 +28,8 @@ TEST(Pipeline, SourceToSink) {
 }
 
 TEST(Pipeline, StagesTransformInOrder) {
-  m::Pipeline<long> p(4);
+  rt::Machine mach({.nodes = 4, .workers = 2});
+  m::Pipeline<long> p(mach, 4);
   long next = 1;
   std::vector<long> got;
   p.source([&]() -> std::optional<long> {
@@ -40,8 +45,9 @@ TEST(Pipeline, StagesTransformInOrder) {
 
 TEST(Pipeline, Capacity1IsSynchronousCoupling) {
   // With capacity 1, the producer can be at most 2 items ahead of the
-  // consumer (one in the channel, one in flight) — Figure 1's sync.
-  m::Pipeline<int> p(1);
+  // consumer (one on the hop, one in the sink) — Figure 1's sync.
+  rt::Machine mach({.nodes = 2, .workers = 2});
+  m::Pipeline<int> p(mach, 1);
   std::atomic<int> produced{0}, consumed{0};
   std::atomic<int> max_lead{0};
   int next = 0;
@@ -62,20 +68,23 @@ TEST(Pipeline, Capacity1IsSynchronousCoupling) {
 }
 
 TEST(Pipeline, EmptySource) {
-  m::Pipeline<int> p;
+  rt::Machine mach({.nodes = 2, .workers = 2});
+  m::Pipeline<int> p(mach);
   p.source([]() -> std::optional<int> { return std::nullopt; })
       .sink([](int) { FAIL() << "sink must not run"; });
   EXPECT_EQ(p.run(), 0u);
 }
 
 TEST(Pipeline, MissingSourceThrows) {
-  m::Pipeline<int> p;
+  rt::Machine mach({.nodes = 1, .workers = 1});
+  m::Pipeline<int> p(mach);
   p.sink([](int) {});
   EXPECT_THROW(p.run(), std::logic_error);
 }
 
 TEST(Pipeline, LargeVolumeThroughThreeStages) {
-  m::Pipeline<std::uint64_t> p(64);
+  rt::Machine mach({.nodes = 4, .workers = 2});
+  m::Pipeline<std::uint64_t> p(mach, 64);
   std::uint64_t next = 0;
   std::uint64_t sum = 0;
   p.source([&]() -> std::optional<std::uint64_t> {
@@ -88,6 +97,35 @@ TEST(Pipeline, LargeVolumeThroughThreeStages) {
   EXPECT_EQ(p.run(), 20000u);
   // sum over (i+1)*2 for i in [0,20000)
   EXPECT_EQ(sum, 2 * (20000ull * 19999 / 2 + 20000));
+}
+
+TEST(Pipeline, RunsOnOneNodeMachine) {
+  // Every step shares node 0 and its single worker: a step that blocked
+  // waiting for a neighbour would wedge the whole run (and time out).
+  rt::Machine mach({.nodes = 1, .workers = 1});
+  m::Pipeline<int> p(mach, 1);
+  int next = 0;
+  std::vector<int> got;
+  auto on_node0 = [](int v) {
+    EXPECT_EQ(rt::Machine::current_node(), 0u);
+    return v;
+  };
+  p.source([&]() -> std::optional<int> {
+     if (next >= 200) return std::nullopt;
+     return next++;
+   })
+      .stage([&](int v) { return on_node0(v) + 1; })
+      .stage([&](int v) { return on_node0(v) * 2; })
+      .stage([&](int v) { return on_node0(v) - 1; })
+      .sink([&](int v) { got.push_back(on_node0(v)); });
+  EXPECT_EQ(p.run(), 200u);
+  ASSERT_EQ(got.size(), 200u);
+  for (int i = 0; i < 200; ++i) EXPECT_EQ(got[i], (i + 1) * 2 - 1);
+}
+
+TEST(Pipeline, ZeroCapacityRejected) {
+  rt::Machine mach({.nodes = 1, .workers = 1});
+  EXPECT_THROW({ m::Pipeline<int> p(mach, 0); }, std::invalid_argument);
 }
 
 TEST(ParallelFor, CoversEveryIndexOnce) {
