@@ -5,6 +5,9 @@
 // Series: random trees x processors {2..64}; reported per schedule:
 //   remote_frac      — fraction of value deliveries crossing processors
 //   remote_per_node  — remote deliveries per internal node (TR2 bound: 1)
+//   msgs_per_remote_value — TR2 only: value batches per remote delivery
+//                      (a task sends one batch per destination, so a
+//                      batch may carry several values)
 // Schedules: TR2 with the paper labelling, TR2 with independent random
 // labels (ablation), and TR1's machine-level remote messages for scale.
 //
@@ -50,6 +53,10 @@ void run_tr2(benchmark::State& state, m::LabelPolicy policy) {
       total > 0 ? static_cast<double>(stats.remote_values) / total : 0.0;
   state.counters["remote_per_node"] =
       static_cast<double>(stats.remote_values) / internal;
+  state.counters["msgs_per_remote_value"] =
+      stats.remote_values > 0 ? static_cast<double>(stats.value_messages) /
+                                    static_cast<double>(stats.remote_values)
+                              : 0.0;
 }
 
 void BM_TR2_PaperLabels(benchmark::State& state) {

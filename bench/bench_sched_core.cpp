@@ -19,18 +19,29 @@
 //                          and gathering acks, repeated for R rounds: the
 //                          E7 hotspot shape (one mailbox absorbing
 //                          many concurrent producers).
+//   TR2ZeroGrain/W       — Tree-Reduce-2 summing a balanced 65,536-leaf
+//                          tree on one reused Machine{16 nodes, W
+//                          workers}, W = 1…nproc: a motif whose time is
+//                          all post, steal and park. Reports ns_per_leaf,
+//                          tasks_per_job, steals and parks per job, and
+//                          the messages behind them (value_messages,
+//                          remote_values).
 //
 // Each case reports posts_per_sec (and the scheduler substrate counters
 // once the machine exposes them) as JSONL via bench_report.hpp; the
 // before/after trajectory lives in bench/baselines/BENCH_sched_core.json.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <thread>
 
 #include "bench_report.hpp"
 
+#include "motifs/tree.hpp"
+#include "motifs/tree_reduce.hpp"
 #include "runtime/machine.hpp"
 
 namespace rt = motif::rt;
@@ -245,6 +256,61 @@ void BM_FanOutFanIn(benchmark::State& state) {
   MOTIF_BENCH_REPORT(state);
 }
 
+// --- TR2ZeroGrain ------------------------------------------------------------
+
+// The perfbench `reduce` workload's shape: jobs run back to back on one
+// Machine, after a warm-up, since a fresh Machine's first second is not
+// its steady state.
+void BM_TR2ZeroGrain(benchmark::State& state) {
+  constexpr std::size_t kLeaves = 65536;
+  constexpr double kWarmupS = 1.0;
+  constexpr double kMeasureS = 2.0;
+  constexpr int kMinJobs = 20;
+  const auto workers = static_cast<std::uint32_t>(state.range(0));
+  const auto plus = [](const char&, const long long& a, const long long& b) {
+    return a + b;
+  };
+  const auto tree = motif::balanced_tree<long long, char>(
+      kLeaves, [](std::size_t i) { return static_cast<long long>(i % 1000); },
+      '+');
+  const long long expected =
+      motif::reduce_sequential<long long, char>(tree, plus);
+  rt::Machine m({.nodes = 16, .workers = workers});
+  motif::TR2Stats st;
+  const auto job = [&] {
+    if (motif::tree_reduce2<long long, char>(m, tree, plus, &st) != expected) {
+      state.SkipWithError("wrong answer");
+    }
+  };
+  for (const auto t0 = std::chrono::steady_clock::now();
+       seconds_since(t0) < kWarmupS;) {
+    job();
+  }
+  double secs = 0.0;
+  std::uint64_t jobs = 0;
+  for (auto _ : state) {
+    m.reset_counters();
+    const auto t0 = std::chrono::steady_clock::now();
+    while (jobs < kMinJobs || seconds_since(t0) < kMeasureS) {
+      job();
+      ++jobs;
+    }
+    secs += seconds_since(t0);
+  }
+  const double n = static_cast<double>(jobs);
+  state.counters["workers"] = workers;
+  state.counters["ns_per_leaf"] = secs * 1e9 / (n * kLeaves);
+  state.counters["tasks_per_job"] =
+      static_cast<double>(m.load_summary().total_tasks) / n;
+  // Of the last job: the labels, and so these counts, vary by job.
+  state.counters["value_messages"] = static_cast<double>(st.value_messages);
+  state.counters["remote_values"] = static_cast<double>(st.remote_values);
+  const auto s = m.sched_stats();
+  state.counters["steals"] = static_cast<double>(s.steals) / n;
+  state.counters["parks"] = static_cast<double>(s.parks) / n;
+  MOTIF_BENCH_REPORT(state);
+}
+
 void args(benchmark::internal::Benchmark* b) {
   b->Unit(benchmark::kMillisecond)->Iterations(1);
 }
@@ -254,6 +320,10 @@ BENCHMARK(BM_CrossPostThroughput_W2)->Apply(args);
 BENCHMARK(BM_CrossPostThroughput_W4)->Apply(args);
 BENCHMARK(BM_CrossPostThroughput_W8)->Apply(args);
 BENCHMARK(BM_FanOutFanIn)->Apply(args);
+BENCHMARK(BM_TR2ZeroGrain)
+    ->DenseRange(1, static_cast<int>(std::max(
+                        1u, std::thread::hardware_concurrency())))
+    ->Apply(args);
 
 }  // namespace
 

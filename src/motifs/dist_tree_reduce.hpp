@@ -13,8 +13,9 @@
 //   tr2.label   {gen, depth, seed}                 label your subtrees
 //
 // An arrive frame is a leaf batch from processor `batch` (P: the caller)
-// or, with batch -1, one value hop. Followers only serve(): the first
-// frame of a generation tells a rank everything it needs.
+// or, with batch -1, the values one task sent to one processor. Followers
+// only serve(): the first frame of a generation tells a rank everything
+// it needs.
 #pragma once
 
 #include <chrono>
@@ -23,7 +24,6 @@
 #include <cstdio>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -135,18 +135,15 @@ class DistTreeReduce2 {
       send(n, h_label, {});
     }
 
-    template <class St, class Leaves>
-    void leaves(St&, rt::NodeId from, rt::NodeId n, const Leaves& batch) {
-      std::vector<std::int64_t> tail{from == rt::kNoNode ? processors() : from};
-      for (const auto& l : batch) {
-        tail.insert(tail.end(), {l.parent, l.is_right, l.leaf->value()});
+    template <class St, class Batch>
+    void batch(St&, rt::NodeId from, rt::NodeId n, Batch b) {
+      std::int64_t sender = from == rt::kNoNode ? processors() : from;
+      if (from == detail::kTR2Values) sender = -1;
+      std::vector<std::int64_t> tail{sender};
+      for (const auto& a : b) {
+        tail.insert(tail.end(), {a.id, a.is_right, a.value});
       }
       send(n, h_arrive, tail);
-    }
-
-    template <class St>
-    void value(St&, rt::NodeId n, std::uint32_t id, bool right, long long v) {
-      send(n, h_arrive, {-1, id, right, v});
     }
 
     template <class St>
@@ -259,8 +256,11 @@ class DistTreeReduce2 {
 
     /// A duplicated frame is decoded again as a new message, so the
     /// engine's closure guards miss it: a leaf batch is checked off in
-    /// `delivered`, and a repeated value finds its slot waiting on that
-    /// side or already combined (a label frame hits the once-flag).
+    /// `delivered` (a label frame hits the once-flag). Value batches need
+    /// no check: under the Paper labels every left child carries its
+    /// parent's label, so only right-side values cross processors, and a
+    /// repeated one finds its slot waiting on that side, or its node
+    /// combined and no left value left to complete it again.
     void on_arrive(const term::Term& t) {
       const std::size_t n = t.is_tuple() ? t.args().size() : 0;
       bool ok = n >= 7 && (n - 4) % 3 == 0 && well_formed(t, n) &&
@@ -288,11 +288,13 @@ class DistTreeReduce2 {
                                               wire.processors() + to], 1)) {
         return;  // a duplicate of a delivered leaf batch
       }
-      std::optional<rt::EvalScope> scope;
+      typename Engine::Batch b;
+      b.reserve((n - 4) / 3);
       for (std::size_t i = 4; i < n; i += 3) {
-        e->arrive(static_cast<std::uint32_t>(a[i].int_value()),
-                  a[i + 1].int_value() == 1, a[i + 2].int_value(), scope);
+        b.push_back({static_cast<std::uint32_t>(a[i].int_value()),
+                     a[i + 1].int_value() == 1, a[i + 2].int_value()});
       }
+      e->deliver(std::move(b), to);
     }
 
     void on_result(const term::Term& t) {

@@ -15,11 +15,13 @@
 //   label; sibling leaves share a label, so at most ONE of each node's
 //   two offspring values crosses processors). The caller labels only the
 //   top of the tree; each subtree below cut_depth(P) is labelled on its
-//   root's processor, by one task per processor, which sends the leaf
-//   values to their parents' processors, one message per processor.
-//   Values meet in per-node pending slots; a value whose parent shares
-//   its processor is combined in place, so only values that cross
-//   processors become messages; each processor evaluates one node at a
+//   root's processor, by one task per processor, which copies each leaf
+//   value into a batch for its parent's processor as it visits the leaf
+//   and sends one batch per processor. Values meet in per-node pending
+//   slots; a value whose parent shares its processor is combined in
+//   place, so only values that cross processors travel, and a task sends
+//   the ones its combines produce as one batch per destination processor
+//   when its batch is delivered. Each processor evaluates one node at a
 //   time (processors are sequential executors), bounding the number of
 //   live intermediate values.
 //
@@ -151,18 +153,21 @@ inline std::uint32_t cut_depth(std::uint32_t processors) {
 }
 
 /// Observability hook for tree_reduce2 (experiment E3): offspring values
-/// that stayed on their processor vs crossed processors in the last call,
-/// and the messages its launch posted (labelling tasks plus leaf
-/// messages), as counted by the caller and each labelling task.
+/// that stayed on their processor vs crossed processors in the last call;
+/// the messages its launch posted (labelling tasks plus leaf batches), as
+/// counted by the caller and each labelling task; and the value batches
+/// that carried the crossing values, as counted by each processor.
 struct TR2Stats {
   std::uint64_t local_values = 0;
   std::uint64_t remote_values = 0;
   std::uint64_t launch_messages = 0;
+  std::uint64_t value_messages = 0;
 
   TR2Stats& operator+=(const TR2Stats& o) {
     local_values += o.local_values;
     remote_values += o.remote_values;
     launch_messages += o.launch_messages;
+    value_messages += o.value_messages;
     return *this;
   }
 };
@@ -176,6 +181,10 @@ inline constexpr std::uint32_t kTR2Root =
 /// Depth of a walk that labels all the way down.
 inline constexpr std::uint32_t kNoCut =
     std::numeric_limits<std::uint32_t>::max();
+
+/// The sender a batch of values is posted under; a leaf batch's sender is
+/// the processor that labelled its leaves, or kNoNode for the caller.
+inline constexpr rt::NodeId kTR2Values = rt::kNoNode - 1;
 
 /// How TR2State's messages reach a processor of one Machine: a closure
 /// posted to its node. Closures hold the state by shared_ptr, because the
@@ -192,21 +201,11 @@ struct MachinePost {
     m.post(n, [self = st.shared_from_this(), n] { self->label_on(n); });
   }
 
-  template <class State, class Leaves>
-  void leaves(State& st, rt::NodeId /*from*/, rt::NodeId n, Leaves batch) {
-    m.post(n, [self = st.shared_from_this(),
-               batch = std::move(batch)]() mutable {
-      // A duplicate must find its leaves already delivered.
-      self->deliver(std::exchange(batch, {}));
-    });
-  }
-
-  template <class State, class V>
-  void value(State& st, rt::NodeId n, std::uint32_t id, bool is_right, V v) {
-    // The value is copied into arrive, not moved: a duplicate reuses it.
-    m.post(n, [self = st.shared_from_this(), id, is_right, v = std::move(v)] {
-      std::optional<rt::EvalScope> scope;
-      self->arrive(id, is_right, v, scope);
+  template <class State, class Batch>
+  void batch(State& st, rt::NodeId /*from*/, rt::NodeId n, Batch b) {
+    m.post(n, [self = st.shared_from_this(), n, b = std::move(b)]() mutable {
+      // A duplicate must find its batch already delivered.
+      self->deliver(std::exchange(b, {}), n);
     });
   }
 
@@ -251,13 +250,24 @@ struct TR2State : std::enable_shared_from_this<TR2State<V, Tag, Eval, Post>> {
     bool is_right;
     V value;
   };
-  /// A leaf value bound for its parent's processor.
-  struct LeafRef {
-    std::uint32_t parent;
-    bool is_right;
-    const TreeT* leaf;
+  /// An offspring value of internal node `id`, bound for its processor.
+  struct Arrival {
+    std::uint32_t id;
+    bool is_right;  // side of the value within node `id`
+    V value;
   };
-  using Outbox = std::vector<std::vector<LeafRef>>;  // leaves per processor
+  /// The values one message carries to one processor.
+  using Batch = std::vector<Arrival>;
+  using Outbox = std::vector<Batch>;  // index = destination processor
+  /// What one task sends besides its leaf batches: the values its
+  /// combines produced for other processors, one batch per destination.
+  /// It holds the task's evaluation scope, which opens at the task's
+  /// first combine and closes with the task (a processor runs one task
+  /// at a time).
+  struct TaskOut {
+    std::optional<rt::EvalScope> scope;
+    Outbox to;
+  };
   /// The subtrees below the cut whose roots carry one label, labelled by
   /// one task on that processor: all of its labelling and leaf sends run
   /// before any of its combines, so no labelling waits behind an eval.
@@ -265,12 +275,12 @@ struct TR2State : std::enable_shared_from_this<TR2State<V, Tag, Eval, Post>> {
     std::vector<Item> roots;
     std::uint64_t seed;  // of the task's own generator
     bool labelled;       // once-flag: a duplicated task must not reset slots
-    TR2Stats stats;      // counted by the labelling task
-    Outbox to;           // its leaves, once labelled
+    TR2Stats stats;      // counted by the tasks of this processor
+    Outbox to;           // its leaf batches, once labelled
   };
 
   Post post;
-  typename TreeT::Ptr tree;  // pins the leaves that launch messages point at
+  typename TreeT::Ptr tree;  // pins the nodes the labelling walks visit
   Eval eval;
   LabelPolicy policy;
   std::unique_ptr<Node[]> nodes;  // index = prefix id
@@ -279,7 +289,7 @@ struct TR2State : std::enable_shared_from_this<TR2State<V, Tag, Eval, Post>> {
   /// and only after the walk that labelled the node posted its leaves.
   std::unique_ptr<Slot[]> slots;
   std::vector<Launch> launches;  // index = processor; fixed before posting
-  Outbox top_to;                 // the caller's leaves
+  Outbox top_to;                 // the caller's leaf batches
   TR2Stats top;                  // the caller's counts
   rt::SVar<V> result;
 
@@ -334,8 +344,8 @@ struct TR2State : std::enable_shared_from_this<TR2State<V, Tag, Eval, Post>> {
   }
 
   /// Runs on processor `n`: labels the subtrees rooted there (unless
-  /// label_all did), sends their leaves, then combines the leaves bound
-  /// for `n` in place.
+  /// label_all did), sends their leaf batches, then delivers the one
+  /// bound for `n` in place.
   void label_on(rt::NodeId n) {
     Launch& l = launches[n];
     if (std::exchange(l.labelled, true)) return;
@@ -351,8 +361,9 @@ struct TR2State : std::enable_shared_from_this<TR2State<V, Tag, Eval, Post>> {
   /// cached leaf counts: the left child of `id` is `id + 1`, the right
   /// child `id + left's leaves`. Internal nodes at depth `cut` (only the
   /// caller's walk has one) go to their label's launch and are not
-  /// entered; leaves are filed by their parents' processors. Returns the
-  /// local/remote value counts of the nodes it labelled.
+  /// entered; each leaf's value is copied into the batch for its parent's
+  /// processor. Returns the local/remote value counts of the nodes it
+  /// labelled.
   TR2Stats walk(const Item& top_item, rt::Rng& rng, std::uint32_t cut,
                 Outbox& to) {
     TR2Stats s;
@@ -373,7 +384,8 @@ struct TR2State : std::enable_shared_from_this<TR2State<V, Tag, Eval, Post>> {
         ++(it.label == it.parent_label ? s.local_values : s.remote_values);
       }
       if (t.is_leaf()) {
-        to[it.parent_label].push_back({it.parent, it.is_right, it.t});
+        // Copy: messages move data by value between processors (CP.31).
+        to[it.parent_label].push_back({it.parent, it.is_right, t.value()});
         continue;
       }
       nodes[it.id] = {it.parent, it.parent_label, it.label, t.tag(),
@@ -400,35 +412,43 @@ struct TR2State : std::enable_shared_from_this<TR2State<V, Tag, Eval, Post>> {
     return s;
   }
 
-  /// Sends the leaves as one message per processor, except that those
-  /// bound for `here` — the processor running this task, if any — are
-  /// combined in place, after the posts. Returns the messages posted.
-  std::uint64_t send(Outbox& to, rt::NodeId here) {
+  /// Posts each non-empty batch of `to` as sent by `from`, except the one
+  /// for `here` (the processor running this task, if any). Returns the
+  /// messages posted.
+  std::uint64_t post_batches(Outbox& to, rt::NodeId from, rt::NodeId here) {
     std::uint64_t posted = 0;
     for (rt::NodeId n = 0; n < to.size(); ++n) {
       if (n == here || to[n].empty()) continue;
       ++posted;
-      post.leaves(*this, here, n, std::move(to[n]));
+      post.batch(*this, from, n, std::move(to[n]));
     }
-    if (here != rt::kNoNode) deliver(std::exchange(to[here], {}));
     return posted;
   }
 
-  void deliver(const std::vector<LeafRef>& leaves) {
-    std::optional<rt::EvalScope> scope;
-    for (const LeafRef& l : leaves) {
-      // Copy: messages move data by value between processors (CP.31).
-      arrive(l.parent, l.is_right, l.leaf->value(), scope);
-    }
+  /// Sends leaf batches as one message per processor, except that the
+  /// one bound for `here` is delivered in place, after the posts. Returns
+  /// the messages posted.
+  std::uint64_t send(Outbox& to, rt::NodeId here) {
+    const std::uint64_t posted = post_batches(to, here, here);
+    if (here != rt::kNoNode) deliver(std::exchange(to[here], {}), here);
+    return posted;
+  }
+
+  /// One task's delivery of a batch on processor `here`: the values its
+  /// combines produce for other processors leave when the loop ends, one
+  /// batch per destination.
+  void deliver(Batch in, rt::NodeId here) {
+    TaskOut out;
+    for (Arrival& a : in) arrive(a.id, a.is_right, std::move(a.value), out);
+    launches[here].stats.value_messages +=
+        post_batches(out.to, kTR2Values, rt::kNoNode);
   }
 
   /// Delivers one offspring value of node `id` on that node's processor.
   /// While the completed node's parent shares the processor the value
-  /// moves up in this loop; a value bound for another processor is posted
-  /// there. `scope` is the task's: it opens at the task's first combine
-  /// and closes with the task, and a processor runs one task at a time.
-  void arrive(std::uint32_t id, bool is_right, V v,
-              std::optional<rt::EvalScope>& scope) {
+  /// moves up in this loop; a value bound for another processor goes to
+  /// the task's batch for it.
+  void arrive(std::uint32_t id, bool is_right, V v, TaskOut& out) {
     for (;;) {
       Slot& s = slots[id];
       if (!s.full) {
@@ -444,7 +464,7 @@ struct TR2State : std::enable_shared_from_this<TR2State<V, Tag, Eval, Post>> {
       const V waiting = std::exchange(s.value, V{});
       s.full = false;
       const Node& n = nodes[id];
-      if (!scope) scope.emplace();
+      if (!out.scope) out.scope.emplace();
       {
         TRACE_SPAN("tree_reduce2.combine");
         v = is_right ? eval(n.tag, waiting, v) : eval(n.tag, v, waiting);
@@ -456,7 +476,8 @@ struct TR2State : std::enable_shared_from_this<TR2State<V, Tag, Eval, Post>> {
       id = n.parent;
       is_right = n.is_right;
       if (n.parent_label != n.label) {
-        post.value(*this, n.parent_label, id, is_right, std::move(v));
+        if (out.to.empty()) out.to.resize(post.processors());
+        out.to[n.parent_label].push_back({id, is_right, std::move(v)});
         return;
       }
     }

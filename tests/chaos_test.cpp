@@ -142,7 +142,7 @@ TEST(Chaos, SupervisedTreeReduce2SurvivesDuplicateAndDelay) {
 }
 
 // A Tree-Reduce-2 launched from a task on node 1: the launch's own posts
-// (the labelling tasks, the leaf messages) are then cross-node and
+// (the labelling tasks, the leaf batches) are then cross-node and
 // eligible for faults.
 rt::SVar<int> tree_reduce2_from_task(rt::Machine& mach,
                                      const IntTree::Ptr& tree) {
@@ -156,8 +156,8 @@ rt::SVar<int> tree_reduce2_from_task(rt::Machine& mach,
 
 TEST(Chaos, TreeReduce2LaunchedInATaskSurvivesDuplicateAndDelay) {
   // A duplicated labelling task must be a no-op (it would otherwise
-  // reset slots that already hold values), and a duplicated leaf message
-  // must not deliver its leaves twice.
+  // reset slots that already hold values), and a duplicated batch must
+  // not deliver its values twice.
   std::uint64_t duplicates = 0;
   for (std::uint64_t seed = 1; seed <= 40; ++seed) {
     rt::FaultPlan plan;
@@ -185,10 +185,9 @@ TEST(Chaos, TreeReduce2LaunchedInATaskSurvivesDuplicateAndDelay) {
 
 TEST(Chaos, TreeReduce2DuplicatedLaunchPostsAreNoOps) {
   // Every cross-node post delivered twice, on one worker: the two copies
-  // of a message are adjacent in their node's queue, so a repeated value
-  // message finds its side already waiting or its node combined. A
-  // repeated labelling task or leaf message must do nothing at all, so
-  // each internal node is evaluated exactly once.
+  // of a message are adjacent in their node's queue. A repeated labelling
+  // task or batch must do nothing at all, so each internal node is
+  // evaluated exactly once.
   rt::FaultPlan plan;
   plan.duplicate = 1.0;
   rt::Machine mach({.nodes = 4, .workers = 1, .faults = plan});
@@ -211,6 +210,44 @@ TEST(Chaos, TreeReduce2DuplicatedLaunchPostsAreNoOps) {
   EXPECT_EQ(out.get(), expected_sum(256));
   EXPECT_EQ(evals.load(), 255);
   EXPECT_GT(mach.fault_totals().duplicates, 0u);
+}
+
+TEST(Chaos, TreeReduce2ValueBatchesDeliverOnce) {
+  // Every cross-node post delivered twice, under independent random
+  // labels: both offspring values of a node may then cross processors,
+  // in one batch or in two, so a batch delivered a second time would
+  // complete its nodes again. Each batch's closure must turn its repeat
+  // into a no-op: whatever the labels and the fault draws, each internal
+  // node is evaluated exactly once and the sum is exact.
+  std::uint64_t duplicates = 0;
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    rt::FaultPlan plan;
+    plan.seed = seed;
+    plan.duplicate = 1.0;
+    rt::Machine mach(
+        {.nodes = 4, .workers = 2, .seed = seed, .faults = plan});
+    int next = 1;
+    auto tree = balanced_tree(8, next);
+    std::atomic<int> evals{0};
+    rt::SVar<int> out;
+    mach.post(1, [&mach, &tree, &evals, out] {
+      m::tree_reduce2_async<int, int>(
+          mach, tree,
+          [&evals](const int&, const int& a, const int& b) {
+            evals.fetch_add(1);
+            return a + b;
+          },
+          m::LabelPolicy::IndependentRandom)
+          .when_bound([out](const int& v) { out.bind(v); });
+    });
+    const rt::RunOutcome o = mach.wait_idle_for(kDeadline);
+    ASSERT_TRUE(o.ok()) << "seed " << seed << ": " << o.to_string();
+    ASSERT_TRUE(out.bound()) << "seed " << seed;
+    EXPECT_EQ(out.get(), expected_sum(256)) << "seed " << seed;
+    EXPECT_EQ(evals.load(), 255) << "seed " << seed;
+    duplicates += mach.fault_totals().duplicates;
+  }
+  EXPECT_GT(duplicates, 0u);
 }
 
 TEST(Chaos, TreeReduce2LaunchDropStallsThenRetryConverges) {

@@ -8,8 +8,10 @@
 
 #include <algorithm>
 #include <array>
+#include <set>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "motifs/tree.hpp"
@@ -140,22 +142,40 @@ TEST(TreeReduce2, IndependentRandomLabelsStillCorrectButChattier) {
 
 TEST(TreeReduce2, OnlyCrossProcessorValuesArePosted) {
   // The launch posts one labelling task per processor that roots a
-  // subtree below the cut, and each sends its leaves as one message per
-  // processor; after that only values that cross processors are posted,
-  // because same-processor values combine in place. In a balanced
-  // power-of-two tree every leaf shares its parent's label (sibling
-  // rule), so every remote value is an internal node's: the machine runs
-  // exactly the launch messages plus one task per remote value.
+  // subtree below the cut, and each sends its leaves as one batch per
+  // processor; after that only values that cross processors travel,
+  // because same-processor values combine in place, and each task sends
+  // the ones it produced as one batch per destination. So the machine
+  // runs exactly the launch messages plus the value batches. Which values
+  // share a batch depends on arrival order, but the labels bound the
+  // batches on both sides: at least one per (sender, destination) pair
+  // that some value crosses, at most one per value that crosses. In a
+  // balanced power-of-two tree every leaf shares its parent's label
+  // (sibling rule), so every remote value is an internal node's.
   rt::Machine mach({.nodes = 8, .workers = 2});
   auto t = m::balanced_tree<long, char>(
       1024, [](std::size_t) { return 1L; }, '+');
-  m::TR2Stats stats;
-  EXPECT_EQ((m::tree_reduce2<long, char>(mach, t, eval_arith, &stats)), 1024);
+  const auto st = m::detail::tr2_start<long, char>(mach, t, eval_arith,
+                                                   m::LabelPolicy::Paper);
+  mach.wait_idle();
+  EXPECT_EQ(st->result.get(), 1024);
+  const m::TR2Stats stats = st->stats();
   const std::uint64_t internal = t->node_count() - t->leaf_count();
   EXPECT_EQ(stats.local_values + stats.remote_values, 2 * internal);
   EXPECT_EQ(mach.load_summary().total_tasks,
-            stats.launch_messages + stats.remote_values);
-  // At most one labelling task plus one leaf message per processor for
+            stats.launch_messages + stats.value_messages);
+  std::uint64_t crossing = 0;
+  std::set<std::pair<rt::NodeId, rt::NodeId>> pairs;
+  for (std::size_t id = 1; id < internal; ++id) {
+    const auto& n = st->nodes[id];
+    if (n.label == n.parent_label) continue;
+    ++crossing;
+    pairs.insert({n.label, n.parent_label});
+  }
+  EXPECT_EQ(stats.remote_values, crossing);
+  EXPECT_LE(pairs.size(), stats.value_messages);
+  EXPECT_LE(stats.value_messages, stats.remote_values);
+  // At most one labelling task plus one leaf batch per processor for
   // each of the (at most 2^cut) subtrees below the cut: never one post
   // per leaf.
   const std::uint64_t subtrees = std::uint64_t{1} << m::cut_depth(8);
@@ -189,23 +209,32 @@ TEST(TreeReduce2, PlanIdsArePrefixOrder) {
     if (id == 0) continue;
     ASSERT_LT(n.parent, id);
     EXPECT_EQ(n.parent_label, st->nodes[n.parent].label);
+    // Section 3.5: a left child carries its parent's label, so only
+    // right-side values ever cross processors.
+    if (!n.is_right) {
+      EXPECT_EQ(n.label, n.parent_label);
+    }
     ++children[n.parent];
   }
-  // Every leaf is filed exactly once, under its parent's label.
+  // Every leaf value is filed exactly once, in the batch for its
+  // parent's processor.
   std::size_t leaves = 0;
+  long leaf_sum = 0;
   auto count_leaves = [&](const auto& outbox) {
     for (rt::NodeId p = 0; p < outbox.size(); ++p) {
       for (const auto& leaf : outbox[p]) {
-        ASSERT_LT(leaf.parent, internal);
-        EXPECT_EQ(st->nodes[leaf.parent].label, p);
-        ++children[leaf.parent];
+        ASSERT_LT(leaf.id, internal);
+        EXPECT_EQ(st->nodes[leaf.id].label, p);
+        ++children[leaf.id];
         ++leaves;
+        leaf_sum += leaf.value;
       }
     }
   };
   count_leaves(st->top_to);
   for (const auto& l : st->launches) count_leaves(l.to);
   EXPECT_EQ(leaves, t->leaf_count());
+  EXPECT_EQ(leaf_sum, (m::reduce_sequential<long, int>(t, eval)));
   for (int c : children) EXPECT_EQ(c, 2);
 }
 

@@ -8,6 +8,7 @@
 #include <chrono>
 #include <memory>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include "motifs/dist_tree_reduce.hpp"
@@ -59,14 +60,22 @@ struct LoopCluster {
   }
 };
 
-/// The data frames a run of dist_tr2_tree(depth, seed) on `ranks` ranks
-/// of `per` nodes ships, derived from the generation's labels (the same
-/// engine every rank builds): label posts, leaf batches and value hops
-/// that cross ranks, plus the result frame when the root's processor is
-/// not on rank 0. The distributed twin of the native exact count in
+/// The band of data frames a run of dist_tr2_tree(depth, seed) on
+/// `ranks` ranks of `per` nodes ships, derived from the generation's
+/// labels (the same engine every rank builds).
+struct FrameBand {
+  std::uint64_t lo = 0, hi = 0;
+};
+
+/// Label posts and leaf batches that cross ranks, plus the result frame
+/// when the root's processor is not on rank 0, are exact. Value batches
+/// that cross ranks lie in a band, because which values share a batch
+/// depends on arrival order: at least one per (sender, destination) pair
+/// of processors on different ranks that some value crosses, at most one
+/// per such value. The distributed twin of the native count in
 /// TreeReduce2.OnlyCrossProcessorValuesArePosted.
-std::uint64_t planned_frames(std::uint32_t ranks, std::uint32_t per,
-                             std::uint32_t depth, std::uint64_t seed) {
+FrameBand planned_frames(std::uint32_t ranks, std::uint32_t per,
+                         std::uint32_t depth, std::uint64_t seed) {
   rt::Machine mach({.nodes = ranks * per, .workers = 1});
   const auto st = motif::detail::dist_tr2_engine(
       depth, seed, motif::detail::MachinePost{mach});
@@ -83,11 +92,17 @@ std::uint64_t planned_frames(std::uint32_t ranks, std::uint32_t per,
       frames += rank(from) != rank(to) && !st->launches[from].to[to].empty();
     }
   }
+  frames += rank(st->nodes[0].label) != 0;
+  std::uint64_t values = 0;
+  std::set<std::pair<rt::NodeId, rt::NodeId>> pairs;
   const std::size_t internal = st->tree->leaf_count() - 1;
   for (std::size_t id = 1; id < internal; ++id) {
-    frames += rank(st->nodes[id].label) != rank(st->nodes[id].parent_label);
+    const auto& n = st->nodes[id];
+    if (rank(n.label) == rank(n.parent_label)) continue;
+    ++values;
+    pairs.insert({n.label, n.parent_label});
   }
-  return frames + (rank(st->nodes[0].label) != 0);
+  return {frames + pairs.size(), frames + values};
 }
 
 }  // namespace
@@ -149,18 +164,23 @@ TEST(NetCluster, FrameCountsDeterministicUnderFixedSeed) {
   run_once(tx2, rx2);
   // The labels are a pure function of (depth, seed, node count) and
   // Post-frame counters ignore control traffic, so two fresh identical
-  // clusters ship exactly the same data frames — exactly as many as the
-  // labels say cross ranks.
-  EXPECT_EQ(tx1, tx2);
-  EXPECT_EQ(rx1, rx2);
-  EXPECT_EQ(tx1[0] + tx1[1], planned_frames(2, 2, 6, 2026));
+  // clusters ship the same label posts, leaf batches and result frame,
+  // and value batches within the band the labels give; every frame sent
+  // is received.
+  const FrameBand band = planned_frames(2, 2, 6, 2026);
+  for (const auto* tx : {&tx1, &tx2}) {
+    EXPECT_GE((*tx)[0] + (*tx)[1], band.lo);
+    EXPECT_LE((*tx)[0] + (*tx)[1], band.hi);
+  }
+  EXPECT_EQ(tx1[0] + tx1[1], rx1[0] + rx1[1]);
+  EXPECT_EQ(tx2[0] + tx2[1], rx2[0] + rx2[1]);
 }
 
 TEST(NetCluster, DuplicatedFramesAreDeliveredOnce) {
   // Every cross-rank frame arrives twice. The duplicate of a label frame
   // or a leaf batch must not deliver its leaves again, and a repeated
   // value must not complete its node twice: either would post more
-  // values than the labels call for, and `dups` counts each logical
+  // value batches than the labels allow, and `dups` counts each logical
   // cross-rank post once.
   rt::FaultPlan twice;
   twice.duplicate = 1.0;
@@ -168,7 +188,9 @@ TEST(NetCluster, DuplicatedFramesAreDeliveredOnce) {
   const auto res = lc.trs[0]->run(6, 2026, kDeadline);
   ASSERT_TRUE(res.ok) << res.outcome.to_string();
   EXPECT_EQ(res.value, res.expected);
-  EXPECT_EQ(lc.total(&rt::NetStats::dups), planned_frames(2, 2, 6, 2026));
+  const FrameBand band = planned_frames(2, 2, 6, 2026);
+  EXPECT_GE(lc.total(&rt::NetStats::dups), band.lo);
+  EXPECT_LE(lc.total(&rt::NetStats::dups), band.hi);
   EXPECT_EQ(lc.total(&rt::NetStats::tx_frames),
             2 * lc.total(&rt::NetStats::dups));
 }
@@ -215,7 +237,7 @@ TEST(NetCluster, MalformedPayloadsAreDroppedNotFatal) {
       Term::tuple({Term::integer(7), Term::integer(3), Term::integer(9),
                    Term::integer(1 << 20), Term::integer(0),
                    Term::integer(5)}),
-      // Right shape (a value hop), but the node id is far outside any
+      // Right shape (a value batch), but the node id is far outside any
       // tree. The claimed generation (7) deliberately differs from the
       // one the real run below allocates: a junk frame that *collides*
       // with a live generation while claiming a different (depth, seed)
