@@ -47,7 +47,14 @@ MsaResult progressive_msa(rt::Machine& m,
       out = tree_reduce1<ProfilePtr, char>(m, tree, eval);
       break;
     case MsaSchedule::TreeReduce2:
-      out = tree_reduce2<ProfilePtr, char>(m, tree, eval);
+      // TR2 ∘ Wavefront: idle processors help with each node's tiles.
+      out = tree_reduce2<ProfilePtr, char>(
+          m, tree,
+          [&m, params](const char&, const ProfilePtr& a,
+                       const ProfilePtr& b) -> ProfilePtr {
+            return std::make_shared<const Profile>(
+                align_profiles(m, *a, *b, params));
+          });
       break;
   }
   MsaResult r{*out, 0.0};

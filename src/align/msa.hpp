@@ -19,7 +19,7 @@ namespace motif::align {
 enum class MsaSchedule {
   Sequential,   // reduce_sequential oracle
   TreeReduce1,  // random-mapped divide and conquer
-  TreeReduce2,  // labelled, memory-bounded
+  TreeReduce2,  // labelled, memory-bounded; idle processors share tiles
 };
 
 struct MsaResult {

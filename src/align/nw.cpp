@@ -7,34 +7,27 @@
 
 #include "align/sequence.hpp"
 #include "align/traceback.hpp"
-#include "motifs/wavefront.hpp"
 
 namespace motif::align {
+
+namespace {
+// Substitution scorer of DP row i: a[i - 1] against b[j - 1].
+auto nw_row(const std::string& a, const std::string& b, const NWParams& p) {
+  return [&a, &b, &p](std::size_t i) {
+    return [ai = a[i - 1], &b, &p](std::size_t j) {
+      return ai == b[j - 1] ? p.match : p.mismatch;
+    };
+  };
+}
+}  // namespace
 
 NWResult needleman_wunsch(const std::string& a, const std::string& b,
                           const NWParams& p) {
   using detail::Move;
   const std::size_t n = a.size(), m = b.size();
-  // prev/cur: rows i-1 and i of the best scores aligning a[0..i) with
-  // b[0..j); moves keeps each cell's winning predecessor for traceback.
-  std::vector<std::int32_t> prev(m + 1), cur(m + 1);
-  std::vector<Move> moves(n * m);
-  for (std::size_t j = 0; j <= m; ++j) {
-    prev[j] = static_cast<std::int32_t>(j) * p.gap;
-  }
-  for (std::size_t i = 1; i <= n; ++i) {
-    Move* row = moves.data() + (i - 1) * m;
-    cur[0] = static_cast<std::int32_t>(i) * p.gap;
-    for (std::size_t j = 1; j <= m; ++j) {
-      const std::int32_t diag =
-          prev[j - 1] + (a[i - 1] == b[j - 1] ? p.match : p.mismatch);
-      cur[j] = detail::best_move(diag, prev[j] + p.gap, cur[j - 1] + p.gap,
-                                 row[j - 1]);
-    }
-    std::swap(prev, cur);
-  }
+  std::vector<Move> moves;
   NWResult r;
-  r.score = prev[m];
+  r.score = detail::fill_moves(nullptr, n, m, p.gap, nw_row(a, b, p), moves);
   std::string ra, rb;
   detail::trace_moves(moves, n, m, [&](Move mv, std::size_t i, std::size_t j) {
     ra.push_back(mv == Move::Left ? kGap : a[i - 1]);
@@ -51,52 +44,27 @@ std::int32_t nw_score(const std::string& a, const std::string& b,
                       const NWParams& p) {
   const std::string& lo = a.size() <= b.size() ? a : b;
   const std::string& hi = a.size() <= b.size() ? b : a;
-  std::vector<std::int32_t> prev(lo.size() + 1), cur(lo.size() + 1);
+  // One rolling row; the moves of a row are written and never read.
+  std::vector<std::int32_t> row(lo.size() + 1);
+  std::vector<detail::Move> scratch(lo.size());
   for (std::size_t j = 0; j <= lo.size(); ++j) {
-    prev[j] = static_cast<std::int32_t>(j) * p.gap;
+    row[j] = static_cast<std::int32_t>(j) * p.gap;
   }
+  const auto row_sub = nw_row(hi, lo, p);
   for (std::size_t i = 1; i <= hi.size(); ++i) {
-    cur[0] = static_cast<std::int32_t>(i) * p.gap;
-    for (std::size_t j = 1; j <= lo.size(); ++j) {
-      const std::int32_t diag =
-          prev[j - 1] + (hi[i - 1] == lo[j - 1] ? p.match : p.mismatch);
-      cur[j] = std::max({diag, prev[j] + p.gap, cur[j - 1] + p.gap});
-    }
-    std::swap(prev, cur);
+    detail::dp_row(row.data(), 0, lo.size(),
+                   static_cast<std::int32_t>(i) * p.gap, p.gap, row_sub(i),
+                   scratch.data());
   }
-  return prev[lo.size()];
+  return row[lo.size()];
 }
 
 std::int32_t nw_score_wavefront(rt::Machine& m, const std::string& a,
                                 const std::string& b,
                                 const NWParams& params) {
-  const std::size_t n = a.size(), mm = b.size();
-  if (n == 0 || mm == 0) {
-    return static_cast<std::int32_t>(std::max(n, mm)) * params.gap;
-  }
-  // Full (n+1) x (m+1) matrix; row/column 0 prefilled, the wavefront
-  // computes the interior with tile-level parallelism.
-  std::vector<std::int32_t> dp((n + 1) * (mm + 1));
-  const std::size_t stride = mm + 1;
-  for (std::size_t i = 0; i <= n; ++i) {
-    dp[i * stride] = static_cast<std::int32_t>(i) * params.gap;
-  }
-  for (std::size_t j = 0; j <= mm; ++j) {
-    dp[j] = static_cast<std::int32_t>(j) * params.gap;
-  }
-  motif::wavefront(
-      m, n, mm,
-      [&](std::size_t i0, std::size_t j0) {
-        const std::size_t i = i0 + 1, j = j0 + 1;
-        const std::int32_t diag =
-            dp[(i - 1) * stride + (j - 1)] +
-            (a[i - 1] == b[j - 1] ? params.match : params.mismatch);
-        const std::int32_t up = dp[(i - 1) * stride + j] + params.gap;
-        const std::int32_t left = dp[i * stride + (j - 1)] + params.gap;
-        dp[i * stride + j] = std::max({diag, up, left});
-      },
-      /*tile=*/48);
-  return dp[n * stride + mm];
+  std::vector<detail::Move> moves;
+  return detail::fill_moves(&m, a.size(), b.size(), params.gap,
+                            nw_row(a, b, params), moves);
 }
 
 double kmer_distance(const std::string& a, const std::string& b, int k) {

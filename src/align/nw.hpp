@@ -31,9 +31,9 @@ NWResult needleman_wunsch(const std::string& a, const std::string& b,
 std::int32_t nw_score(const std::string& a, const std::string& b,
                       const NWParams& params = {});
 
-/// Parallel NW score via the wavefront motif (anti-diagonal tiles of the
-/// DP matrix run concurrently). Identical result to nw_score; this is
-/// the case-study kernel expressed as a grid-problem motif client.
+/// Parallel NW score via the wavefront motif: the caller runs the DP's
+/// tiles and idle processors of `m` help with them. Identical result to
+/// nw_score; this is the case-study kernel as a grid-problem motif client.
 std::int32_t nw_score_wavefront(rt::Machine& m, const std::string& a,
                                 const std::string& b,
                                 const NWParams& params = {});

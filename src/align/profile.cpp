@@ -104,14 +104,12 @@ struct ScoredColumn {
   std::array<double, 5> w{};
   double n = 0.0;
 };
-}  // namespace
 
-Profile align_profiles(const Profile& a, const Profile& b,
-                       const ProfileAlignParams& params) {
+Profile align_on(rt::Machine* mach, const Profile& a, const Profile& b,
+                 const ProfileAlignParams& params) {
   using detail::Move;
   const std::size_t n = a.length(), m = b.length();
   const NWParams& p = params.pairwise;
-  const double gp = p.gap;
 
   // Column counts are whole numbers (see Profile::assemble), so every
   // product and partial sum of the regrouped score is an exact integer and
@@ -127,11 +125,7 @@ Profile align_profiles(const Profile& a, const Profile& b,
       }
     }
   }
-
-  std::vector<double> prev(m + 1), cur(m + 1);
-  std::vector<Move> moves(n * m);
-  for (std::size_t j = 0; j <= m; ++j) prev[j] = static_cast<double>(j) * gp;
-  for (std::size_t i = 1; i <= n; ++i) {
+  auto row_sub = [&](std::size_t i) {
     const Column& col = a.column(i - 1);
     std::array<double, 5> ac{};
     double na = 0.0;
@@ -139,21 +133,18 @@ Profile align_profiles(const Profile& a, const Profile& b,
       ac[x] = col[x];
       na += col[x];
     }
-    Move* row = moves.data() + (i - 1) * m;
-    cur[0] = static_cast<double>(i) * gp;
-    for (std::size_t j = 1; j <= m; ++j) {
-      const ScoredColumn& sc = bcols[j - 1];
+    return [ac, na, bc = bcols.data()](std::size_t j) {
+      const ScoredColumn& sc = bc[j - 1];
       const double nab = na * sc.n;
-      const double score =
-          nab > 0.0 ? (ac[0] * sc.w[0] + ac[1] * sc.w[1] + ac[2] * sc.w[2] +
-                       ac[3] * sc.w[3] + ac[4] * sc.w[4]) /
-                          nab
-                    : 0.0;
-      cur[j] = detail::best_move(prev[j - 1] + score, prev[j] + gp,
-                                 cur[j - 1] + gp, row[j - 1]);
-    }
-    std::swap(prev, cur);
-  }
+      return nab > 0.0 ? (ac[0] * sc.w[0] + ac[1] * sc.w[1] +
+                          ac[2] * sc.w[2] + ac[3] * sc.w[3] +
+                          ac[4] * sc.w[4]) /
+                             nab
+                       : 0.0;
+    };
+  };
+  std::vector<Move> moves;
+  detail::fill_moves(mach, n, m, static_cast<double>(p.gap), row_sub, moves);
 
   // Traceback, assembling merged columns.
   std::vector<Column> cols;
@@ -175,6 +166,17 @@ Profile align_profiles(const Profile& a, const Profile& b,
   });
   std::reverse(cols.begin(), cols.end());
   return Profile::assemble(std::move(cols), a.depth() + b.depth());
+}
+}  // namespace
+
+Profile align_profiles(const Profile& a, const Profile& b,
+                       const ProfileAlignParams& params) {
+  return align_on(nullptr, a, b, params);
+}
+
+Profile align_profiles(rt::Machine& m, const Profile& a, const Profile& b,
+                       const ProfileAlignParams& params) {
+  return align_on(&m, a, b, params);
 }
 
 double sum_of_pairs(const Profile& p, const NWParams& params) {

@@ -76,7 +76,16 @@ struct ProfileAlignParams {
 /// column_score's bit for bit, and the alignment is the one the plain
 /// O(n*m)-doubles DP with a rescoring traceback produces: ties go to the
 /// diagonal, then the gap in `b`, then the gap in `a`.
+///
+/// The DP runs as wavefront tiles (motifs/wavefront.hpp); this form runs
+/// every tile on the calling thread.
 Profile align_profiles(const Profile& a, const Profile& b,
+                       const ProfileAlignParams& params = {});
+
+/// The same kernel with idle processors of `m` helping with its tiles.
+/// The result is identical byte for byte; the caller runs any tile no
+/// helper takes, so it may be called from inside a task of `m`.
+Profile align_profiles(rt::Machine& m, const Profile& a, const Profile& b,
                        const ProfileAlignParams& params = {});
 
 /// Expected pairwise score of two columns under the NW scoring scheme:

@@ -16,7 +16,8 @@
 //       credit acks
 //   parallel_for.hpp  — block-partitioned loops and reductions
 //   scan.hpp          — parallel prefix (inclusive/exclusive)
-//   wavefront.hpp     — tiled anti-diagonal DP grids
+//   wavefront.hpp     — tiled anti-diagonal DP grids: the caller runs
+//       ready tiles and idle processors help (safe inside a task)
 //
 // All motifs, the pipeline included, execute on runtime/machine.hpp's
 // simulated multicomputer; the Strand-level counterparts (transform/ +

@@ -448,6 +448,14 @@ void Machine::activate(Worker* w, NodeId n) {
   }
 }
 
+void Machine::share_handoff() {
+  Worker* w = tl_worker_;
+  if (w == nullptr || w->machine != this || w->handoff == kNoNode) return;
+  w->deque.push(w->handoff);
+  w->handoff = kNoNode;
+  ec_.notify_if_waiting();
+}
+
 void Machine::inject_push(NodeId n) {
   std::lock_guard lock(inject_m_);
   inject_.push_back(n);

@@ -107,6 +107,12 @@ class Machine {
   /// called from outside the machine.
   void post_local(Task t);
 
+  /// For a task that keeps running after it posts: moves the activation
+  /// its worker would run next (the direct-handoff slot, which no other
+  /// worker sees) to the worker's deque and wakes an idle worker to steal
+  /// it. No-op outside a task of this machine.
+  void share_handoff();
+
   /// Node executing the current task, or kNoNode outside the machine.
   static NodeId current_node();
 
@@ -238,6 +244,12 @@ class Machine {
   /// combines it with message counts to rule out in-flight work.
   bool idle() const {
     return pending_.load(std::memory_order_acquire) == 0;
+  }
+
+  /// True when node `n` has no queued or running task right now. A racy
+  /// hint: the wavefront motif offers its helpers to idle nodes first.
+  bool node_idle(NodeId n) const {
+    return nodes_[n]->state.load(std::memory_order_relaxed) == kIdle;
   }
 
   /// Network counters for this machine's rank (written by the cluster

@@ -2,6 +2,8 @@
 // under every schedule — the paper's case-study application.
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "align/align.hpp"
 #include "motifs/tree_reduce.hpp"
 
@@ -96,25 +98,31 @@ TEST(Upgma, DistanceMatrixSymmetricZeroDiagonal) {
 }
 
 TEST(Msa, AllSchedulesProduceIdenticalAlignment) {
-  auto fam = al::synthetic_family(10, 120, 42);
-  rt::Machine m1({.nodes = 4, .workers = 2});
-  auto seq =
-      al::progressive_msa(m1, fam.sequences, fam.guide,
-                          al::MsaSchedule::Sequential);
-  rt::Machine m2({.nodes = 4, .workers = 2});
-  auto tr1 =
-      al::progressive_msa(m2, fam.sequences, fam.guide,
-                          al::MsaSchedule::TreeReduce1);
-  rt::Machine m3({.nodes = 4, .workers = 2});
-  auto tr2 =
-      al::progressive_msa(m3, fam.sequences, fam.guide,
-                          al::MsaSchedule::TreeReduce2);
-  EXPECT_EQ(seq.profile.length(), tr1.profile.length());
-  EXPECT_EQ(seq.profile.length(), tr2.profile.length());
-  EXPECT_DOUBLE_EQ(seq.sum_of_pairs_score, tr1.sum_of_pairs_score);
-  EXPECT_DOUBLE_EQ(seq.sum_of_pairs_score, tr2.sum_of_pairs_score);
-  EXPECT_EQ(seq.profile.consensus(), tr1.profile.consensus());
-  EXPECT_EQ(seq.profile.consensus(), tr2.profile.consensus());
+  // TR2 runs each align-node as wavefront tiles shared with idle
+  // processors: at length 200 a node spans 4 x 4 tiles of 64 columns.
+  for (std::size_t len : {120u, 200u}) {
+    SCOPED_TRACE(testing::Message() << "length " << len);
+    auto fam = al::synthetic_family(16, len, 42);
+    rt::Machine m1({.nodes = 4, .workers = 2});
+    auto seq = al::progressive_msa(m1, fam.sequences, fam.guide,
+                                   al::MsaSchedule::Sequential);
+    for (auto sched :
+         {al::MsaSchedule::TreeReduce1, al::MsaSchedule::TreeReduce2}) {
+      rt::Machine m2({.nodes = 4, .workers = 3});
+      auto r = al::progressive_msa(m2, fam.sequences, fam.guide, sched);
+      ASSERT_EQ(seq.profile.length(), r.profile.length());
+      EXPECT_EQ(seq.profile.depth(), r.profile.depth());
+      for (std::size_t i = 0; i < r.profile.length(); ++i) {
+        EXPECT_EQ(std::memcmp(seq.profile.column(i).data(),
+                              r.profile.column(i).data(), sizeof(al::Column)),
+                  0)
+            << "column " << i;
+      }
+      EXPECT_EQ(std::memcmp(&seq.sum_of_pairs_score, &r.sum_of_pairs_score,
+                            sizeof(double)),
+                0);
+    }
+  }
 }
 
 TEST(Msa, ProfileDepthEqualsFamilySize) {

@@ -160,7 +160,13 @@ TEST(ProfileAlign, MatchesPairwiseNWForSingletons) {
 
 TEST(ProfileAlign, KernelMatchesReferenceBitwise) {
   // Every node of every guide tree, from singleton pairs (integer scores,
-  // many ties) up to deep merged profiles (fractional scores).
+  // many ties) up to deep merged profiles (fractional scores), through the
+  // caller-alone kernel and the tiled one with 1, 2 and 4 workers helping.
+  std::vector<std::unique_ptr<rt::Machine>> machines;
+  for (std::uint32_t w : {1u, 2u, 4u}) {
+    machines.push_back(std::make_unique<rt::Machine>(
+        rt::MachineConfig{.nodes = 4, .workers = w}));
+  }
   int cases = 0;
   for (std::size_t taxa : {4u, 8u, 16u, 32u, 64u, 128u}) {
     for (std::size_t len : {50u, 100u, 200u, 400u}) {
@@ -173,7 +179,13 @@ TEST(ProfileAlign, KernelMatchesReferenceBitwise) {
         auto eval = [&](const char&, const al::ProfilePtr& a,
                         const al::ProfilePtr& b) -> al::ProfilePtr {
           al::Profile got = al::align_profiles(*a, *b);
-          if (!bitwise_equal(got, reference_align(*a, *b, {}))) ++mismatched;
+          const al::Profile want = reference_align(*a, *b, {});
+          if (!bitwise_equal(got, want)) ++mismatched;
+          for (auto& mach : machines) {
+            if (!bitwise_equal(al::align_profiles(*mach, *a, *b), want)) {
+              ++mismatched;
+            }
+          }
           ++nodes;
           return std::make_shared<const al::Profile>(std::move(got));
         };
@@ -186,6 +198,29 @@ TEST(ProfileAlign, KernelMatchesReferenceBitwise) {
     }
   }
   EXPECT_GE(cases, 30);
+
+  // Lengths on and around the 64-column tile edge, square and not, for
+  // singleton profiles and for merged ones.
+  rt::Rng rng(64);
+  std::vector<al::Profile> singles, merged;
+  for (std::size_t len : {1u, 63u, 64u, 65u, 129u}) {
+    const std::string s = al::random_sequence(rng, len);
+    singles.emplace_back(s);
+    merged.push_back(al::align_profiles(
+        al::Profile(s), al::Profile(al::evolve(s, 3.0, {}, rng))));
+  }
+  for (const auto* set : {&singles, &merged}) {
+    for (const al::Profile& a : *set) {
+      for (const al::Profile& b : *set) {
+        SCOPED_TRACE(testing::Message() << a.length() << " x " << b.length());
+        const al::Profile want = reference_align(a, b, {});
+        EXPECT_TRUE(bitwise_equal(al::align_profiles(a, b), want));
+        for (auto& mach : machines) {
+          EXPECT_TRUE(bitwise_equal(al::align_profiles(*mach, a, b), want));
+        }
+      }
+    }
+  }
 }
 
 TEST(ProfileAlign, DepthAccumulates) {

@@ -8,12 +8,15 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <cstring>
 #include <optional>
 #include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "align/profile.hpp"
+#include "align/sequence.hpp"
 #include "motifs/dist_tree_reduce.hpp"
 #include "motifs/motifs.hpp"
 #include "net/cluster.hpp"
@@ -22,6 +25,7 @@
 #include "runtime/machine.hpp"
 
 namespace m = motif;
+namespace al = motif::align;
 namespace rt = motif::rt;
 using namespace std::chrono_literals;
 
@@ -658,6 +662,33 @@ TEST(Chaos, WavefrontSweepAlwaysClassifies) {
     } else {
       EXPECT_LT(cells.load(), 64) << "seed " << seed;
     }
+  }
+}
+
+TEST(Chaos, TiledAlignNodeWithEveryHelperDroppedIsExact) {
+  // Every helper offer is a cross-node post, and every one is dropped: the
+  // align-node's owner runs all its tiles itself and returns the bytes the
+  // caller-alone kernel returns.
+  rt::FaultPlan plan;
+  plan.drop = 1.0;
+  rt::Machine mach({.nodes = 4, .workers = 2, .faults = plan});
+  rt::Rng rng(2024);
+  const std::string s = al::random_sequence(rng, 300);
+  const al::Profile a(s), b(al::evolve(s, 4.0, {}, rng));
+  const al::Profile want = al::align_profiles(a, b);
+  std::optional<al::Profile> got;
+  mach.post(0, [&] { got = al::align_profiles(mach, a, b); });
+  const rt::RunOutcome o = mach.wait_idle_for(kDeadline);
+  ASSERT_EQ(o.status, rt::RunStatus::Completed) << o.to_string();
+  ASSERT_TRUE(got.has_value());
+  EXPECT_GT(mach.fault_totals().drops, 0u) << "no helper was offered";
+  ASSERT_EQ(got->length(), want.length());
+  ASSERT_EQ(got->depth(), want.depth());
+  for (std::size_t i = 0; i < want.length(); ++i) {
+    EXPECT_EQ(std::memcmp(got->column(i).data(), want.column(i).data(),
+                          sizeof(al::Column)),
+              0)
+        << "column " << i;
   }
 }
 

@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <thread>
 
 #include "align/nw.hpp"
 #include "align/sequence.hpp"
@@ -84,6 +86,77 @@ TEST(Wavefront, BodyExceptionPropagates) {
                             },
                             4),
                std::runtime_error);
+}
+
+TEST(Wavefront, RunsInsideATaskAndWaitsOnlyForItsOwnTiles) {
+  // Node 1 holds a worker until the wavefront on node 0 has returned, so
+  // a wavefront that waited for the whole machine would never return.
+  rt::Machine mach({.nodes = 4, .workers = 2});
+  constexpr std::size_t N = 200;
+  std::vector<std::uint64_t> grid(N * N, 0);
+  std::atomic<bool> wave_returned{false}, node1_saw_return{false};
+  mach.post(1, [&] {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(20);
+    while (!wave_returned.load() && std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::yield();
+    }
+    node1_saw_return = wave_returned.load();
+  });
+  mach.post(0, [&] {
+    m::wavefront(
+        mach, N, N,
+        [&](std::size_t i, std::size_t j) {
+          grid[i * N + j] = (i == 0 || j == 0)
+                                ? 1
+                                : (grid[(i - 1) * N + j] +
+                                   grid[i * N + (j - 1)]) % 1000003;
+        },
+        /*tile=*/16);
+    wave_returned = true;
+  });
+  mach.wait_idle();
+  EXPECT_TRUE(node1_saw_return.load());
+  EXPECT_EQ(grid[1 * N + 1], 2u);
+  EXPECT_EQ(grid[5 * N + 5], 252u);
+}
+
+TEST(Wavefront, IdleProcessorsHelpWithTiles) {
+  // The caller is not a machine thread, so a tile that runs on a node was
+  // taken by a helper.
+  rt::Machine mach({.nodes = 4, .workers = 4});
+  std::atomic<int> tiles{0}, helped{0};
+  m::wavefront_tiles(
+      &mach, 8 * 16, 8 * 16,
+      [&](std::size_t, std::size_t, std::size_t, std::size_t) {
+        const auto until =
+            std::chrono::steady_clock::now() + std::chrono::microseconds(200);
+        while (std::chrono::steady_clock::now() < until) {
+        }
+        ++tiles;
+        if (rt::Machine::current_node() != rt::kNoNode) ++helped;
+      },
+      /*tile=*/16);
+  EXPECT_EQ(tiles.load(), 64);
+  EXPECT_GT(helped.load(), 0);
+}
+
+TEST(Wavefront, CallerAloneRunsEveryTileInDependencyOrder) {
+  std::vector<int> done(5 * 7, 0);
+  bool violated = false;
+  const auto self = std::this_thread::get_id();
+  m::wavefront_tiles(
+      nullptr, 5 * 8 - 3, 7 * 8,
+      [&](std::size_t i0, std::size_t, std::size_t j0, std::size_t) {
+        const std::size_t bi = i0 / 8, bj = j0 / 8;
+        if (bi > 0 && done[(bi - 1) * 7 + bj] == 0) violated = true;
+        if (bj > 0 && done[bi * 7 + bj - 1] == 0) violated = true;
+        if (std::this_thread::get_id() != self) violated = true;
+        ++done[bi * 7 + bj];
+      },
+      /*tile=*/8);
+  EXPECT_FALSE(violated);
+  for (int d : done) EXPECT_EQ(d, 1);
 }
 
 TEST(WavefrontNW, MatchesSequentialScore) {
