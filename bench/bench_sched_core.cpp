@@ -25,7 +25,8 @@
 //                          all post, steal and park. Reports ns_per_leaf,
 //                          tasks_per_job, steals and parks per job, and
 //                          the messages behind them (value_messages,
-//                          remote_values).
+//                          remote_values, and the drains that delivered
+//                          the batches).
 //
 // Each case reports posts_per_sec (and the scheduler substrate counters
 // once the machine exposes them) as JSONL via bench_report.hpp; the
@@ -305,6 +306,7 @@ void BM_TR2ZeroGrain(benchmark::State& state) {
   // Of the last job: the labels, and so these counts, vary by job.
   state.counters["value_messages"] = static_cast<double>(st.value_messages);
   state.counters["remote_values"] = static_cast<double>(st.remote_values);
+  state.counters["drains"] = static_cast<double>(st.drains);
   const auto s = m.sched_stats();
   state.counters["steals"] = static_cast<double>(s.steals) / n;
   state.counters["parks"] = static_cast<double>(s.parks) / n;

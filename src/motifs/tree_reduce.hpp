@@ -19,11 +19,14 @@
 //   value into a batch for its parent's processor as it visits the leaf
 //   and sends one batch per processor. Values meet in per-node pending
 //   slots; a value whose parent shares its processor is combined in
-//   place, so only values that cross processors travel, and a task sends
-//   the ones its combines produce as one batch per destination processor
-//   when its batch is delivered. Each processor evaluates one node at a
-//   time (processors are sequential executors), bounding the number of
-//   live intermediate values.
+//   place, so only values that cross processors travel. Each processor is
+//   a server reading a stream of values: a batch sent to it joins its
+//   inbox, and a drain task, queued only when none is queued yet (at most
+//   one per processor at a time), delivers everything the inbox holds in
+//   one task and sends what its combines produce as one batch per
+//   destination processor. Each processor evaluates one node at a time
+//   (processors are sequential executors), bounding the number of live
+//   intermediate values.
 //
 // static_tree_reduce — the baseline: the top of the tree is cut at a
 //   fixed depth and each resulting subtree is reduced sequentially on a
@@ -37,8 +40,10 @@
 
 #include <atomic>
 #include <cstdint>
+#include <iterator>
 #include <limits>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <utility>
 #include <vector>
@@ -155,19 +160,23 @@ inline std::uint32_t cut_depth(std::uint32_t processors) {
 /// Observability hook for tree_reduce2 (experiment E3): offspring values
 /// that stayed on their processor vs crossed processors in the last call;
 /// the messages its launch posted (labelling tasks plus leaf batches), as
-/// counted by the caller and each labelling task; and the value batches
-/// that carried the crossing values, as counted by each processor.
+/// counted by the caller and each labelling task; the value batches that
+/// carried the crossing values, as counted by each processor; and the
+/// drain tasks that delivered the batches on a Machine (zero across a
+/// Cluster, whose frames are delivered one by one).
 struct TR2Stats {
   std::uint64_t local_values = 0;
   std::uint64_t remote_values = 0;
   std::uint64_t launch_messages = 0;
   std::uint64_t value_messages = 0;
+  std::uint64_t drains = 0;
 
   TR2Stats& operator+=(const TR2Stats& o) {
     local_values += o.local_values;
     remote_values += o.remote_values;
     launch_messages += o.launch_messages;
     value_messages += o.value_messages;
+    drains += o.drains;
     return *this;
   }
 };
@@ -201,12 +210,23 @@ struct MachinePost {
     m.post(n, [self = st.shared_from_this(), n] { self->label_on(n); });
   }
 
+  /// Queues `b` in processor `n`'s inbox and posts a drain task to `n`
+  /// unless one is queued already, so the values bound for a processor
+  /// meet in one task however many senders produced them.
   template <class State, class Batch>
   void batch(State& st, rt::NodeId /*from*/, rt::NodeId n, Batch b) {
-    m.post(n, [self = st.shared_from_this(), n, b = std::move(b)]() mutable {
-      // A duplicate must find its batch already delivered.
-      self->deliver(std::exchange(b, {}), n);
-    });
+    auto& in = st.inboxes[n];
+    {
+      std::lock_guard lk(in.mu);
+      if (in.pending.empty()) {
+        in.pending = std::move(b);
+      } else {
+        in.pending.insert(in.pending.end(), std::make_move_iterator(b.begin()),
+                          std::make_move_iterator(b.end()));
+      }
+      if (std::exchange(in.scheduled, true)) return;
+    }
+    m.post(n, [self = st.shared_from_this(), n] { self->drain(n); });
   }
 
   template <class State, class V>
@@ -259,6 +279,14 @@ struct TR2State : std::enable_shared_from_this<TR2State<V, Tag, Eval, Post>> {
   /// The values one message carries to one processor.
   using Batch = std::vector<Arrival>;
   using Outbox = std::vector<Batch>;  // index = destination processor
+  /// Where MachinePost queues the batches bound for one processor until a
+  /// drain task delivers them; `scheduled` is set while a drain is queued.
+  /// Padded: senders on other workers lock their destinations' inboxes.
+  struct alignas(64) Inbox {
+    std::mutex mu;
+    Batch pending;
+    bool scheduled = false;
+  };
   /// What one task sends besides its leaf batches: the values its
   /// combines produced for other processors, one batch per destination.
   /// It holds the task's evaluation scope, which opens at the task's
@@ -289,6 +317,7 @@ struct TR2State : std::enable_shared_from_this<TR2State<V, Tag, Eval, Post>> {
   /// and only after the walk that labelled the node posted its leaves.
   std::unique_ptr<Slot[]> slots;
   std::vector<Launch> launches;  // index = processor; fixed before posting
+  std::unique_ptr<Inbox[]> inboxes;  // index = processor
   Outbox top_to;                 // the caller's leaf batches
   TR2Stats top;                  // the caller's counts
   rt::SVar<V> result;
@@ -301,7 +330,8 @@ struct TR2State : std::enable_shared_from_this<TR2State<V, Tag, Eval, Post>> {
         nodes(std::make_unique_for_overwrite<Node[]>(
             tree->leaf_count() - 1)),
         slots(std::make_unique_for_overwrite<Slot[]>(tree->leaf_count() - 1)),
-        launches(post.processors()) {}
+        launches(post.processors()),
+        inboxes(std::make_unique<Inbox[]>(post.processors())) {}
 
   /// The caller's walk: labels the top of the tree and draws the seed of
   /// each launch's generator.
@@ -432,6 +462,22 @@ struct TR2State : std::enable_shared_from_this<TR2State<V, Tag, Eval, Post>> {
     const std::uint64_t posted = post_batches(to, here, here);
     if (here != rt::kNoNode) deliver(std::exchange(to[here], {}), here);
     return posted;
+  }
+
+  /// A drain task on processor `n`: takes everything its inbox holds and
+  /// delivers it in this one task. A duplicate finds the inbox empty, or
+  /// holding values queued since, which it delivers early; either way
+  /// each value is delivered once.
+  void drain(rt::NodeId n) {
+    Batch b;
+    {
+      Inbox& in = inboxes[n];
+      std::lock_guard lk(in.mu);
+      b.swap(in.pending);
+      in.scheduled = false;
+    }
+    ++launches[n].stats.drains;
+    deliver(std::move(b), n);
   }
 
   /// One task's delivery of a batch on processor `here`: the values its

@@ -8,13 +8,6 @@
 
 namespace motif::rt {
 
-namespace trace_detail {
-ThreadBinding& tl_binding() {
-  thread_local ThreadBinding b;
-  return b;
-}
-}  // namespace trace_detail
-
 namespace {
 
 /// Chrome's trace-event timestamps are microseconds; keep sub-us

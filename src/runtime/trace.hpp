@@ -255,7 +255,9 @@ struct ThreadBinding {
   Tracer* tracer = nullptr;
   std::uint32_t track = 0;
 };
-ThreadBinding& tl_binding();
+/// Constant-initialised and inline, so a hook reads it with one TLS load:
+/// no call, and no guard for a dynamic initialiser.
+inline constinit thread_local ThreadBinding tl_binding{};
 }  // namespace trace_detail
 
 /// RAII: binds the calling thread to one tracer track, restoring the
@@ -263,10 +265,10 @@ ThreadBinding& tl_binding();
 class ThreadTrackGuard {
  public:
   ThreadTrackGuard(Tracer* tracer, std::uint32_t track)
-      : prev_(trace_detail::tl_binding()) {
-    trace_detail::tl_binding() = {tracer, track};
+      : prev_(trace_detail::tl_binding) {
+    trace_detail::tl_binding = {tracer, track};
   }
-  ~ThreadTrackGuard() { trace_detail::tl_binding() = prev_; }
+  ~ThreadTrackGuard() { trace_detail::tl_binding = prev_; }
   ThreadTrackGuard(const ThreadTrackGuard&) = delete;
   ThreadTrackGuard& operator=(const ThreadTrackGuard&) = delete;
 
@@ -279,7 +281,7 @@ class ThreadTrackGuard {
 inline void trace_emit_here(TraceEventKind kind, const char* name = nullptr,
                             std::uint64_t id = 0, std::uint32_t peer = 0,
                             std::uint32_t hops = 0) {
-  const auto& b = trace_detail::tl_binding();
+  const auto& b = trace_detail::tl_binding;
   if (b.tracer != nullptr) b.tracer->emit(b.track, kind, name, id, peer, hops);
 }
 

@@ -9,6 +9,7 @@
 #include <chrono>
 #include <cstdint>
 #include <cstring>
+#include <memory>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -106,16 +107,25 @@ TEST(Chaos, SupervisedTreeReduce1SurvivesNodeLoss) {
 }
 
 TEST(Chaos, SupervisedTreeReduce2SurvivesNodeLoss) {
+  // Node 1 dies after its first task. How many tasks a processor runs
+  // depends on how the batches in its inbox meet, so a kill late in its
+  // count may land on its last task and cost nothing. On a 1,024-leaf
+  // tree node 1 labels nodes at every level, and values go back and
+  // forth through it until the root, so its first task is early in the
+  // run: the loss costs attempt 1, and the retry on a revived machine is
+  // what succeeds.
   rt::FaultPlan plan;
-  plan.kills.push_back({1, 2});
+  plan.kills.push_back({1, 1});
   rt::Machine mach({.nodes = 4, .workers = 2, .faults = plan});
   int next = 1;
-  auto tree = balanced_tree(5, next);
+  auto tree = balanced_tree(10, next);
   m::SuperviseOptions opts;
   opts.deadline = kDeadline;
   auto res = m::supervised_tree_reduce2<int, int>(mach, tree, SumEval{}, opts);
   ASSERT_TRUE(res.ok()) << res.last.to_string();
-  EXPECT_EQ(*res.value, expected_sum(32));
+  EXPECT_EQ(*res.value, expected_sum(1024));
+  EXPECT_GE(res.attempts, 2u);
+  EXPECT_EQ(mach.fault_totals().kills, 1u);
   EXPECT_TRUE(mach.lost_nodes().empty());
 }
 
@@ -220,9 +230,9 @@ TEST(Chaos, TreeReduce2ValueBatchesDeliverOnce) {
   // Every cross-node post delivered twice, under independent random
   // labels: both offspring values of a node may then cross processors,
   // in one batch or in two, so a batch delivered a second time would
-  // complete its nodes again. Each batch's closure must turn its repeat
-  // into a no-op: whatever the labels and the fault draws, each internal
-  // node is evaluated exactly once and the sum is exact.
+  // complete its nodes again. A repeated drain must deliver only what
+  // its inbox received since: whatever the labels and the fault draws,
+  // each internal node is evaluated exactly once and the sum is exact.
   std::uint64_t duplicates = 0;
   for (std::uint64_t seed = 1; seed <= 20; ++seed) {
     rt::FaultPlan plan;
@@ -254,44 +264,90 @@ TEST(Chaos, TreeReduce2ValueBatchesDeliverOnce) {
   EXPECT_GT(duplicates, 0u);
 }
 
+// One Tree-Reduce-2 of `tree` on `mach` under its fault plan, launched
+// from a task on node 1 so that every post of the run may be faulted;
+// returns the run's engine once the machine is quiet.
+std::shared_ptr<m::detail::TR2State<int, int, SumEval>> tree_reduce2_run(
+    rt::Machine& mach, const IntTree::Ptr& tree, rt::RunOutcome& outcome) {
+  std::shared_ptr<m::detail::TR2State<int, int, SumEval>> st;
+  mach.post(1, [&mach, &tree, &st] {
+    st = m::detail::tr2_start<int, int>(mach, tree, SumEval{},
+                                        m::LabelPolicy::Paper);
+  });
+  outcome = mach.wait_idle_for(kDeadline);
+  return st;
+}
+
+TEST(Chaos, TreeReduce2InboxesDeliverEachValueOnce) {
+  // Every post duplicated, or every post delayed: drain tasks then run
+  // twice, or late and out of order, against inboxes that keep filling.
+  // The first attempt must give the exact sum and cross exactly the
+  // values a fault-free run with the same labels crosses.
+  int next = 1;
+  auto tree = balanced_tree(10, next);
+  rt::RunOutcome o;
+  rt::Machine clean({.nodes = 4, .workers = 3});
+  const auto want = tree_reduce2_run(clean, tree, o);
+  ASSERT_TRUE(o.ok()) << o.to_string();
+  ASSERT_EQ(want->result.get(), expected_sum(1024));
+  for (const bool dup : {true, false}) {
+    rt::FaultPlan plan;
+    (dup ? plan.duplicate : plan.delay) = 1.0;
+    rt::Machine mach({.nodes = 4, .workers = 3, .faults = plan});
+    const auto st = tree_reduce2_run(mach, tree, o);
+    ASSERT_TRUE(o.ok()) << (dup ? "duplicate: " : "delay: ") << o.to_string();
+    ASSERT_TRUE(st->result.bound()) << (dup ? "duplicate" : "delay");
+    EXPECT_EQ(st->result.get(), expected_sum(1024));
+    const m::TR2Stats got = st->stats();
+    EXPECT_EQ(got.local_values, want->stats().local_values);
+    EXPECT_EQ(got.remote_values, want->stats().remote_values);
+    EXPECT_GT(dup ? mach.fault_totals().duplicates : mach.fault_totals().delays,
+              0u);
+  }
+}
+
 TEST(Chaos, TreeReduce2LaunchDropStallsThenRetryConverges) {
+  // Every cross-node post is lost. Launched from a task, that is the
+  // launch's own posts. Launched by the caller, whose posts are never
+  // faulted, it is every drain task a processor's task posts: a lost
+  // drain leaves its inbox marked as scheduled, so no drain is posted to
+  // that processor again. Either way the machine goes quiet with the
+  // result unbound, which must classify as Stalled, not run into the
+  // deadline; and a retry, a fresh launch with fresh inboxes after the
+  // stalled one is abandoned, converges.
   int next = 1;
   auto tree = balanced_tree(5, next);
   m::SuperviseOptions opts;
   opts.deadline = kDeadline;
   opts.reseed_faults = false;
   rt::FaultPlan lossy;
-  lossy.drop = 1.0;  // every cross-node post is lost
-  {
-    // Lost launch posts leave the machine quiet with the result unbound.
+  lossy.drop = 1.0;
+  for (const bool in_task : {true, false}) {
+    const auto start = [&tree, in_task](rt::Machine& mm,
+                                        std::uint32_t attempt) {
+      if (attempt > 1) mm.set_fault_plan(rt::FaultPlan{});
+      return in_task ? tree_reduce2_from_task(mm, tree)
+                     : m::tree_reduce2_async<int, int>(mm, tree, SumEval{});
+    };
+    {
+      rt::Machine mach({.nodes = 4, .workers = 2, .faults = lossy});
+      opts.max_attempts = 1;
+      auto res = m::supervised<int>(mach, start, opts);
+      EXPECT_FALSE(res.ok()) << "in_task " << in_task;
+      EXPECT_EQ(res.last.status, rt::RunStatus::Stalled)
+          << "in_task " << in_task << ": " << res.last.to_string();
+      EXPECT_GT(mach.fault_totals().drops, 0u);
+    }
+    // The same loss on the first attempt only.
     rt::Machine mach({.nodes = 4, .workers = 2, .faults = lossy});
-    opts.max_attempts = 1;
-    auto res = m::supervised<int>(
-        mach,
-        [&tree](rt::Machine& mm, std::uint32_t) {
-          return tree_reduce2_from_task(mm, tree);
-        },
-        opts);
-    EXPECT_FALSE(res.ok());
-    EXPECT_EQ(res.last.status, rt::RunStatus::Stalled)
-        << res.last.to_string();
+    opts.max_attempts = 3;
+    auto res = m::supervised<int>(mach, start, opts);
+    ASSERT_TRUE(res.ok()) << "in_task " << in_task << ": "
+                          << res.last.to_string();
+    EXPECT_EQ(*res.value, expected_sum(32));
+    EXPECT_EQ(res.attempts, 2u);
     EXPECT_GT(mach.fault_totals().drops, 0u);
   }
-  // The same loss on the first attempt only: the retry, a fresh launch
-  // after the stalled one is abandoned, converges.
-  rt::Machine mach({.nodes = 4, .workers = 2, .faults = lossy});
-  opts.max_attempts = 3;
-  auto res = m::supervised<int>(
-      mach,
-      [&tree](rt::Machine& mm, std::uint32_t attempt) {
-        if (attempt > 1) mm.set_fault_plan(rt::FaultPlan{});
-        return tree_reduce2_from_task(mm, tree);
-      },
-      opts);
-  ASSERT_TRUE(res.ok()) << res.last.to_string();
-  EXPECT_EQ(*res.value, expected_sum(32));
-  EXPECT_EQ(res.attempts, 2u);
-  EXPECT_GT(mach.fault_totals().drops, 0u);
 }
 
 TEST(Chaos, SupervisedDegradeFallbackWhenAttemptsExhausted) {

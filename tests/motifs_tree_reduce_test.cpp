@@ -145,13 +145,15 @@ TEST(TreeReduce2, OnlyCrossProcessorValuesArePosted) {
   // subtree below the cut, and each sends its leaves as one batch per
   // processor; after that only values that cross processors travel,
   // because same-processor values combine in place, and each task sends
-  // the ones it produced as one batch per destination. So the machine
-  // runs exactly the launch messages plus the value batches. Which values
-  // share a batch depends on arrival order, but the labels bound the
-  // batches on both sides: at least one per (sender, destination) pair
-  // that some value crosses, at most one per value that crosses. In a
-  // balanced power-of-two tree every leaf shares its parent's label
-  // (sibling rule), so every remote value is an internal node's.
+  // the ones it produced as one batch per destination. A batch joins its
+  // destination's inbox, and a drain task is posted only when none is
+  // queued, so the machine runs exactly the labelling tasks plus the
+  // drains, and never more drains than batches. Which values share a
+  // batch depends on arrival order, but the labels bound the batches on
+  // both sides: at least one per (sender, destination) pair that some
+  // value crosses, at most one per value that crosses. In a balanced
+  // power-of-two tree every leaf shares its parent's label (sibling
+  // rule), so every remote value is an internal node's.
   rt::Machine mach({.nodes = 8, .workers = 2});
   auto t = m::balanced_tree<long, char>(
       1024, [](std::size_t) { return 1L; }, '+');
@@ -162,8 +164,12 @@ TEST(TreeReduce2, OnlyCrossProcessorValuesArePosted) {
   const m::TR2Stats stats = st->stats();
   const std::uint64_t internal = t->node_count() - t->leaf_count();
   EXPECT_EQ(stats.local_values + stats.remote_values, 2 * internal);
-  EXPECT_EQ(mach.load_summary().total_tasks,
-            stats.launch_messages + stats.value_messages);
+  std::uint64_t label_tasks = 0;
+  for (const auto& l : st->launches) label_tasks += !l.roots.empty();
+  const std::uint64_t leaf_batches = stats.launch_messages - label_tasks;
+  EXPECT_EQ(mach.load_summary().total_tasks, label_tasks + stats.drains);
+  EXPECT_GE(stats.drains, 1u);
+  EXPECT_LE(stats.drains, leaf_batches + stats.value_messages);
   std::uint64_t crossing = 0;
   std::set<std::pair<rt::NodeId, rt::NodeId>> pairs;
   for (std::size_t id = 1; id < internal; ++id) {
