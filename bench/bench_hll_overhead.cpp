@@ -50,12 +50,14 @@ void BM_NativeTreeReduce(benchmark::State& state) {
   const auto grain = static_cast<std::uint64_t>(state.range(0));
   auto tree = m::balanced_tree<long, char>(
       kLeaves, [](std::size_t) { return 1L; }, '+');
+  auto eval = [grain](const char&, const long& a, const long& b) {
+    spin(grain);
+    return a + b;
+  };
+  // One Machine for every iteration: its set-up (in a tracing build, the
+  // per-node trace rings) is not the per-reduction cost this compares.
+  rt::Machine mach({.nodes = 4, .workers = 2, .seed = 1});
   for (auto _ : state) {
-    rt::Machine mach({.nodes = 4, .workers = 2, .seed = 1});
-    auto eval = [grain](const char&, const long& a, const long& b) {
-      spin(grain);
-      return a + b;
-    };
     long v = m::tree_reduce1<long, char>(mach, tree, eval);
     benchmark::DoNotOptimize(v);
     if (v != static_cast<long>(kLeaves)) state.SkipWithError("bad sum");

@@ -27,6 +27,12 @@
 //                          the messages behind them (value_messages,
 //                          remote_values, and the drains that delivered
 //                          the batches).
+//   LabelAll             — TR2ZeroGrain's tree labelled in full on one
+//                          thread (caller's walk plus every processor's,
+//                          16 processors, as DistTreeReduce2's ranks do).
+//   ReduceSequential     — the sequential oracle over the same tree.
+//                          Both report ns_per_leaf: the walk cost under
+//                          TR2ZeroGrain that is not post, steal or park.
 //
 // Each case reports posts_per_sec (and the scheduler substrate counters
 // once the machine exposes them) as JSONL via bench_report.hpp; the
@@ -37,6 +43,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <memory>
 #include <thread>
 
 #include "bench_report.hpp"
@@ -313,6 +320,72 @@ void BM_TR2ZeroGrain(benchmark::State& state) {
   MOTIF_BENCH_REPORT(state);
 }
 
+// --- LabelAll, ReduceSequential ----------------------------------------------
+
+// The two single-thread walks over TR2ZeroGrain's tree: the layer under
+// its time that is neither post, steal nor park. Each runs for kMeasureS
+// after a warm-up and reports ns_per_leaf.
+constexpr std::size_t kWalkLeaves = 65536;
+
+template <class F>
+void time_per_leaf(benchmark::State& state, F&& once) {
+  constexpr double kWarmupS = 0.5;
+  constexpr double kMeasureS = 1.0;
+  for (const auto t0 = std::chrono::steady_clock::now();
+       seconds_since(t0) < kWarmupS;) {
+    once();
+  }
+  double secs = 0.0;
+  std::uint64_t runs = 0;
+  for (auto _ : state) {
+    const auto t0 = std::chrono::steady_clock::now();
+    while (runs < 20 || seconds_since(t0) < kMeasureS) {
+      once();
+      ++runs;
+    }
+    secs += seconds_since(t0);
+  }
+  state.counters["ns_per_leaf"] =
+      secs * 1e9 / (static_cast<double>(runs) * kWalkLeaves);
+}
+
+auto walk_tree() {
+  return motif::balanced_tree<long long, char>(
+      kWalkLeaves,
+      [](std::size_t i) { return static_cast<long long>(i % 1000); }, '+');
+}
+
+constexpr auto kPlus = [](const char&, const long long& a,
+                          const long long& b) { return a + b; };
+
+// Tree-Reduce-2's whole labelling on the calling thread, as
+// DistTreeReduce2 runs it on every rank: the caller's top walk and every
+// processor's subtree walks, for 16 processors, into a fresh engine.
+void BM_LabelAll(benchmark::State& state) {
+  const auto tree = walk_tree();
+  rt::Machine m({.nodes = 16, .workers = 1});
+  std::uint64_t seed = 1;
+  time_per_leaf(state, [&] {
+    auto st = std::make_shared<
+        motif::detail::TR2State<long long, char, decltype(kPlus)>>(
+        motif::detail::MachinePost{m}, tree, kPlus, motif::LabelPolicy::Paper);
+    rt::Rng rng(seed++);
+    st->label_all(rng);
+    benchmark::DoNotOptimize(st->nodes.get());
+  });
+  MOTIF_BENCH_REPORT(state);
+}
+
+// The sequential oracle over the same tree.
+void BM_ReduceSequential(benchmark::State& state) {
+  const auto tree = walk_tree();
+  time_per_leaf(state, [&] {
+    benchmark::DoNotOptimize(
+        motif::reduce_sequential<long long, char>(tree, kPlus));
+  });
+  MOTIF_BENCH_REPORT(state);
+}
+
 void args(benchmark::internal::Benchmark* b) {
   b->Unit(benchmark::kMillisecond)->Iterations(1);
 }
@@ -322,6 +395,8 @@ BENCHMARK(BM_CrossPostThroughput_W2)->Apply(args);
 BENCHMARK(BM_CrossPostThroughput_W4)->Apply(args);
 BENCHMARK(BM_CrossPostThroughput_W8)->Apply(args);
 BENCHMARK(BM_FanOutFanIn)->Apply(args);
+BENCHMARK(BM_LabelAll)->Apply(args);
+BENCHMARK(BM_ReduceSequential)->Apply(args);
 BENCHMARK(BM_TR2ZeroGrain)
     ->DenseRange(1, static_cast<int>(std::max(
                         1u, std::thread::hardware_concurrency())))

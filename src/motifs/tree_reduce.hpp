@@ -69,12 +69,13 @@ namespace detail {
 template <class V, class Tag, class Eval>
 struct TR1 : std::enable_shared_from_this<TR1<V, Tag, Eval>> {
   rt::Machine& m;
+  typename Tree<V, Tag>::Ptr tree;  // pins the storage the ranges index
   Eval eval;
   MapPolicy policy;
   std::atomic<std::uint32_t> rr{0};
 
-  TR1(rt::Machine& mm, Eval e, MapPolicy p)
-      : m(mm), eval(std::move(e)), policy(p) {}
+  TR1(rt::Machine& mm, typename Tree<V, Tag>::Ptr t, Eval e, MapPolicy p)
+      : m(mm), tree(std::move(t)), eval(std::move(e)), policy(p) {}
 
   rt::NodeId pick() {
     if (policy == MapPolicy::RoundRobin) {
@@ -83,9 +84,10 @@ struct TR1 : std::enable_shared_from_this<TR1<V, Tag, Eval>> {
     return m.random_node();
   }
 
-  void reduce(const typename Tree<V, Tag>::Ptr& t, rt::SVar<V> out) {
-    if (t->is_leaf()) {
-      out.bind(t->value());
+  void reduce(TreeRange t, rt::SVar<V> out) {
+    const TreeStorage<V, Tag>& s = tree->storage();
+    if (t.is_leaf()) {
+      out.bind(s.values[t.first]);
       return;
     }
     rt::SVar<V> lv, rv;
@@ -94,14 +96,15 @@ struct TR1 : std::enable_shared_from_this<TR1<V, Tag, Eval>> {
     // the engine via shared_ptr: with the *_async entry point there is
     // no caller frame pinning it until quiescence.
     auto self = this->shared_from_this();
-    m.post(pick(), [self, r = t->right(), rv] { self->reduce(r, rv); });
+    m.post(pick(), [self, r = s.right(t), rv] { self->reduce(r, rv); });
     const rt::NodeId home = rt::Machine::current_node() == rt::kNoNode
                                 ? 0
                                 : rt::Machine::current_node();
     // Left subtree continues on this node, as its own process.
-    m.post(home, [self, l = t->left(), lv] { self->reduce(l, lv); });
+    m.post(home, [self, l = s.left(t), lv] { self->reduce(l, lv); });
     rt::when_both(lv, rv,
-                  [self, home, tag = t->tag(), out](const V& l, const V& r) {
+                  [self, home, tag = s.tags[t.id], out](const V& l,
+                                                         const V& r) {
                     // The evaluation is INITIATED here — in the paper,
                     // "each reduce message received by a server causes the
                     // initiation of an independent computation" — so the
@@ -129,10 +132,11 @@ rt::SVar<V> tree_reduce1_async(rt::Machine& m,
                                Eval eval,
                                MapPolicy policy = MapPolicy::Random) {
   auto engine = std::make_shared<detail::TR1<V, Tag, Eval>>(
-      m, std::move(eval), policy);
+      m, tree, std::move(eval), policy);
   rt::SVar<V> out;
   out.set_name("tree_reduce1.result");
-  m.post(m.random_node(), [engine, tree, out] { engine->reduce(tree, out); });
+  m.post(m.random_node(),
+         [engine, out] { engine->reduce(engine->tree->range(), out); });
   return out;
 }
 
@@ -253,10 +257,11 @@ struct TR2State : std::enable_shared_from_this<TR2State<V, Tag, Eval, Post>> {
     Tag tag;
     bool is_right;  // side of this node within its parent
   };
-  /// A node the labelling walk has reached, with the label it was given.
+  /// A node the labelling walk has reached, with the label it was given:
+  /// the subtree `r` of the tree's storage, whose root, if internal, has
+  /// prefix id `r.id - base`.
   struct Item {
-    const TreeT* t;
-    std::uint32_t id;  // prefix id (meaningful for internal nodes)
+    TreeRange r;
     std::uint32_t parent;
     rt::NodeId label;
     rt::NodeId parent_label;
@@ -308,7 +313,10 @@ struct TR2State : std::enable_shared_from_this<TR2State<V, Tag, Eval, Post>> {
   };
 
   Post post;
-  typename TreeT::Ptr tree;  // pins the nodes the labelling walks visit
+  typename TreeT::Ptr tree;  // pins the storage the labelling walks read
+  /// The storage id of the root: the tree may be a subtree of a larger
+  /// storage, and the plan's prefix ids count from its own root.
+  std::uint32_t base;
   Eval eval;
   LabelPolicy policy;
   std::unique_ptr<Node[]> nodes;  // index = prefix id
@@ -325,6 +333,7 @@ struct TR2State : std::enable_shared_from_this<TR2State<V, Tag, Eval, Post>> {
   TR2State(Post p, typename TreeT::Ptr t, Eval e, LabelPolicy pol)
       : post(std::move(p)),
         tree(std::move(t)),
+        base(tree->range().id),
         eval(std::move(e)),
         policy(pol),
         nodes(std::make_unique_for_overwrite<Node[]>(
@@ -339,7 +348,7 @@ struct TR2State : std::enable_shared_from_this<TR2State<V, Tag, Eval, Post>> {
     const std::uint32_t procs = post.processors();
     const auto root_label = static_cast<rt::NodeId>(rng.below(procs));
     top_to.resize(procs);
-    top = walk({tree.get(), 0, kTR2Root, root_label, 0, false, 0}, rng,
+    top = walk({tree->range(), kTR2Root, root_label, 0, false, 0}, rng,
                cut_depth(procs), top_to);
     for (Launch& l : launches) {
       if (!l.roots.empty()) l.seed = rng.next();
@@ -387,57 +396,75 @@ struct TR2State : std::enable_shared_from_this<TR2State<V, Tag, Eval, Post>> {
   /// inherits its parent's label (so the parent's label equals its left
   /// child's, as the paper specifies bottom-up); the right child shares
   /// the label if both children are leaves (sibling rule) and draws a
-  /// fresh random label otherwise. A node's prefix id follows from the
-  /// cached leaf counts: the left child of `id` is `id + 1`, the right
-  /// child `id + left's leaves`. Internal nodes at depth `cut` (only the
-  /// caller's walk has one) go to their label's launch and are not
-  /// entered; each leaf's value is copied into the batch for its parent's
-  /// processor. Returns the local/remote value counts of the nodes it
-  /// labelled.
+  /// fresh random label otherwise. The walk follows the storage's prefix
+  /// order, left child first, reading a node's tag and left-leaf count
+  /// at its id and a leaf's value at its index. Internal nodes at depth
+  /// `cut` (only the caller's walk has one) go to their label's launch
+  /// and are not entered; each leaf's value is copied into the batch for
+  /// its parent's processor. Returns the local/remote value counts of the
+  /// nodes it labelled.
   TR2Stats walk(const Item& top_item, rt::Rng& rng, std::uint32_t cut,
                 Outbox& to) {
     TR2Stats s;
+    const TreeStorage<V, Tag>& ts = tree->storage();
     const std::uint32_t procs = post.processors();
     const auto draw = [&] { return static_cast<rt::NodeId>(rng.below(procs)); };
-    // Raw pointers: `tree` pins the whole tree for the walk, so the stack
-    // need not copy (and count) a shared_ptr per node.
+    const auto count = [&s](const Item& it) {
+      if (it.parent == kTR2Root) return;
+      ++(it.label == it.parent_label ? s.local_values : s.remote_values);
+    };
+    const auto file = [&](const Item& leaf) {
+      count(leaf);
+      // Copy: messages move data by value between processors (CP.31).
+      to[leaf.parent_label].push_back(
+          {leaf.parent, leaf.is_right, ts.values[leaf.r.first]});
+    };
+    // Prefix order, left child first: the draw order is part of the
+    // labelling's identity (DistTreeReduce2 relabels from seeds on every
+    // rank). The walk descends into a node's internal child without a
+    // push, files leaf children as it reaches them, and stacks a right
+    // child only while the left subtree is still to be walked.
     std::vector<Item> stack{top_item};
     while (!stack.empty()) {
-      const Item it = stack.back();
+      Item it = stack.back();
       stack.pop_back();
-      const TreeT& t = *it.t;
-      if (!t.is_leaf() && it.depth == cut) {
-        launches[it.label].roots.push_back(it);
-        continue;
+      for (;;) {
+        if (it.r.is_leaf()) {
+          file(it);
+          break;
+        }
+        if (it.depth == cut) {
+          launches[it.label].roots.push_back(it);
+          break;
+        }
+        count(it);
+        const std::uint32_t id = it.r.id - base;
+        nodes[id] = {it.parent, it.parent_label, it.label, ts.tags[it.r.id],
+                     it.is_right};
+        slots[id].full = false;
+        const TreeRange l = ts.left(it.r);
+        const TreeRange r = ts.right(it.r);
+        rt::NodeId left_label = it.label;
+        rt::NodeId right_label =
+            l.is_leaf() && r.is_leaf() ? it.label : draw();
+        if (policy == LabelPolicy::IndependentRandom) {
+          left_label = draw();
+          right_label = draw();
+        }
+        const Item left{l, id, left_label, it.label, false, it.depth + 1};
+        const Item right{r, id, right_label, it.label, true, it.depth + 1};
+        if (!l.is_leaf()) {
+          stack.push_back(right);
+          it = left;
+          continue;
+        }
+        file(left);
+        if (r.is_leaf()) {
+          file(right);
+          break;
+        }
+        it = right;
       }
-      if (it.parent != kTR2Root) {
-        ++(it.label == it.parent_label ? s.local_values : s.remote_values);
-      }
-      if (t.is_leaf()) {
-        // Copy: messages move data by value between processors (CP.31).
-        to[it.parent_label].push_back({it.parent, it.is_right, t.value()});
-        continue;
-      }
-      nodes[it.id] = {it.parent, it.parent_label, it.label, t.tag(),
-                      it.is_right};
-      slots[it.id].full = false;
-      const TreeT* l = t.left().get();
-      const TreeT* r = t.right().get();
-      rt::NodeId left_label = it.label;
-      rt::NodeId right_label =
-          l->is_leaf() && r->is_leaf() ? it.label : draw();
-      if (policy == LabelPolicy::IndependentRandom) {
-        left_label = draw();
-        right_label = draw();
-      }
-      // Push right first so the left subtree is labelled first: the draw
-      // order is part of the labelling's identity (DistTreeReduce2
-      // relabels from seeds on every rank).
-      const auto right_id = it.id + static_cast<std::uint32_t>(l->leaf_count());
-      stack.push_back(
-          {r, right_id, it.id, right_label, it.label, true, it.depth + 1});
-      stack.push_back(
-          {l, it.id + 1, it.id, left_label, it.label, false, it.depth + 1});
     }
     return s;
   }
@@ -482,10 +509,20 @@ struct TR2State : std::enable_shared_from_this<TR2State<V, Tag, Eval, Post>> {
 
   /// One task's delivery of a batch on processor `here`: the values its
   /// combines produce for other processors leave when the loop ends, one
-  /// batch per destination.
+  /// batch per destination. A node's records were last written by the
+  /// walk that labelled it, often on another worker, so the loop fetches
+  /// them a few arrivals ahead: the misses overlap instead of queueing.
   void deliver(Batch in, rt::NodeId here) {
+    constexpr std::size_t kAhead = 8;
     TaskOut out;
-    for (Arrival& a : in) arrive(a.id, a.is_right, std::move(a.value), out);
+    for (std::size_t i = 0; i < in.size(); ++i) {
+      if (i + kAhead < in.size()) {
+        __builtin_prefetch(&slots[in[i + kAhead].id], 1);
+        __builtin_prefetch(&nodes[in[i + kAhead].id]);
+      }
+      Arrival& a = in[i];
+      arrive(a.id, a.is_right, std::move(a.value), out);
+    }
     launches[here].stats.value_messages +=
         post_batches(out.to, kTR2Values, rt::kNoNode);
   }
@@ -592,37 +629,40 @@ template <class V, class Tag, class Eval>
 V static_tree_reduce(rt::Machine& m, const typename Tree<V, Tag>::Ptr& tree,
                      Eval eval, std::uint32_t depth = 0) {
   if (depth == 0) depth = cut_depth(m.node_count());
+  // The caller's `tree` pins the storage: this call returns only once
+  // the machine is idle.
   struct Engine {
     rt::Machine& m;
+    const TreeStorage<V, Tag>& s;
     Eval eval;
     std::atomic<std::uint32_t> next{0};
 
-    Engine(rt::Machine& mm, Eval e) : m(mm), eval(std::move(e)) {}
-    void go(const typename Tree<V, Tag>::Ptr& t, std::uint32_t depth,
-            rt::SVar<V> out) {
-      if (t->is_leaf() || depth == 0) {
+    Engine(rt::Machine& mm, const TreeStorage<V, Tag>& ss, Eval e)
+        : m(mm), s(ss), eval(std::move(e)) {}
+    void go(TreeRange t, std::uint32_t depth, rt::SVar<V> out) {
+      if (t.is_leaf() || depth == 0) {
         const rt::NodeId target =
             next.fetch_add(1, std::memory_order_relaxed) % m.node_count();
         m.post(target, [this, t, out] {
           TRACE_SPAN("static_tree_reduce.partition");
-          out.bind(reduce_sequential<V, Tag>(t, eval));
+          out.bind(reduce_range(s, t, eval));
         });
         return;
       }
       rt::SVar<V> lv, rv;
-      go(t->left(), depth - 1, lv);
-      go(t->right(), depth - 1, rv);
-      rt::when_both(lv, rv, [this, tag = t->tag(), out](const V& l,
-                                                        const V& r) {
+      go(s.left(t), depth - 1, lv);
+      go(s.right(t), depth - 1, rv);
+      rt::when_both(lv, rv, [this, tag = s.tags[t.id], out](const V& l,
+                                                            const V& r) {
         rt::EvalScope scope;
         TRACE_SPAN("static_tree_reduce.combine");
         out.bind(eval(tag, l, r));
       });
     }
   };
-  auto engine = std::make_shared<Engine>(m, std::move(eval));
+  auto engine = std::make_shared<Engine>(m, tree->storage(), std::move(eval));
   rt::SVar<V> out;
-  engine->go(tree, depth, out);
+  engine->go(tree->range(), depth, out);
   m.wait_idle();  // rethrows task exceptions; result is bound after this
   return out.get();
 }

@@ -135,6 +135,9 @@ class SVar {
   bool same_cell(const SVar& o) const { return s_ == o.s_; }
 
  private:
+  template <class A, class B, class F>
+  friend void when_both(SVar<A> a, SVar<B> b, F f);
+
   struct State {
     Cell<T> cell;
     std::mutex name_m;
@@ -157,14 +160,17 @@ class SVar {
 /// inline if both are already bound).
 template <class A, class B, class F>
 void when_both(SVar<A> a, SVar<B> b, F f) {
-  SVar<A> keep = a;  // the inner continuation keeps a's cell alive
-  a.when_bound(
-      [keep, b = std::move(b), f = std::move(f)](const A& av) mutable {
-        // `av` points into keep's cell; a bound value is immutable and the
-        // captured handle keeps it alive until f has run.
-        const A* ap = &av;
-        b.when_bound([keep, ap, f = std::move(f)](const B& bv) { f(*ap, bv); });
-      });
+  // The outer continuation lives in a's cell, so it holds that cell only
+  // weakly: a strong handle would make an `a` that is never bound own
+  // itself, and with it `b` and `f`. While it runs, the binder's handle
+  // (or, inline, ours) keeps the cell alive.
+  a.when_bound([wa = std::weak_ptr<typename SVar<A>::State>(a.s_),
+                b = std::move(b), f = std::move(f)](const A& av) mutable {
+    // `av` points into a's cell; a bound value is immutable, and the
+    // inner continuation's handle keeps it alive until f has run.
+    b.when_bound([keep = wa.lock(), ap = &av, f = std::move(f)](
+                     const B& bv) { f(*ap, bv); });
+  });
 }
 
 }  // namespace motif::rt

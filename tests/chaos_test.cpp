@@ -350,6 +350,31 @@ TEST(Chaos, TreeReduce2LaunchDropStallsThenRetryConverges) {
   }
 }
 
+TEST(Chaos, TreeReduce1EngineIsFreedAfterTotalLoss) {
+  // Every cross-node message dies, so TR1's offspring variables are never
+  // bound. Once the Machine is gone nothing may still hold the engine: a
+  // continuation waiting on a variable that is never bound must not keep
+  // that variable, and with it the engine and its eval, alive.
+  auto token = std::make_shared<int>(0);
+  rt::SVar<int> out;
+  {
+    const auto eval = [token](const int&, const int& a, const int& b) {
+      return a + b;
+    };
+    rt::FaultPlan plan;
+    plan.drop = 1.0;
+    rt::Machine mach({.nodes = 4, .workers = 2, .faults = plan});
+    int next = 1;
+    auto tree = balanced_tree(4, next);
+    out = m::tree_reduce1_async<int, int>(mach, tree, eval);
+    const rt::RunOutcome o = mach.wait_idle_for(kDeadline);
+    EXPECT_NE(o.status, rt::RunStatus::DeadlineExceeded) << o.to_string();
+    EXPECT_GT(mach.fault_totals().drops, 0u);
+  }
+  EXPECT_FALSE(out.bound());
+  EXPECT_EQ(token.use_count(), 1);
+}
+
 TEST(Chaos, SupervisedDegradeFallbackWhenAttemptsExhausted) {
   rt::FaultPlan plan;
   plan.drop = 1.0;  // every cross-node message dies: no attempt can finish

@@ -8,6 +8,8 @@
 
 #include <algorithm>
 #include <array>
+#include <cstdint>
+#include <memory>
 #include <set>
 #include <string>
 #include <thread>
@@ -242,6 +244,97 @@ TEST(TreeReduce2, PlanIdsArePrefixOrder) {
   EXPECT_EQ(leaves, t->leaf_count());
   EXPECT_EQ(leaf_sum, (m::reduce_sequential<long, int>(t, eval)));
   for (int c : children) EXPECT_EQ(c, 2);
+}
+
+TEST(TreeReduce2, LabelsMatchGoldenChecksums) {
+  // Captured from the pointer-node walk that preceded the flat one. At a
+  // fixed seed the plan must not change — each internal node's parent,
+  // labels, tag and side, and the batch each leaf value is filed in —
+  // nor its local/remote split: DistTreeReduce2 relabels from seeds on
+  // every rank, and E3's counts are per seed.
+  struct Golden {
+    char shape;  // 'r'andom, 'b'alanced or 's'pine
+    std::uint64_t seed;
+    std::size_t leaves;
+    std::uint32_t procs;
+    m::LabelPolicy policy;
+    std::uint64_t checksum, local, remote;
+  };
+  const auto paper = m::LabelPolicy::Paper;
+  const Golden goldens[] = {
+      {'r', 23, 200, 4, paper, 16552161432386803621ull, 294, 104},
+      {'r', 99, 3000, 16, paper, 10733403563837597565ull, 4134, 1864},
+      {'b', 11, 1024, 8, paper, 14679327347562594531ull, 1612, 434},
+      {'b', 5, 65536, 16, paper, 14660842921247256015ull, 100322,
+       30748},
+      {'s', 3, 500, 3, paper, 674010721791579772ull, 674, 324},
+      {'r', 7, 777, 5, m::LabelPolicy::IndependentRandom,
+       8251941844992263194ull, 296, 1256},
+  };
+  auto eval = [](char, long a, long b) { return a + b; };
+  for (const Golden& g : goldens) {
+    const auto at = [](std::size_t i) { return static_cast<long>(i % 97); };
+    IntTree::Ptr t = g.shape == 'r'   ? random_sum_tree(g.seed, g.leaves)
+                     : g.shape == 'b' ? m::balanced_tree<long, char>(
+                                            g.leaves, at, '+')
+                                      : m::spine_tree<long, char>(
+                                            g.leaves, at, '+');
+    rt::Machine mach({.nodes = g.procs, .workers = 1});
+    auto st =
+        std::make_shared<m::detail::TR2State<long, char, decltype(eval)>>(
+            m::detail::MachinePost{mach}, t, eval, g.policy);
+    rt::Rng rng(g.seed ^ 0x5EEDull);
+    st->label_all(rng);
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    const auto mix = [&h](std::uint64_t w) {
+      h = (h ^ w) * 0x100000001b3ull;
+    };
+    for (std::size_t id = 0; id + 1 < t->leaf_count(); ++id) {
+      const auto& n = st->nodes[id];
+      for (std::uint64_t w :
+           {std::uint64_t{n.parent}, std::uint64_t{n.parent_label},
+            std::uint64_t{n.label}, static_cast<std::uint64_t>(n.tag),
+            std::uint64_t{n.is_right}}) {
+        mix(w);
+      }
+    }
+    const auto file = [&mix](const auto& outbox) {
+      for (rt::NodeId p = 0; p < outbox.size(); ++p) {
+        for (const auto& a : outbox[p]) {
+          for (std::uint64_t w : {std::uint64_t{p}, std::uint64_t{a.id},
+                                  std::uint64_t{a.is_right},
+                                  static_cast<std::uint64_t>(a.value)}) {
+            mix(w);
+          }
+        }
+      }
+    };
+    file(st->top_to);
+    for (const auto& l : st->launches) file(l.to);
+    const m::TR2Stats stats = st->stats();
+    EXPECT_EQ(h, g.checksum) << g.shape << g.seed;
+    EXPECT_EQ(stats.local_values, g.local) << g.shape << g.seed;
+    EXPECT_EQ(stats.remote_values, g.remote) << g.shape << g.seed;
+  }
+}
+
+TEST(TreeReduce, SubtreeViewsReduceLikeTheirOwnTrees) {
+  // A child view shares its parent's storage, where its node ids do not
+  // start at 0; every reducer must still see it as a tree of its own.
+  auto t = random_sum_tree(31, 700);
+  for (const IntTree::Ptr& sub : {t->left(), t->right(), t->right()->left()}) {
+    if (sub->is_leaf()) continue;
+    const long expect = m::reduce_sequential<long, char>(sub, eval_arith);
+    rt::Machine mach({.nodes = 4, .workers = 2});
+    EXPECT_EQ((m::tree_reduce1<long, char>(mach, sub, eval_arith)), expect);
+    m::TR2Stats stats;
+    EXPECT_EQ((m::tree_reduce2<long, char>(mach, sub, eval_arith, &stats)),
+              expect);
+    EXPECT_EQ(stats.local_values + stats.remote_values,
+              2 * (sub->leaf_count() - 1));
+    EXPECT_EQ((m::static_tree_reduce<long, char>(mach, sub, eval_arith)),
+              expect);
+  }
 }
 
 TEST(TreeReduce2, ConcurrentExternalLaunches) {

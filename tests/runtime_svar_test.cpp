@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -134,6 +135,26 @@ TEST(SVar, WhenBothKeepsFirstValueAlive) {
   b.bind("tail");
   EXPECT_EQ(got.size(), 1004u);
   EXPECT_EQ(got.substr(1000), "tail");
+}
+
+TEST(SVar, WhenBothReleasesItsContinuationOnceTheHandlesAreGone) {
+  // The continuation waits in a's cell, so it must not own that cell: an
+  // `a` that is never bound would own itself, and leak `b` and `f`.
+  auto token = std::make_shared<int>(0);
+  {
+    rt::SVar<int> a, b;
+    rt::when_both(a, b, [token](const int&, const int&) {});
+    EXPECT_EQ(token.use_count(), 2);
+  }
+  EXPECT_EQ(token.use_count(), 1);
+  // Once `a` is bound, the continuation waits in b's cell instead.
+  {
+    rt::SVar<int> a, b;
+    rt::when_both(a, b, [token](const int&, const int&) {});
+    a.bind(1);
+    EXPECT_EQ(token.use_count(), 2);
+  }
+  EXPECT_EQ(token.use_count(), 1);
 }
 
 TEST(SVar, MoveOnlyValueTypeWorksViaCopyableWrapper) {
