@@ -13,16 +13,13 @@ using PTree = Tree<ProfilePtr, char>;
 /// Turns the int-leaf guide tree into a profile-leaf reduction tree.
 PTree::Ptr to_profile_tree(const Tree<int, char>::Ptr& guide,
                            const std::vector<std::string>& seqs) {
-  if (guide->is_leaf()) {
-    const int taxon = guide->value();
+  return guide->map<ProfilePtr>([&seqs](int taxon) {
     if (taxon < 0 || static_cast<std::size_t>(taxon) >= seqs.size()) {
       throw std::out_of_range("guide tree taxon outside sequence family");
     }
-    return PTree::leaf(std::make_shared<const Profile>(
-        seqs[static_cast<std::size_t>(taxon)]));
-  }
-  return PTree::node(guide->tag(), to_profile_tree(guide->left(), seqs),
-                     to_profile_tree(guide->right(), seqs));
+    return std::make_shared<const Profile>(
+        seqs[static_cast<std::size_t>(taxon)]);
+  });
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -20,10 +21,6 @@ namespace motif {
 template <class T, class Cmp = std::less<T>>
 std::vector<T> parallel_merge_sort(rt::Machine& m, std::vector<T> data,
                                    std::size_t grain = 2048, Cmp cmp = {}) {
-  if (data.size() <= grain) {
-    std::sort(data.begin(), data.end(), cmp);
-    return data;
-  }
   using Vec = std::vector<T>;
   return divide_and_conquer<Vec, Vec>(
       m, std::move(data),
@@ -35,13 +32,8 @@ std::vector<T> parallel_merge_sort(rt::Machine& m, std::vector<T> data,
       },
       /*divide=*/
       [](const Vec& v) {
-        const std::size_t mid = v.size() / 2;
-        Vec lo(v.begin(), v.begin() + mid);
-        Vec hi(v.begin() + mid, v.end());
-        std::vector<Vec> parts;
-        parts.push_back(std::move(lo));
-        parts.push_back(std::move(hi));
-        return parts;
+        const auto mid = v.begin() + static_cast<std::ptrdiff_t>(v.size() / 2);
+        return std::array{Vec(v.begin(), mid), Vec(mid, v.end())};
       },
       /*combine=*/
       [cmp](const Vec&, std::vector<Vec> rs) {

@@ -70,9 +70,9 @@ struct SupervisedResult {
 /// Supervises one motif invocation on `m`.
 ///
 /// Start: rt::SVar<T>(rt::Machine&, std::uint32_t attempt) — must LAUNCH
-/// the work without blocking (use tree_reduce1_async / tree_reduce2_async
-/// / wavefront_async or a hand-rolled post) and return the variable the
-/// result will bind. Each call must create fresh SVars: an abandoned
+/// the work without blocking (use tree_reduce1_async, tree_reduce2_async,
+/// wavefront_async, divide_and_conquer_async or a hand-rolled post) and
+/// return the variable the result will bind. Each call must create fresh SVars: an abandoned
 /// attempt may still bind its own variables while being drained.
 ///
 /// Classification refinement: a machine that quiesced cleanly but never

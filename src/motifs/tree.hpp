@@ -103,8 +103,8 @@ class Tree {
     s.values.reserve(leaves);
     s.tags.push_back(std::move(tag));
     s.left_leaves.push_back(static_cast<std::uint32_t>(left->leaf_count()));
-    left->append_to(s);
-    right->append_to(s);
+    left->append_to(s, std::identity{});
+    right->append_to(s, std::identity{});
     return from_storage(std::move(s));
   }
 
@@ -140,6 +140,17 @@ class Tree {
     return h;
   }
 
+  /// A tree of this shape whose leaves are f(value), in one new storage:
+  /// the shape is copied once, where a rebuild through node() would copy
+  /// it at every level.
+  template <class W, class F>
+  typename Tree<W, Tag>::Ptr map(F&& f) const {
+    TreeStorage<W, Tag> out;
+    out.values.reserve(r_.leaves);
+    append_to(out, f);
+    return Tree<W, Tag>::from_storage(std::move(out));
+  }
+
   /// Pre-order visit of every node (iterative). `f` sees each node as a
   /// Tree that is valid only during its call.
   template <class F>
@@ -168,15 +179,19 @@ class Tree {
     return std::make_shared<const Tree>(Private{}, std::move(s), r);
   }
 
-  /// Appends this subtree's nodes to `out`, in prefix order.
-  void append_to(Storage& out) const {
-    const auto copy = [](const auto& from, auto& to, std::size_t at,
-                         std::size_t n) {
-      to.insert(to.end(), from.begin() + at, from.begin() + at + n);
+  /// Appends this subtree's nodes to `out`, in prefix order, with each
+  /// leaf value mapped through `f`.
+  template <class W, class F>
+  void append_to(TreeStorage<W, Tag>& out, F&& f) const {
+    const auto copy = [this](const auto& from, auto& to) {
+      to.insert(to.end(), from.begin() + r_.id,
+                from.begin() + r_.id + (r_.leaves - 1));
     };
-    copy(s_->tags, out.tags, r_.id, r_.leaves - 1);
-    copy(s_->left_leaves, out.left_leaves, r_.id, r_.leaves - 1);
-    copy(s_->values, out.values, r_.first, r_.leaves);
+    copy(s_->tags, out.tags);
+    copy(s_->left_leaves, out.left_leaves);
+    for (std::size_t i = r_.first; i < r_.first + r_.leaves; ++i) {
+      out.values.push_back(f(s_->values[i]));
+    }
   }
 
   std::shared_ptr<const Storage> s_;

@@ -3,12 +3,12 @@
 // baseline the paper mentions ("A static partition of the tree is
 // probably ideal in the simple arithmetic example", Section 3.1).
 //
-// tree_reduce1 — Section 3.4 (Tree-Reduce-1 = Server ∘ Rand ∘ Tree1):
-//   divide and conquer; at each node one subtree is shipped to a
-//   randomly selected processor, the other is evaluated locally; the
-//   node value is computed (on the node's home processor) when both
-//   subtree values are available. Many evaluations can be live on one
-//   processor simultaneously.
+// tree_reduce1 — Section 3.4 (Tree-Reduce-1 = Server ∘ Rand ∘ Tree1): an
+//   instance of the divide-and-conquer engine (motifs/dnc.hpp); at each
+//   node the right subtree is shipped to a randomly selected processor,
+//   the left is evaluated locally; the node value is computed (on the
+//   node's home processor) when both subtree values are available. Many
+//   evaluations can be live on one processor simultaneously.
 //
 // tree_reduce2 — Section 3.5 (Tree-Reduce-2 = Server ∘ Tree-Reduce):
 //   every tree node is labelled with a processor (parent = left child's
@@ -28,16 +28,19 @@
 //   (processors are sequential executors), bounding the number of live
 //   intermediate values.
 //
-// static_tree_reduce — the baseline: the top of the tree is cut at a
-//   fixed depth and each resulting subtree is reduced sequentially on a
-//   deterministically assigned processor; the cap is combined as values
-//   arrive. No dynamic balancing.
+// static_tree_reduce — the baseline, another instance of the engine: the
+//   top of the tree is cut at a fixed depth and each resulting subtree is
+//   reduced sequentially on a processor assigned round-robin; each cap
+//   node is combined, as values arrive, on its leftmost piece's
+//   processor. No dynamic balancing.
 //
 // All three return the same value as reduce_sequential (tested as a
 // property over random trees) and differ only in schedule, messages and
 // memory — exactly the comparison the paper draws.
 #pragma once
 
+#include <algorithm>
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <iterator>
@@ -48,6 +51,7 @@
 #include <utility>
 #include <vector>
 
+#include "motifs/dnc.hpp"
 #include "motifs/tree.hpp"
 #include "runtime/machine.hpp"
 #include "runtime/metrics.hpp"
@@ -64,64 +68,6 @@ enum class MapPolicy { Random, RoundRobin };
 /// message has a 1-1/P chance of crossing processors.
 enum class LabelPolicy { Paper, IndependentRandom };
 
-namespace detail {
-
-template <class V, class Tag, class Eval>
-struct TR1 : std::enable_shared_from_this<TR1<V, Tag, Eval>> {
-  rt::Machine& m;
-  typename Tree<V, Tag>::Ptr tree;  // pins the storage the ranges index
-  Eval eval;
-  MapPolicy policy;
-  std::atomic<std::uint32_t> rr{0};
-
-  TR1(rt::Machine& mm, typename Tree<V, Tag>::Ptr t, Eval e, MapPolicy p)
-      : m(mm), tree(std::move(t)), eval(std::move(e)), policy(p) {}
-
-  rt::NodeId pick() {
-    if (policy == MapPolicy::RoundRobin) {
-      return rr.fetch_add(1, std::memory_order_relaxed) % m.node_count();
-    }
-    return m.random_node();
-  }
-
-  void reduce(TreeRange t, rt::SVar<V> out) {
-    const TreeStorage<V, Tag>& s = tree->storage();
-    if (t.is_leaf()) {
-      out.bind(s.values[t.first]);
-      return;
-    }
-    rt::SVar<V> lv, rv;
-    // Ship the right subtree to another processor (the paper's
-    // "reduce(R,RV)@random"); keep the left at home. Continuations hold
-    // the engine via shared_ptr: with the *_async entry point there is
-    // no caller frame pinning it until quiescence.
-    auto self = this->shared_from_this();
-    m.post(pick(), [self, r = s.right(t), rv] { self->reduce(r, rv); });
-    const rt::NodeId home = rt::Machine::current_node() == rt::kNoNode
-                                ? 0
-                                : rt::Machine::current_node();
-    // Left subtree continues on this node, as its own process.
-    m.post(home, [self, l = s.left(t), lv] { self->reduce(l, lv); });
-    rt::when_both(lv, rv,
-                  [self, home, tag = s.tags[t.id], out](const V& l,
-                                                         const V& r) {
-                    // The evaluation is INITIATED here — in the paper,
-                    // "each reduce message received by a server causes the
-                    // initiation of an independent computation" — so the
-                    // active-evaluation scope opens now, even though the
-                    // task may queue behind others on the home node. This
-                    // is exactly the pile-up Tree-Reduce-2 eliminates.
-                    auto scope = std::make_shared<rt::EvalScope>();
-                    self->m.post(home, [self, tag, l, r, out, scope] {
-                      TRACE_SPAN("tree_reduce1.eval");
-                      out.bind(self->eval(tag, l, r));
-                    });
-                  });
-  }
-};
-
-}  // namespace detail
-
 /// Tree-Reduce-1, non-blocking: launches the reduction and returns the
 /// result variable (named "tree_reduce1.result" for stall diagnostics)
 /// without waiting. This is the form supervision wraps — the supervisor,
@@ -131,12 +77,28 @@ rt::SVar<V> tree_reduce1_async(rt::Machine& m,
                                const typename Tree<V, Tag>::Ptr& tree,
                                Eval eval,
                                MapPolicy policy = MapPolicy::Random) {
-  auto engine = std::make_shared<detail::TR1<V, Tag, Eval>>(
-      m, tree, std::move(eval), policy);
-  rt::SVar<V> out;
+  // Where the right subtree is shipped; the engine owns the counter.
+  auto pick = [&m, policy,
+               rr = std::make_unique<std::atomic<std::uint32_t>>(0)](
+                  const TreeRange&) -> rt::NodeId {
+    return policy == MapPolicy::Random
+               ? m.random_node()
+               : rr->fetch_add(1, std::memory_order_relaxed) % m.node_count();
+  };
+  auto out = detail::dnc_async<TreeRange, V>(
+      m, m.random_node(), tree->range(),
+      [](const TreeRange& t) { return t.is_leaf(); },
+      [tree](const TreeRange& t) { return tree->storage().values[t.first]; },
+      [tree](const TreeRange& t) {
+        return std::array{tree->storage().left(t), tree->storage().right(t)};
+      },
+      [tree, eval = std::move(eval)](const TreeRange& t,
+                                     std::vector<V> lr) mutable {
+        TRACE_SPAN("tree_reduce1.eval");
+        return eval(tree->storage().tags[t.id], lr[0], lr[1]);
+      },
+      std::move(pick));
   out.set_name("tree_reduce1.result");
-  m.post(m.random_node(),
-         [engine, out] { engine->reduce(engine->tree->range(), out); });
   return out;
 }
 
@@ -629,40 +591,42 @@ template <class V, class Tag, class Eval>
 V static_tree_reduce(rt::Machine& m, const typename Tree<V, Tag>::Ptr& tree,
                      Eval eval, std::uint32_t depth = 0) {
   if (depth == 0) depth = cut_depth(m.node_count());
-  // The caller's `tree` pins the storage: this call returns only once
-  // the machine is idle.
-  struct Engine {
-    rt::Machine& m;
-    const TreeStorage<V, Tag>& s;
-    Eval eval;
-    std::atomic<std::uint32_t> next{0};
-
-    Engine(rt::Machine& mm, const TreeStorage<V, Tag>& ss, Eval e)
-        : m(mm), s(ss), eval(std::move(e)) {}
-    void go(TreeRange t, std::uint32_t depth, rt::SVar<V> out) {
-      if (t.is_leaf() || depth == 0) {
-        const rt::NodeId target =
-            next.fetch_add(1, std::memory_order_relaxed) % m.node_count();
-        m.post(target, [this, t, out] {
-          TRACE_SPAN("static_tree_reduce.partition");
-          out.bind(reduce_range(s, t, eval));
-        });
-        return;
-      }
-      rt::SVar<V> lv, rv;
-      go(s.left(t), depth - 1, lv);
-      go(s.right(t), depth - 1, rv);
-      rt::when_both(lv, rv, [this, tag = s.tags[t.id], out](const V& l,
-                                                            const V& r) {
-        rt::EvalScope scope;
-        TRACE_SPAN("static_tree_reduce.combine");
-        out.bind(eval(tag, l, r));
-      });
-    }
+  struct Cut {
+    TreeRange r;
+    std::uint32_t depth;  // levels left above the cut
+    std::size_t piece;    // the index of its leftmost piece
   };
-  auto engine = std::make_shared<Engine>(m, tree->storage(), std::move(eval));
-  rt::SVar<V> out;
-  engine->go(tree->range(), depth, out);
+  // The caller's `tree` pins the storage: this call returns only once the
+  // machine is idle.
+  const TreeStorage<V, Tag>& s = tree->storage();
+  auto out = detail::dnc_async<Cut, V>(
+      m, 0, Cut{tree->range(), depth, 0},
+      [](const Cut& c) { return c.r.is_leaf() || c.depth == 0; },
+      [&](const Cut& c) {
+        TRACE_SPAN("static_tree_reduce.partition");
+        return reduce_range(s, c.r, eval);
+      },
+      [&s](const Cut& c) {
+        // Piece k goes to processor k mod P. Pieces are counted as if
+        // every subtree were balanced: one with d levels above the cut
+        // holds min(leaves, 2^d) of them. On a balanced tree k is the
+        // piece's left-to-right index, so the pieces are dealt
+        // round-robin.
+        const TreeRange l = s.left(c.r);
+        const std::uint32_t d = c.depth - 1;
+        const std::size_t left_pieces =
+            d >= 64 ? l.leaves : std::min(l.leaves, std::size_t{1} << d);
+        return std::array{Cut{l, d, c.piece},
+                          Cut{s.right(c.r), d, c.piece + left_pieces}};
+      },
+      [&](const Cut& c, std::vector<V> lr) {
+        TRACE_SPAN("static_tree_reduce.combine");
+        return eval(s.tags[c.r.id], lr[0], lr[1]);
+      },
+      // A cap node splits, and so combines, where its leftmost piece goes.
+      [&m](const Cut& c) {
+        return static_cast<rt::NodeId>(c.piece % m.node_count());
+      });
   m.wait_idle();  // rethrows task exceptions; result is bound after this
   return out.get();
 }

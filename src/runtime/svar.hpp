@@ -135,9 +135,6 @@ class SVar {
   bool same_cell(const SVar& o) const { return s_ == o.s_; }
 
  private:
-  template <class A, class B, class F>
-  friend void when_both(SVar<A> a, SVar<B> b, F f);
-
   struct State {
     Cell<T> cell;
     std::mutex name_m;
@@ -154,23 +151,5 @@ class SVar {
   };
   std::shared_ptr<State> s_;
 };
-
-/// Runs `f` once both `a` and `b` are bound. Values are passed by const
-/// reference; `f` runs on whichever thread supplies the last binding (or
-/// inline if both are already bound).
-template <class A, class B, class F>
-void when_both(SVar<A> a, SVar<B> b, F f) {
-  // The outer continuation lives in a's cell, so it holds that cell only
-  // weakly: a strong handle would make an `a` that is never bound own
-  // itself, and with it `b` and `f`. While it runs, the binder's handle
-  // (or, inline, ours) keeps the cell alive.
-  a.when_bound([wa = std::weak_ptr<typename SVar<A>::State>(a.s_),
-                b = std::move(b), f = std::move(f)](const A& av) mutable {
-    // `av` points into a's cell; a bound value is immutable, and the
-    // inner continuation's handle keeps it alive until f has run.
-    b.when_bound([keep = wa.lock(), ap = &av, f = std::move(f)](
-                     const B& bv) { f(*ap, bv); });
-  });
-}
 
 }  // namespace motif::rt

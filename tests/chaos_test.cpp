@@ -5,6 +5,7 @@
 // job adds an outer watchdog on top.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -367,6 +368,66 @@ TEST(Chaos, TreeReduce1EngineIsFreedAfterTotalLoss) {
     int next = 1;
     auto tree = balanced_tree(4, next);
     out = m::tree_reduce1_async<int, int>(mach, tree, eval);
+    const rt::RunOutcome o = mach.wait_idle_for(kDeadline);
+    EXPECT_NE(o.status, rt::RunStatus::DeadlineExceeded) << o.to_string();
+    EXPECT_GT(mach.fault_totals().drops, 0u);
+  }
+  EXPECT_FALSE(out.bound());
+  EXPECT_EQ(token.use_count(), 1);
+}
+
+// --- divide and conquer -----------------------------------------------------
+
+namespace {
+
+long fib(int n) { return n < 2 ? n : fib(n - 1) + fib(n - 2); }
+
+/// fib(n) by divide and conquer; `combine` adds the two subresults.
+template <class Combine>
+rt::SVar<long> fib_async(rt::Machine& mm, int n, Combine combine) {
+  return m::divide_and_conquer_async<int, long>(
+      mm, n, [](const int& k) { return k < 2; },
+      [](int k) { return static_cast<long>(k); },
+      [](const int& k) { return std::array{k - 1, k - 2}; },
+      std::move(combine));
+}
+
+long add_pair(const int&, std::vector<long> rs) { return rs[0] + rs[1]; }
+
+}  // namespace
+
+TEST(Chaos, SupervisedDivideAndConquerSurvivesNodeLoss) {
+  rt::FaultPlan plan;
+  plan.kills.push_back({2, 1});  // node 2 dies after its first task
+  rt::Machine mach({.nodes = 4, .workers = 2, .faults = plan});
+  m::SuperviseOptions opts;
+  opts.deadline = kDeadline;
+  auto res = m::supervised<long>(
+      mach,
+      [](rt::Machine& mm, std::uint32_t) {
+        return fib_async(mm, 16, add_pair);
+      },
+      opts);
+  ASSERT_TRUE(res.ok()) << res.last.to_string();
+  EXPECT_EQ(*res.value, fib(16));
+  EXPECT_FALSE(res.degraded);
+  EXPECT_EQ(mach.fault_totals().kills, 1u);
+  EXPECT_TRUE(mach.lost_nodes().empty());
+}
+
+TEST(Chaos, DivideAndConquerEngineIsFreedAfterTotalLoss) {
+  // Every cross-node message dies, so joins wait for parts that never
+  // run. Once the Machine is gone nothing may still hold the engine, and
+  // with it the combine and what it captured.
+  auto token = std::make_shared<int>(0);
+  rt::SVar<long> out;
+  {
+    rt::FaultPlan plan;
+    plan.drop = 1.0;
+    rt::Machine mach({.nodes = 4, .workers = 2, .faults = plan});
+    out = fib_async(mach, 12, [token](const int& n, std::vector<long> rs) {
+      return add_pair(n, std::move(rs));
+    });
     const rt::RunOutcome o = mach.wait_idle_for(kDeadline);
     EXPECT_NE(o.status, rt::RunStatus::DeadlineExceeded) << o.to_string();
     EXPECT_GT(mach.fault_totals().drops, 0u);

@@ -81,6 +81,39 @@ TEST(TreeReduce1, RoundRobinPolicyAlsoCorrect) {
             expect);
 }
 
+TEST(TreeReduce1, MessageAndTaskCountsMatchGolden) {
+  // One worker runs every node, so a run's posts, and the nodes they go
+  // from and to, are a function of the seeds and of the worker's loop:
+  // every 61st turn it serves the global queue first, so the launch waits
+  // until the worker has parked, after exactly one turn. The counts were
+  // taken from the engine TR1 ran on before it became a
+  // divide-and-conquer instance: the same draws and posts, in the same
+  // order, per task.
+  struct Case {
+    std::uint64_t tree_seed;
+    std::size_t leaves;
+    std::uint32_t nodes;
+    m::MapPolicy policy;
+    std::uint64_t remote_msgs;
+    std::uint64_t tasks;
+  };
+  const Case cases[] = {
+      {1, 256, 4, m::MapPolicy::Random, 313, 766},
+      {2, 1000, 8, m::MapPolicy::Random, 1500, 2998},
+      {3, 300, 5, m::MapPolicy::RoundRobin, 421, 898},
+  };
+  for (const Case& c : cases) {
+    auto t = random_sum_tree(c.tree_seed, c.leaves);
+    rt::Machine mach({.nodes = c.nodes, .workers = 1, .seed = c.tree_seed});
+    while (mach.load_summary().sched.parks == 0) std::this_thread::yield();
+    EXPECT_EQ((m::tree_reduce1<long, char>(mach, t, eval_arith, c.policy)),
+              (m::reduce_sequential<long, char>(t, eval_arith)));
+    const rt::LoadSummary s = mach.load_summary();
+    EXPECT_EQ(s.remote_msgs, c.remote_msgs) << "tree seed " << c.tree_seed;
+    EXPECT_EQ(s.total_tasks, c.tasks) << "tree seed " << c.tree_seed;
+  }
+}
+
 TEST(TreeReduce2, PaperTreeIs24) {
   rt::Machine mach({.nodes = 4, .workers = 2});
   EXPECT_EQ((m::tree_reduce2<long, char>(mach, paper_tree(), eval_arith)),
@@ -454,4 +487,23 @@ TEST(TreeReduceMemory, TR2BoundsConcurrentEvaluations) {
   }
   // TR2: one eval at a time per node; 2 nodes -> peak <= 2.
   EXPECT_LE(rt::active_evals().peak(), 2);
+}
+
+TEST(TreeReduceMemory, TR1ScopesOpenWhenTheJoinFires) {
+  // A join that fires opens its evaluation scope before the combine task
+  // runs, so combines queued behind one another on a processor all count
+  // as live: with a slow eval on two processors TR1 piles up more than
+  // one evaluation per processor (EXPERIMENTS.md E2).
+  auto slow_eval = [](const char&, const long& a, const long& b) {
+    for (int i = 0; i < 2000; ++i) asm volatile("");
+    return a + b;
+  };
+  auto t = m::balanced_tree<long, char>(
+      256, [](std::size_t) { return 1L; }, '+');
+  rt::active_evals().reset();
+  {
+    rt::Machine mach({.nodes = 2, .workers = 2});
+    EXPECT_EQ((m::tree_reduce1<long, char>(mach, t, slow_eval)), 256);
+  }
+  EXPECT_GT(rt::active_evals().peak(), 2);
 }

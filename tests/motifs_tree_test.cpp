@@ -80,6 +80,14 @@ std::uint64_t checksum(const IntTree::Ptr& t) {
   return h;
 }
 
+/// Tree::map's definition, rebuilt level by level through node().
+template <class F>
+IntTree::Ptr map_by_node(const IntTree::Ptr& t, F f) {
+  if (t->is_leaf()) return IntTree::leaf(f(t->value()));
+  return IntTree::node(t->tag(), map_by_node(t->left(), f),
+                       map_by_node(t->right(), f));
+}
+
 void expect_same(const IntTree::Ptr& a, const IntTree::Ptr& b) {
   EXPECT_EQ(walk_of(a), walk_of(b));
   EXPECT_EQ(a->height(), b->height());
@@ -241,6 +249,22 @@ TEST(Tree, GeneratorsMatchNodeBuiltTrees) {
     expect_same(m::random_tree<long, char>(a, n, random_leaf, random_tag),
                 random_by_node(b, n));
     EXPECT_EQ(a.next(), b.next());  // the same draws, no more, no fewer
+  }
+}
+
+TEST(Tree, MapKeepsTheShapeOfTreesAndViews) {
+  const auto f = [](long v) { return 3 * v + 1; };
+  motif::rt::Rng rng(5);
+  auto t = m::random_tree<long, char>(rng, 200, random_leaf, random_tag);
+  auto view = t;
+  while (view->leaf_count() > 40) view = view->left();
+  for (const IntTree::Ptr& v : {t, t->right(), view->right()}) {
+    SCOPED_TRACE(v->leaf_count());
+    auto mapped = v->map<long>(f);
+    expect_same(mapped, map_by_node(v, f));
+    // Its own storage, holding exactly the mapped range.
+    EXPECT_EQ(mapped->storage().values.size(), v->leaf_count());
+    EXPECT_EQ(mapped->storage().tags.size(), v->leaf_count() - 1);
   }
 }
 

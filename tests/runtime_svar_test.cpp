@@ -99,64 +99,6 @@ TEST(SVar, ConcurrentBindersExactlyOneWins) {
   }
 }
 
-TEST(SVar, WhenBothBothOrders) {
-  {
-    rt::SVar<int> a, b;
-    int sum = 0;
-    rt::when_both(a, b, [&](const int& x, const int& y) { sum = x + y; });
-    a.bind(1);
-    EXPECT_EQ(sum, 0);
-    b.bind(2);
-    EXPECT_EQ(sum, 3);
-  }
-  {
-    rt::SVar<int> a, b;
-    int sum = 0;
-    b.bind(20);
-    a.bind(10);
-    rt::when_both(a, b, [&](const int& x, const int& y) { sum = x + y; });
-    EXPECT_EQ(sum, 30);
-  }
-}
-
-TEST(SVar, WhenBothKeepsFirstValueAlive) {
-  rt::SVar<std::string> b;
-  std::string got;
-  {
-    rt::SVar<std::string> a;
-    a.bind(std::string(1000, 'x'));
-    rt::when_both(a, b,
-                  [&](const std::string& x, const std::string& y) {
-                    got = x + y;
-                  });
-    // `a` handle goes out of scope here; the continuation must keep the
-    // cell alive.
-  }
-  b.bind("tail");
-  EXPECT_EQ(got.size(), 1004u);
-  EXPECT_EQ(got.substr(1000), "tail");
-}
-
-TEST(SVar, WhenBothReleasesItsContinuationOnceTheHandlesAreGone) {
-  // The continuation waits in a's cell, so it must not own that cell: an
-  // `a` that is never bound would own itself, and leak `b` and `f`.
-  auto token = std::make_shared<int>(0);
-  {
-    rt::SVar<int> a, b;
-    rt::when_both(a, b, [token](const int&, const int&) {});
-    EXPECT_EQ(token.use_count(), 2);
-  }
-  EXPECT_EQ(token.use_count(), 1);
-  // Once `a` is bound, the continuation waits in b's cell instead.
-  {
-    rt::SVar<int> a, b;
-    rt::when_both(a, b, [token](const int&, const int&) {});
-    a.bind(1);
-    EXPECT_EQ(token.use_count(), 2);
-  }
-  EXPECT_EQ(token.use_count(), 1);
-}
-
 TEST(SVar, MoveOnlyValueTypeWorksViaCopyableWrapper) {
   rt::SVar<std::shared_ptr<int>> v;
   v.bind(std::make_shared<int>(77));
