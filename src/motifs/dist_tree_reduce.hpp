@@ -136,7 +136,7 @@ class DistTreeReduce2 {
     }
 
     template <class St, class Batch>
-    void batch(St&, rt::NodeId from, rt::NodeId n, Batch b) {
+    void batch(St&, rt::NodeId from, rt::NodeId n, const Batch& b) {
       std::int64_t sender = from == rt::kNoNode ? processors() : from;
       if (from == detail::kTR2Values) sender = -1;
       std::vector<std::int64_t> tail{sender};
@@ -294,7 +294,7 @@ class DistTreeReduce2 {
         b.push_back({static_cast<std::uint32_t>(a[i].int_value()),
                      a[i + 1].int_value() == 1, a[i + 2].int_value()});
       }
-      e->deliver(std::move(b), to);
+      e->deliver(b, to);
     }
 
     void on_result(const term::Term& t) {

@@ -176,16 +176,18 @@ struct MachinePost {
     m.post(n, [self = st.shared_from_this(), n] { self->label_on(n); });
   }
 
-  /// Queues `b` in processor `n`'s inbox and posts a drain task to `n`
-  /// unless one is queued already, so the values bound for a processor
-  /// meet in one task however many senders produced them.
+  /// Moves the values of `b` to processor `n`'s inbox and posts a drain
+  /// task to `n` unless one is queued already, so the values bound for a
+  /// processor meet in one task however many senders produced them. An
+  /// empty inbox swaps buffers with `b` instead, so the values are not
+  /// copied and the sender keeps a buffer for its next batch.
   template <class State, class Batch>
-  void batch(State& st, rt::NodeId /*from*/, rt::NodeId n, Batch b) {
+  void batch(State& st, rt::NodeId /*from*/, rt::NodeId n, Batch& b) {
     auto& in = st.inboxes[n];
     {
       std::lock_guard lk(in.mu);
       if (in.pending.empty()) {
-        in.pending = std::move(b);
+        in.pending.swap(b);
       } else {
         in.pending.insert(in.pending.end(), std::make_move_iterator(b.begin()),
                           std::make_move_iterator(b.end()));
@@ -249,10 +251,16 @@ struct TR2State : std::enable_shared_from_this<TR2State<V, Tag, Eval, Post>> {
   /// Where MachinePost queues the batches bound for one processor until a
   /// drain task delivers them; `scheduled` is set while a drain is queued.
   /// Padded: senders on other workers lock their destinations' inboxes.
+  /// The rest belongs to the processor's own tasks, which run one at a
+  /// time, and keeps its buffers from task to task, so a run allocates
+  /// its batches once instead of once per task: the batch a drain takes,
+  /// swapped with `pending`, and the task's value batches by destination.
   struct alignas(64) Inbox {
     std::mutex mu;
     Batch pending;
     bool scheduled = false;
+    alignas(64) Batch taking;
+    Outbox out;
   };
   /// What one task sends besides its leaf batches: the values its
   /// combines produced for other processors, one batch per destination.
@@ -317,11 +325,17 @@ struct TR2State : std::enable_shared_from_this<TR2State<V, Tag, Eval, Post>> {
     }
   }
 
-  /// Labels the subtrees of launch `n` from its own generator.
+  /// Labels the subtrees of launch `n` from its own generator. Each leaf
+  /// batch is sized up front for an even share of the launch's leaves,
+  /// with room for the spread, so filing rarely regrows one.
   void label(rt::NodeId n) {
     Launch& l = launches[n];
     rt::Rng rng(l.seed);
     l.to.resize(post.processors());
+    std::size_t leaves = 0;
+    for (const Item& root : l.roots) leaves += root.r.leaves;
+    const std::size_t share = leaves / post.processors();
+    for (Batch& b : l.to) b.reserve(share + share / 4 + 8);
     for (const Item& root : l.roots) l.stats += walk(root, rng, kNoCut, l.to);
   }
 
@@ -337,6 +351,7 @@ struct TR2State : std::enable_shared_from_this<TR2State<V, Tag, Eval, Post>> {
   /// tasks.
   void start() {
     top.launch_messages = send(top_to, rt::kNoNode);
+    top_to = {};
     for (rt::NodeId n = 0; n < launches.size(); ++n) {
       if (launches[n].roots.empty()) continue;
       ++top.launch_messages;
@@ -352,6 +367,7 @@ struct TR2State : std::enable_shared_from_this<TR2State<V, Tag, Eval, Post>> {
     if (std::exchange(l.labelled, true)) return;
     if (l.to.empty()) label(n);
     l.stats.launch_messages = send(l.to, n);
+    l.to = {};  // frees the empty buffers the inboxes swapped back
   }
 
   /// Labels the tree below `top_item` (Section 3.5): a left child
@@ -432,14 +448,15 @@ struct TR2State : std::enable_shared_from_this<TR2State<V, Tag, Eval, Post>> {
   }
 
   /// Posts each non-empty batch of `to` as sent by `from`, except the one
-  /// for `here` (the processor running this task, if any). Returns the
-  /// messages posted.
+  /// for `here` (the processor running this task, if any), and empties
+  /// it. Returns the messages posted.
   std::uint64_t post_batches(Outbox& to, rt::NodeId from, rt::NodeId here) {
     std::uint64_t posted = 0;
     for (rt::NodeId n = 0; n < to.size(); ++n) {
       if (n == here || to[n].empty()) continue;
       ++posted;
-      post.batch(*this, from, n, std::move(to[n]));
+      post.batch(*this, from, n, to[n]);
+      to[n].clear();
     }
     return posted;
   }
@@ -449,7 +466,7 @@ struct TR2State : std::enable_shared_from_this<TR2State<V, Tag, Eval, Post>> {
   /// the messages posted.
   std::uint64_t send(Outbox& to, rt::NodeId here) {
     const std::uint64_t posted = post_batches(to, here, here);
-    if (here != rt::kNoNode) deliver(std::exchange(to[here], {}), here);
+    if (here != rt::kNoNode) deliver(to[here], here);
     return posted;
   }
 
@@ -458,25 +475,25 @@ struct TR2State : std::enable_shared_from_this<TR2State<V, Tag, Eval, Post>> {
   /// holding values queued since, which it delivers early; either way
   /// each value is delivered once.
   void drain(rt::NodeId n) {
-    Batch b;
+    Inbox& in = inboxes[n];
     {
-      Inbox& in = inboxes[n];
       std::lock_guard lk(in.mu);
-      b.swap(in.pending);
+      in.taking.swap(in.pending);
       in.scheduled = false;
     }
     ++launches[n].stats.drains;
-    deliver(std::move(b), n);
+    deliver(in.taking, n);
   }
 
-  /// One task's delivery of a batch on processor `here`: the values its
-  /// combines produce for other processors leave when the loop ends, one
-  /// batch per destination. A node's records were last written by the
-  /// walk that labelled it, often on another worker, so the loop fetches
-  /// them a few arrivals ahead: the misses overlap instead of queueing.
-  void deliver(Batch in, rt::NodeId here) {
+  /// One task's delivery of a batch on processor `here`, which it leaves
+  /// empty: the values its combines produce for other processors leave
+  /// when the loop ends, one batch per destination. A node's records were
+  /// last written by the walk that labelled it, often on another worker,
+  /// so the loop fetches them a few arrivals ahead: the misses overlap
+  /// instead of queueing.
+  void deliver(Batch& in, rt::NodeId here) {
     constexpr std::size_t kAhead = 8;
-    TaskOut out;
+    TaskOut out{{}, std::move(inboxes[here].out)};
     for (std::size_t i = 0; i < in.size(); ++i) {
       if (i + kAhead < in.size()) {
         __builtin_prefetch(&slots[in[i + kAhead].id], 1);
@@ -485,8 +502,10 @@ struct TR2State : std::enable_shared_from_this<TR2State<V, Tag, Eval, Post>> {
       Arrival& a = in[i];
       arrive(a.id, a.is_right, std::move(a.value), out);
     }
+    in.clear();
     launches[here].stats.value_messages +=
         post_batches(out.to, kTR2Values, rt::kNoNode);
+    inboxes[here].out = std::move(out.to);
   }
 
   /// Delivers one offspring value of node `id` on that node's processor.

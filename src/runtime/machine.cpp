@@ -533,8 +533,9 @@ void Machine::worker_loop(std::uint32_t index) {
     // even while the local LIFO chain is hot. Without this, a hot
     // post-run-post cycle between two nodes can starve sibling
     // activations sitting under it for the whole run — stealing alone
-    // does not bound that on an oversubscribed host.
-    if (++tick % kInjectPollTicks == 0) {
+    // does not bound that on an oversubscribed host. `tick` counts the
+    // turns that ran a node, so idle turns do not move the schedule.
+    if (tick % kInjectPollTicks == kInjectPollTicks - 1) {
       n = inject_pop();
       if (n == kNoNode) n = w.deque.steal();
     }
@@ -562,6 +563,7 @@ void Machine::worker_loop(std::uint32_t index) {
       idle_wait(w);
     } else {
       run_node(n, &w);
+      ++tick;
     }
 #if MOTIF_TRACING
     if (worker_track_base_ != 0) emit_sched_counters(w);

@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <array>
+#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <set>
@@ -81,36 +82,62 @@ TEST(TreeReduce1, RoundRobinPolicyAlsoCorrect) {
             expect);
 }
 
+namespace {
+
+struct TR1Case {
+  std::uint64_t tree_seed;
+  std::size_t leaves;
+  std::uint32_t nodes;
+  m::MapPolicy policy;
+  std::uint64_t remote_msgs;
+  std::uint64_t tasks;
+};
+
+const TR1Case kTR1Cases[] = {
+    {1, 256, 4, m::MapPolicy::Random, 314, 766},
+    {2, 1000, 8, m::MapPolicy::Random, 1485, 2998},
+    {3, 300, 5, m::MapPolicy::RoundRobin, 413, 898},
+};
+
+/// One TR1 run of `c` on a fresh one-worker Machine, launched after
+/// `before` ran on the calling thread; returns the run's load summary.
+template <class Before>
+rt::LoadSummary tr1_counts(const TR1Case& c, Before before) {
+  auto t = random_sum_tree(c.tree_seed, c.leaves);
+  rt::Machine mach({.nodes = c.nodes, .workers = 1, .seed = c.tree_seed});
+  before(mach);
+  EXPECT_EQ((m::tree_reduce1<long, char>(mach, t, eval_arith, c.policy)),
+            (m::reduce_sequential<long, char>(t, eval_arith)));
+  return mach.load_summary();
+}
+
+}  // namespace
+
 TEST(TreeReduce1, MessageAndTaskCountsMatchGolden) {
   // One worker runs every node, so a run's posts, and the nodes they go
   // from and to, are a function of the seeds and of the worker's loop:
-  // every 61st turn it serves the global queue first, so the launch waits
-  // until the worker has parked, after exactly one turn. The counts were
-  // taken from the engine TR1 ran on before it became a
-  // divide-and-conquer instance: the same draws and posts, in the same
-  // order, per task.
-  struct Case {
-    std::uint64_t tree_seed;
-    std::size_t leaves;
-    std::uint32_t nodes;
-    m::MapPolicy policy;
-    std::uint64_t remote_msgs;
-    std::uint64_t tasks;
-  };
-  const Case cases[] = {
-      {1, 256, 4, m::MapPolicy::Random, 313, 766},
-      {2, 1000, 8, m::MapPolicy::Random, 1500, 2998},
-      {3, 300, 5, m::MapPolicy::RoundRobin, 421, 898},
-  };
-  for (const Case& c : cases) {
-    auto t = random_sum_tree(c.tree_seed, c.leaves);
-    rt::Machine mach({.nodes = c.nodes, .workers = 1, .seed = c.tree_seed});
-    while (mach.load_summary().sched.parks == 0) std::this_thread::yield();
-    EXPECT_EQ((m::tree_reduce1<long, char>(mach, t, eval_arith, c.policy)),
-              (m::reduce_sequential<long, char>(t, eval_arith)));
-    const rt::LoadSummary s = mach.load_summary();
+  // every 61st turn that runs a node it serves the global queue first.
+  // The counts moved once, when that valve stopped counting idle turns:
+  // until then this test waited for the worker to park, which took one.
+  for (const TR1Case& c : kTR1Cases) {
+    const rt::LoadSummary s = tr1_counts(c, [](rt::Machine&) {});
     EXPECT_EQ(s.remote_msgs, c.remote_msgs) << "tree seed " << c.tree_seed;
     EXPECT_EQ(s.total_tasks, c.tasks) << "tree seed " << c.tree_seed;
+  }
+}
+
+TEST(TreeReduce1, CountsDoNotDependOnIdleTurnsBeforeTheLaunch) {
+  // The worker's fairness valve counts only turns that ran a node, so
+  // the schedule is the same whether the launch comes before the worker
+  // first parks or after it has idled for a while.
+  for (const TR1Case& c : kTR1Cases) {
+    const rt::LoadSummary now = tr1_counts(c, [](rt::Machine&) {});
+    const rt::LoadSummary later = tr1_counts(c, [](rt::Machine& mach) {
+      while (mach.load_summary().sched.parks == 0) std::this_thread::yield();
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    });
+    EXPECT_EQ(now.remote_msgs, later.remote_msgs) << "seed " << c.tree_seed;
+    EXPECT_EQ(now.total_tasks, later.total_tasks) << "seed " << c.tree_seed;
   }
 }
 
