@@ -139,16 +139,15 @@ rt::SVar<R> divide_and_conquer_async(rt::Machine& m, P problem,
       [&m](const P&) { return m.random_node(); });
 }
 
-/// Divide and conquer; blocks the calling (external) thread.
+/// Divide and conquer; blocks the calling (external) thread
+/// (Machine::wait_result: a lost part throws rt::RunIncomplete).
 template <class P, class R, class IsBase, class Base, class Divide,
           class Combine>
 R divide_and_conquer(rt::Machine& m, P problem, IsBase is_base, Base base,
                      Divide divide, Combine combine) {
-  auto out = divide_and_conquer_async<P, R>(
+  return m.wait_result(divide_and_conquer_async<P, R>(
       m, std::move(problem), std::move(is_base), std::move(base),
-      std::move(divide), std::move(combine));
-  m.wait_idle();  // rethrows task exceptions; result is bound after this
-  return out.get();
+      std::move(divide), std::move(combine)));
 }
 
 }  // namespace motif

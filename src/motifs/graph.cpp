@@ -4,9 +4,9 @@
 #include <atomic>
 #include <cmath>
 #include <deque>
-#include <memory>
+#include <utility>
 
-#include "runtime/svar.hpp"
+#include "motifs/parallel_for.hpp"
 
 namespace motif {
 
@@ -101,46 +101,33 @@ std::vector<std::int32_t> parallel_bfs(rt::Machine& m, const Graph& g,
 
   std::vector<std::uint32_t> frontier{src};
   std::int32_t level = 0;
-  const std::uint32_t p = m.node_count();
+  std::vector<std::vector<std::uint32_t>> nexts(m.node_count());
 
   while (!frontier.empty()) {
-    const std::uint32_t blocks = static_cast<std::uint32_t>(
-        std::min<std::size_t>(p, frontier.size()));
-    auto nexts =
-        std::make_shared<std::vector<std::vector<std::uint32_t>>>(blocks);
-    auto missing = std::make_shared<std::atomic<std::uint32_t>>(blocks);
-    rt::SVar<bool> level_done;
-    for (std::uint32_t b = 0; b < blocks; ++b) {
-      const std::size_t i0 = b * frontier.size() / blocks;
-      const std::size_t i1 = (b + 1) * frontier.size() / blocks;
-      m.post(static_cast<rt::NodeId>(b), [&g, &dist, &frontier, i0, i1, b,
-                                          level, nexts, missing,
-                                          level_done]() mutable {
-        std::vector<std::uint32_t> local;
-        for (std::size_t i = i0; i < i1; ++i) {
-          const std::uint32_t v = frontier[i];
-          for (const std::uint32_t* it = g.neighbors_begin(v);
-               it != g.neighbors_end(v); ++it) {
-            std::int32_t expect = kUnreached;
-            if (dist[*it].compare_exchange_strong(
-                    expect, level + 1, std::memory_order_relaxed)) {
-              local.push_back(*it);
+    // One frontier block per processor; each claims unreached neighbours
+    // by CAS and hands them over in its own next-frontier slot. It fills
+    // a local vector: the slots' headers share cache lines.
+    const std::uint32_t blocks = parallel_blocks(
+        m, 0, frontier.size(),
+        [&](std::uint32_t b, std::size_t i0, std::size_t i1) {
+          std::vector<std::uint32_t> local;
+          for (std::size_t i = i0; i < i1; ++i) {
+            const std::uint32_t v = frontier[i];
+            for (const std::uint32_t* it = g.neighbors_begin(v);
+                 it != g.neighbors_end(v); ++it) {
+              std::int32_t expect = kUnreached;
+              if (dist[*it].compare_exchange_strong(
+                      expect, level + 1, std::memory_order_relaxed)) {
+                local.push_back(*it);
+              }
             }
           }
-        }
-        (*nexts)[b] = std::move(local);
-        if (missing->fetch_sub(1, std::memory_order_acq_rel) == 1) {
-          level_done.bind(true);
-        }
-      });
+          nexts[b] = std::move(local);
+        });
+    frontier.clear();
+    for (std::uint32_t b = 0; b < blocks; ++b) {
+      frontier.insert(frontier.end(), nexts[b].begin(), nexts[b].end());
     }
-    m.wait_idle();  // barrier; rethrows task errors
-    level_done.get();
-    std::vector<std::uint32_t> next;
-    for (auto& blk : *nexts) {
-      next.insert(next.end(), blk.begin(), blk.end());
-    }
-    frontier = std::move(next);
     ++level;
   }
 

@@ -1,7 +1,9 @@
 #include "motifs/grid.hpp"
 
 #include <algorithm>
-#include <atomic>
+#include <vector>
+
+#include "motifs/parallel_for.hpp"
 
 namespace motif {
 
@@ -27,45 +29,30 @@ JacobiResult jacobi_solve(rt::Machine& m, Grid2D& grid, JacobiOptions opts) {
   Grid2D other = grid;  // write buffer starts as a copy (boundary kept)
   Grid2D* bufs[2] = {&grid, &other};
   int cur = 0;
-
-  const std::uint32_t p = m.node_count();
-  const std::size_t interior = grid.rows() - 2;
-  const std::uint32_t blocks =
-      static_cast<std::uint32_t>(std::min<std::size_t>(p, interior));
+  std::vector<double> deltas(m.node_count());  // per row block
 
   for (res.iterations = 0; res.iterations < opts.max_iters;
        ++res.iterations) {
     const Grid2D& src = *bufs[cur];
     Grid2D& dst = *bufs[1 - cur];
-    // Fan out one row-block task per processor; collect max deltas.
-    auto deltas = std::make_shared<std::vector<double>>(blocks, 0.0);
-    auto missing = std::make_shared<std::atomic<std::uint32_t>>(blocks);
-    rt::SVar<double> sweep_done;
-    for (std::uint32_t b = 0; b < blocks; ++b) {
-      const std::size_t r0 = 1 + b * interior / blocks;
-      const std::size_t r1 = 1 + (b + 1) * interior / blocks;
-      m.post(static_cast<rt::NodeId>(b),
-             [&src, &dst, r0, r1, b, deltas, missing, sweep_done]() mutable {
-               double local = 0.0;
-               for (std::size_t r = r0; r < r1; ++r) {
-                 for (std::size_t c = 1; c + 1 < src.cols(); ++c) {
-                   const double v =
-                       0.25 * (src.at(r - 1, c) + src.at(r + 1, c) +
-                               src.at(r, c - 1) + src.at(r, c + 1));
-                   local = std::max(local, std::abs(v - src.at(r, c)));
-                   dst.at(r, c) = v;
-                 }
-               }
-               (*deltas)[b] = local;
-               if (missing->fetch_sub(1, std::memory_order_acq_rel) == 1) {
-                 double mx = 0.0;
-                 for (double d : *deltas) mx = std::max(mx, d);
-                 sweep_done.bind(mx);
-               }
-             });
-    }
-    m.wait_idle();  // barrier: every block wrote dst; rethrows task errors
-    const double delta = sweep_done.get();
+    // One row-block task per processor over the interior rows; each
+    // records its block's max delta.
+    const std::uint32_t blocks = parallel_blocks(
+        m, 1, grid.rows() - 1,
+        [&](std::uint32_t b, std::size_t r0, std::size_t r1) {
+          double local = 0.0;
+          for (std::size_t r = r0; r < r1; ++r) {
+            for (std::size_t c = 1; c + 1 < src.cols(); ++c) {
+              const double v = 0.25 * (src.at(r - 1, c) + src.at(r + 1, c) +
+                                       src.at(r, c - 1) + src.at(r, c + 1));
+              local = std::max(local, std::abs(v - src.at(r, c)));
+              dst.at(r, c) = v;
+            }
+          }
+          deltas[b] = local;
+        });
+    const double delta =
+        *std::max_element(deltas.begin(), deltas.begin() + blocks);
     cur = 1 - cur;
     res.residual = delta;
     if (delta <= opts.tolerance) {

@@ -14,11 +14,9 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "runtime/machine.hpp"
-#include "runtime/svar.hpp"
 
 namespace motif {
 

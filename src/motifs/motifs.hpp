@@ -14,7 +14,8 @@
 //   graph.hpp         — CSR graphs, level-synchronous BFS, components
 //   pipeline.hpp      — Figure 1 producer/consumer chain on streams with
 //       credit acks
-//   parallel_for.hpp  — block-partitioned loops and reductions
+//   parallel_for.hpp  — the one block fork-join (parallel_blocks), loops
+//       and reductions
 //   scan.hpp          — parallel prefix (inclusive/exclusive)
 //   wavefront.hpp     — tiled anti-diagonal DP grids: the caller runs
 //       ready tiles and idle processors help (safe inside a task)

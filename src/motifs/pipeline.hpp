@@ -62,7 +62,7 @@ class Pipeline {
   /// and returns the number of items the sink consumed. A throwing
   /// source, stage or sink stops only its own step: the rest of the chain
   /// runs dry, the machine quiesces, and run() rethrows the first
-  /// exception. Throws std::runtime_error if the machine quiesced before
+  /// exception. Throws rt::RunIncomplete if the machine quiesced before
   /// the sink saw the end of the stream (a fault dropped a wake).
   std::size_t run() {
     if (!source_ || !sink_) {
@@ -70,13 +70,7 @@ class Pipeline {
     }
     Run r(*this);
     for (std::size_t k = 0; k < r.steps.size(); ++k) r.wake(k);
-    m_.wait_idle();
-    if (!r.done) {
-      throw std::runtime_error(
-          "pipeline stalled: a wake was lost before the sink saw the end "
-          "of the stream");
-    }
-    return r.count;
+    return m_.wait_result(r.done);
   }
 
  private:
@@ -178,7 +172,7 @@ class Pipeline {
     }
 
     void finish(Step& s, bool is_sink) {
-      if (is_sink) done = true;
+      if (is_sink) done.bind(count);
       else s.out.close();
       s.stopped = true;
     }
@@ -192,7 +186,8 @@ class Pipeline {
     Pipeline& p;
     std::vector<Step> steps;
     std::size_t count = 0;  // written by the sink's node
-    bool done = false;      // the sink saw the end of the stream
+    // Bound to `count` when the sink sees the end of the stream.
+    rt::SVar<std::size_t> done;
   };
 
   rt::Machine& m_;

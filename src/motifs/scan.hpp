@@ -1,10 +1,11 @@
 // Parallel prefix (scan) motif — the classic building block for the
 // "sorting, grid problems ... and various graph theory" areas of the
-// paper's Section 4, built by composition from parallel_for: per-block
+// paper's Section 4, built by composition from parallel_blocks: per-block
 // local scans, a small sequential scan of block totals, then a parallel
 // offset fix-up.
 #pragma once
 
+#include <cstdint>
 #include <vector>
 
 #include "motifs/parallel_for.hpp"
@@ -18,36 +19,33 @@ template <class T, class Op>
 void parallel_inclusive_scan(rt::Machine& m, std::vector<T>& data, Op op) {
   const std::size_t n = data.size();
   if (n < 2) return;
-  const std::uint32_t blocks = static_cast<std::uint32_t>(
-      std::min<std::size_t>(m.node_count(), n));
-  if (blocks < 2) {
+  if (m.node_count() < 2) {
     for (std::size_t i = 1; i < n; ++i) data[i] = op(data[i - 1], data[i]);
     return;
   }
-  std::vector<T> totals(blocks);
-  // Phase 1: local scans.
-  parallel_for(m, 0, blocks, [&](std::size_t b) {
-    const std::size_t i0 = b * n / blocks;
-    const std::size_t i1 = (b + 1) * n / blocks;
-    for (std::size_t i = i0 + 1; i < i1; ++i) {
-      data[i] = op(data[i - 1], data[i]);
-    }
-    totals[b] = data[i1 - 1];
-  });
-  // Phase 2: exclusive scan of block totals (tiny, sequential).
+  // Phase 1: local scans. Both phases split [0, n) the same way.
+  std::vector<T> totals(m.node_count());
+  const std::uint32_t blocks = parallel_blocks(
+      m, 0, n, [&](std::uint32_t b, std::size_t lo, std::size_t hi) {
+        for (std::size_t i = lo + 1; i < hi; ++i) {
+          data[i] = op(data[i - 1], data[i]);
+        }
+        totals[b] = data[hi - 1];
+      });
+  // Phase 2: inclusive scan of block totals (tiny, sequential).
   std::vector<T> offsets(blocks);
   offsets[0] = totals[0];
   for (std::size_t b = 1; b < blocks; ++b) {
     offsets[b] = op(offsets[b - 1], totals[b]);
   }
-  // Phase 3: fix-up.
-  parallel_for(m, 1, blocks, [&](std::size_t b) {
-    const std::size_t i0 = b * n / blocks;
-    const std::size_t i1 = (b + 1) * n / blocks;
-    for (std::size_t i = i0; i < i1; ++i) {
-      data[i] = op(offsets[b - 1], data[i]);
-    }
-  });
+  // Phase 3: fix-up; block 0 is already final.
+  parallel_blocks(m, 0, n,
+                  [&](std::uint32_t b, std::size_t lo, std::size_t hi) {
+                    if (b == 0) return;
+                    for (std::size_t i = lo; i < hi; ++i) {
+                      data[i] = op(offsets[b - 1], data[i]);
+                    }
+                  });
 }
 
 /// Exclusive scan with an identity: out[i] = fold of data[0..i).

@@ -87,37 +87,23 @@ class Scheduler {
 
   /// Runs all tasks to completion. Returns the number of messages the
   /// top-level manager handled (the hotspot metric of experiment E7).
+  /// A throwing task body is rethrown; a run that went idle short of
+  /// completion (a lost job or worker) throws rt::RunIncomplete.
   std::uint64_t run() {
     if (tasks_.empty()) return 0;
-    auto st = std::make_shared<Run>(m_, opts_, std::move(tasks_));
-    tasks_.clear();
-    st->start();
-    // Quiesce first: a throwing task body surfaces here instead of
-    // wedging the completion wait.
-    m_.wait_idle();
-    if (!st->done.bound()) {
-      throw std::logic_error("scheduler stalled without completing");
-    }
+    auto st = start();
+    m_.wait_result(st->done);
     return st->manager_msgs.load(std::memory_order_relaxed);
   }
 
   /// Deadline-bounded run for chaos conditions: never hangs and never
-  /// throws on stall — returns the classified RunOutcome (a quiesced run
-  /// whose completion variable went unbound is refined to Stalled, or
-  /// NodeLost when servers died) plus the manager-message count so far.
+  /// throws on stall — returns the classified RunOutcome
+  /// (Machine::wait_result_for) plus the manager-message count so far.
   std::pair<rt::RunOutcome, std::uint64_t> run_for(
       std::chrono::nanoseconds deadline) {
     if (tasks_.empty()) return {rt::RunOutcome{}, 0};
-    auto st = std::make_shared<Run>(m_, opts_, std::move(tasks_));
-    tasks_.clear();
-    st->done.set_name("scheduler.done");
-    st->start();
-    rt::RunOutcome o = m_.wait_idle_for(deadline);
-    if (o.status == rt::RunStatus::Completed && !st->done.bound()) {
-      o.status = o.lost_nodes.empty() ? rt::RunStatus::Stalled
-                                      : rt::RunStatus::NodeLost;
-      o.blocked_on = "scheduler.done";
-    }
+    auto st = start();
+    rt::RunOutcome o = m_.wait_result_for(st->done, deadline);
     return {std::move(o), st->manager_msgs.load(std::memory_order_relaxed)};
   }
 
@@ -322,6 +308,15 @@ class Scheduler {
       }
     }
   };
+
+  /// Hands the submitted tasks to a fresh run and starts it.
+  std::shared_ptr<Run> start() {
+    auto st = std::make_shared<Run>(m_, opts_, std::move(tasks_));
+    tasks_.clear();
+    st->done.set_name("scheduler.done");
+    st->start();
+    return st;
+  }
 
   rt::Machine& m_;
   SchedulerOptions opts_;

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "motifs/dnc.hpp"
+#include "motifs/parallel_for.hpp"
 #include "runtime/machine.hpp"
 
 namespace motif {
@@ -74,16 +75,9 @@ std::vector<T> parallel_sample_sort(rt::Machine& m, std::vector<T> data,
     buckets[b].push_back(std::move(x));
   }
   // Sort buckets in parallel, one per node.
-  std::vector<rt::SVar<bool>> done(p);
-  for (std::size_t b = 0; b < p; ++b) {
-    m.post(static_cast<rt::NodeId>(b), [&buckets, b, cmp, d = done[b]] {
-      std::sort(buckets[b].begin(), buckets[b].end(), cmp);
-      rt::SVar<bool> dd = d;
-      dd.bind(true);
-    });
-  }
-  m.wait_idle();  // rethrows task errors; all buckets sorted after this
-  for (auto& d : done) d.get();
+  parallel_blocks(m, 0, p, [&](std::uint32_t b, std::size_t, std::size_t) {
+    std::sort(buckets[b].begin(), buckets[b].end(), cmp);
+  });
   std::vector<T> out;
   out.reserve(data.size());
   for (auto& b : buckets) {

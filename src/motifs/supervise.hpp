@@ -6,7 +6,7 @@
 // first lost message silently hangs the caller forever. A Supervised run
 // launches the motif NON-blocking (the *_async variants return the result
 // variable instead of waiting), bounds the wait with
-// Machine::wait_idle_for, and on anything other than Completed:
+// Machine::wait_result_for, and on anything other than Completed:
 //
 //   1. abandons whatever the failed attempt left queued,
 //   2. revives killed nodes and reseeds the fault plan (a probabilistic
@@ -38,7 +38,7 @@ namespace motif {
 
 struct SuperviseOptions {
   std::uint32_t max_attempts = 3;
-  /// Per-attempt deadline for wait_idle_for.
+  /// Per-attempt deadline for wait_result_for.
   std::chrono::nanoseconds deadline = std::chrono::milliseconds(2000);
   /// Sleep before the 2nd attempt; doubles each further attempt. Zero =
   /// immediate retry (the default: simulated faults need no cool-down).
@@ -75,10 +75,9 @@ struct SupervisedResult {
 /// return the variable the result will bind. Each call must create fresh SVars: an abandoned
 /// attempt may still bind its own variables while being drained.
 ///
-/// Classification refinement: a machine that quiesced cleanly but never
-/// bound the result (a dropped or dead-dropped message ate a value) is
-/// reported as Stalled — or NodeLost when nodes died — rather than the
-/// Completed that wait_idle_for alone can see.
+/// Classification: a machine that quiesced cleanly but never bound the
+/// result (a dropped or dead-dropped message ate a value) is reported as
+/// Stalled — or NodeLost when nodes died — by wait_result_for.
 template <class T, class Start>
 SupervisedResult<T> supervised(
     rt::Machine& m, Start start, SuperviseOptions opts = {},
@@ -102,12 +101,7 @@ SupervisedResult<T> supervised(
       }
     }
     rt::SVar<T> out = start(m, attempt);
-    rt::RunOutcome o = m.wait_idle_for(opts.deadline);
-    if (o.ok() && !out.bound()) {
-      // Quiesced without the answer: somewhere a message died.
-      rt::mark_unfinished(o, rt::RunStatus::Stalled);
-    }
-    res.last = std::move(o);
+    res.last = m.wait_result_for(out, opts.deadline);
     if (res.last.status == rt::RunStatus::Completed) {
       res.value = out.get();
       return res;

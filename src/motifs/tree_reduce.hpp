@@ -103,15 +103,13 @@ rt::SVar<V> tree_reduce1_async(rt::Machine& m,
 }
 
 /// Tree-Reduce-1. Blocks the calling (external) thread until the value is
-/// available. Eval: V(const Tag&, const V&, const V&).
+/// available; a lost value throws rt::RunIncomplete (Machine::wait_result).
+/// Eval: V(const Tag&, const V&, const V&).
 template <class V, class Tag, class Eval>
 V tree_reduce1(rt::Machine& m, const typename Tree<V, Tag>::Ptr& tree,
                Eval eval, MapPolicy policy = MapPolicy::Random) {
-  auto out = tree_reduce1_async<V, Tag>(m, tree, std::move(eval), policy);
-  // Quiesce first: wait_idle rethrows any exception a task (e.g. the
-  // user's eval) threw; only then is the result guaranteed bound.
-  m.wait_idle();
-  return out.get();
+  return m.wait_result(
+      tree_reduce1_async<V, Tag>(m, tree, std::move(eval), policy));
 }
 
 /// Depth at which a tree is cut into per-processor pieces: log2(P)+1, so
@@ -591,16 +589,17 @@ rt::SVar<V> tree_reduce2_async(rt::Machine& m,
   return detail::tr2_start<V, Tag>(m, tree, std::move(eval), policy)->result;
 }
 
-/// Tree-Reduce-2. Blocks the calling thread until the value is available.
+/// Tree-Reduce-2. Blocks the calling thread until the value is available;
+/// a lost value throws rt::RunIncomplete (Machine::wait_result).
 template <class V, class Tag, class Eval>
 V tree_reduce2(rt::Machine& m, const typename Tree<V, Tag>::Ptr& tree,
                Eval eval, TR2Stats* stats = nullptr,
                LabelPolicy policy = LabelPolicy::Paper) {
   if (tree->is_leaf()) return tree->value();
   auto st = detail::tr2_start<V, Tag>(m, tree, std::move(eval), policy);
-  m.wait_idle();  // rethrows task exceptions; result is bound after this
+  V out = m.wait_result(st->result);
   if (stats != nullptr) *stats = st->stats();
-  return st->result.get();
+  return out;
 }
 
 /// Static-partition baseline: cut the tree at `depth` (default:
@@ -646,8 +645,7 @@ V static_tree_reduce(rt::Machine& m, const typename Tree<V, Tag>::Ptr& tree,
       [&m](const Cut& c) {
         return static_cast<rt::NodeId>(c.piece % m.node_count());
       });
-  m.wait_idle();  // rethrows task exceptions; result is bound after this
-  return out.get();
+  return m.wait_result(out);
 }
 
 }  // namespace motif

@@ -1,5 +1,7 @@
 #include "runtime/fault.hpp"
 
+#include <utility>
+
 #include "runtime/rng.hpp"
 #include "runtime/svar.hpp"
 
@@ -80,5 +82,9 @@ void mark_unfinished(RunOutcome& o, RunStatus why) {
     o.blocked_on += name;
   }
 }
+
+RunIncomplete::RunIncomplete(RunOutcome o)
+    : std::runtime_error(o.to_string()),
+      outcome_(std::make_shared<const RunOutcome>(std::move(o))) {}
 
 }  // namespace motif::rt

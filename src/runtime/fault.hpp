@@ -21,6 +21,7 @@
 
 #include <cstdint>
 #include <exception>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -139,5 +140,18 @@ struct RunOutcome {
 /// DeadlineExceeded when the run never went quiet — becomes NodeLost if
 /// nodes died, and `blocked_on` names every still-unbound named SVar.
 void mark_unfinished(RunOutcome& o, RunStatus why);
+
+/// Thrown by a blocking wait (Machine::wait_result, and every blocking
+/// motif through it) when the machine went idle but the awaited result
+/// never bound: a fault ate a message or a node died. Carries the
+/// outcome refined by mark_unfinished — Stalled, or NodeLost.
+class RunIncomplete : public std::runtime_error {
+ public:
+  explicit RunIncomplete(RunOutcome o);
+  const RunOutcome& outcome() const noexcept { return *outcome_; }
+
+ private:
+  std::shared_ptr<const RunOutcome> outcome_;  // nothrow copies
+};
 
 }  // namespace motif::rt

@@ -69,12 +69,6 @@ struct Machine::Worker {
   std::atomic<std::uint64_t> steals{0};
   std::atomic<std::uint64_t> parks{0};
   std::atomic<std::uint64_t> fast_hits{0};
-#if MOTIF_TRACING
-  // Last values emitted as trace counters (worker-thread private).
-  std::uint64_t last_steals = 0;
-  std::uint64_t last_parks = 0;
-  std::uint64_t last_hits = 0;
-#endif
 
   Worker(Machine* m, std::uint32_t i, std::uint64_t seed)
       : machine(m), index(i), rng(seed) {}
@@ -92,7 +86,6 @@ thread_local Machine::Worker* Machine::tl_worker_ = nullptr;
 
 Machine::Machine(MachineConfig cfg)
     : batch_(std::max<std::uint32_t>(1, cfg.batch)),
-      probe_queue_depth_(cfg.probe_queue_depth),
       ext_rng_(cfg.seed ^ 0xE27ull),
       topology_(cfg.topology) {
   const std::uint32_t n = std::max<std::uint32_t>(1, cfg.nodes);
@@ -116,14 +109,6 @@ Machine::Machine(MachineConfig cfg)
       TracerOptions{std::max<std::size_t>(2, cfg.trace_capacity)});
   for (std::uint32_t i = 0; i < n; ++i) {
     tracer_->add_track("node " + std::to_string(i));
-  }
-  if (cfg.trace_sched_counters) {
-    // Worker tracks follow the node tracks; consumers that only know
-    // about node tracks are unaffected unless they opt in.
-    worker_track_base_ = n;
-    for (std::uint32_t i = 0; i < w; ++i) {
-      tracer_->add_track("worker " + std::to_string(i));
-    }
   }
 #endif
   worker_data_.reserve(w);
@@ -338,15 +323,6 @@ void Machine::post(NodeId n, Task t) {
     MailNode* m1 = alloc_mail(w);
     fill(m1, std::move(t));
     dst.mail.push(&m1->link);
-  }
-  if (probe_queue_depth_) {
-    const auto depth = static_cast<std::uint64_t>(
-        dst.depth.fetch_add(dup ? 2 : 1, std::memory_order_relaxed) +
-        (dup ? 2 : 1));
-    std::uint64_t peak = peak_queue_.load(std::memory_order_relaxed);
-    while (depth > peak && !peak_queue_.compare_exchange_weak(
-                               peak, depth, std::memory_order_relaxed)) {
-    }
   }
   // Activation. Fast path first: a seq_cst LOAD that sees kScheduled is
   // proof enough — the push above is itself a seq_cst RMW, so in the
@@ -565,9 +541,6 @@ void Machine::worker_loop(std::uint32_t index) {
       run_node(n, &w);
       ++tick;
     }
-#if MOTIF_TRACING
-    if (worker_track_base_ != 0) emit_sched_counters(w);
-#endif
   }
   // Unreachable in a correct run (see the handoff field comment), but if
   // the invariant were ever broken, surfacing the activation beats
@@ -709,7 +682,6 @@ void Machine::run_node(NodeId n, Worker* w) {
     // Recycle the entry before running the task: the task's own posts
     // (the common continuation pattern) reuse it while it is cache-hot.
     free_mail(w, m);
-    if (probe_queue_depth_) node.depth.fetch_sub(1, std::memory_order_relaxed);
     ++executed;
     // Single-writer counters (we hold the activation): accumulated in
     // locals and stored once at drain exit. task_no stays exact — it is
@@ -820,10 +792,6 @@ std::uint64_t Machine::shed_mailbox(Node& node, bool as_dead_drops) {
     ++shed;
   }
   if (shed != 0) {
-    if (probe_queue_depth_) {
-      node.depth.fetch_sub(static_cast<std::uint32_t>(shed),
-                           std::memory_order_relaxed);
-    }
     auto& counter =
         as_dead_drops ? fault_counts_.dead_drops : discarded_posts_;
     counter.fetch_add(shed, std::memory_order_relaxed);
@@ -895,6 +863,14 @@ RunOutcome Machine::wait_idle_for(std::chrono::nanoseconds deadline) {
     out.status = RunStatus::Completed;
   }
   return out;
+}
+
+void Machine::throw_incomplete() const {
+  RunOutcome o;
+  o.faults = fault_totals();
+  o.lost_nodes = lost_nodes();
+  mark_unfinished(o, RunStatus::Stalled);
+  throw RunIncomplete(std::move(o));
 }
 
 void Machine::abandon_pending() {
@@ -986,30 +962,6 @@ void Machine::emit_fault(NodeId track, const char* kind,
 #endif
 }
 
-void Machine::emit_sched_counters(Worker& w) {
-#if MOTIF_TRACING
-  if (worker_track_base_ == 0 || !tracer_->active()) return;
-  const std::uint32_t track = worker_track_base_ + w.index;
-  const std::uint64_t steals = w.steals.load(std::memory_order_relaxed);
-  if (steals != w.last_steals) {
-    tracer_->emit(track, TraceEventKind::Counter, "steals", steals);
-    w.last_steals = steals;
-  }
-  const std::uint64_t parks = w.parks.load(std::memory_order_relaxed);
-  if (parks != w.last_parks) {
-    tracer_->emit(track, TraceEventKind::Counter, "parks", parks);
-    w.last_parks = parks;
-  }
-  const std::uint64_t hits = w.fast_hits.load(std::memory_order_relaxed);
-  if (hits != w.last_hits) {
-    tracer_->emit(track, TraceEventKind::Counter, "mailbox_fast_hits", hits);
-    w.last_hits = hits;
-  }
-#else
-  (void)w;
-#endif
-}
-
 bool Machine::kill_due(NodeId n, std::uint64_t task_no) const {
   for (const auto& k : faults_.kills) {
     if (k.node == n && k.after_tasks == task_no) return true;
@@ -1079,7 +1031,6 @@ std::uint32_t Machine::hop_distance(NodeId a, NodeId b) const {
 
 void Machine::reset_counters() {
   for (auto& n : nodes_) n->counters.reset();
-  peak_queue_.store(0, std::memory_order_relaxed);
   for (auto& w : worker_data_) {
     w->steals.store(0, std::memory_order_relaxed);
     w->parks.store(0, std::memory_order_relaxed);

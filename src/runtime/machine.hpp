@@ -76,14 +76,6 @@ struct MachineConfig {
   Topology topology = Topology::Complete;
   std::size_t trace_capacity = 8192;  ///< trace events retained per node
   FaultPlan faults{};  ///< deterministic fault schedule; default: none
-  /// Maintain peak_queue_depth(). Off by default: the depth probe costs
-  /// two atomic RMWs per post on the hot path, and nothing reads it
-  /// unless an experiment asks for scheduling-pressure data.
-  bool probe_queue_depth = false;
-  /// Add one trace track per worker and emit scheduler Counter events
-  /// (steals / parks / mailbox fast-path hits) on it. Off by default so
-  /// node-track layouts seen by existing consumers are unchanged.
-  bool trace_sched_counters = false;
 };
 
 class Machine {
@@ -170,9 +162,9 @@ class Machine {
   /// rethrowing blindly:
   ///   - Completed:        quiesced with no task error. (A run that
   ///     quiesced because a fault swallowed a message also lands here —
-  ///     the machine cannot know a result variable went unbound. Callers
-  ///     holding the result refine Completed + unbound to Stalled /
-  ///     NodeLost; motifs/supervise.hpp does exactly that.)
+  ///     the machine cannot know a result variable went unbound.
+  ///     wait_result_for refines Completed + unbound to Stalled /
+  ///     NodeLost.)
   ///   - TaskFailed:       quiesced after a task threw. The error is
   ///     captured in the outcome (and cleared here), not rethrown.
   ///   - DeadlineExceeded: still busy when the deadline expired.
@@ -181,6 +173,28 @@ class Machine {
   /// interpreter's deadlock reporter — the names of still-unbound named
   /// SVars (SVar::set_name) in `blocked_on`.
   RunOutcome wait_idle_for(std::chrono::nanoseconds deadline);
+
+  /// The one blocking result wait. wait_idle() — so a task's error is
+  /// rethrown first — then `v`'s value; if the machine went idle with `v`
+  /// unbound (a fault ate a message or a node died) it throws
+  /// RunIncomplete carrying Stalled, or NodeLost when nodes are dead.
+  /// Never hangs on a lost value.
+  template <class T>
+  T wait_result(const SVar<T>& v) {
+    wait_idle();
+    if (!v.bound()) throw_incomplete();
+    return v.get();
+  }
+
+  /// The deadline form: wait_idle_for(deadline), with Completed refined
+  /// by mark_unfinished to Stalled / NodeLost when `v` is still unbound.
+  template <class T>
+  RunOutcome wait_result_for(const SVar<T>& v,
+                             std::chrono::nanoseconds deadline) {
+    RunOutcome o = wait_idle_for(deadline);
+    if (o.ok() && !v.bound()) mark_unfinished(o, RunStatus::Stalled);
+    return o;
+  }
 
   /// Best-effort cancellation used between supervised retry attempts:
   /// discards every queued task and every post made while draining, then
@@ -265,13 +279,6 @@ class Machine {
     nodes_[n]->counters.work.fetch_add(units, std::memory_order_relaxed);
   }
 
-  /// Maximum queue depth observed across nodes (scheduling pressure
-  /// probe). Always 0 unless MachineConfig::probe_queue_depth was set:
-  /// the probe is opt-in because it costs two RMWs on the post hot path.
-  std::uint64_t peak_queue_depth() const {
-    return peak_queue_.load(std::memory_order_relaxed);
-  }
-
   Topology topology() const { return topology_; }
 
   /// True when the runtime was built with MOTIF_TRACING=1; when false the
@@ -318,8 +325,6 @@ class Machine {
     MpscQueue mail;
     std::atomic<std::uint8_t> state{kIdle};
     std::atomic<bool> dead{false};
-    /// Approximate queue depth; only maintained under probe_queue_depth.
-    std::atomic<std::uint32_t> depth{0};
     Rng rng;
     NodeCounters counters;
     /// Cross-node posts sent by this node, 1-based ordinal feeding the
@@ -365,10 +370,12 @@ class Machine {
   /// is Idle (or another owner claimed it).
   std::uint64_t shed_and_release(Node& node, bool as_dead_drops);
 
+  /// Throws RunIncomplete for an idle machine whose awaited result is
+  /// unbound.
+  [[noreturn]] void throw_incomplete() const;
   void note_pending_sub(std::uint64_t k);
   void emit_fault(NodeId track, const char* kind, std::uint64_t ordinal,
                   NodeId peer);
-  void emit_sched_counters(Worker& w);
   bool kill_due(NodeId n, std::uint64_t task_no) const;
   bool throw_due(NodeId n, std::uint64_t task_no) const;
   void do_shutdown();
@@ -380,7 +387,6 @@ class Machine {
 
   std::vector<std::unique_ptr<Node>> nodes_;
   std::uint32_t batch_;
-  bool probe_queue_depth_ = false;
 
   std::vector<std::unique_ptr<Worker>> worker_data_;
   EventCount ec_;
@@ -419,7 +425,6 @@ class Machine {
   Topology topology_;
   std::uint32_t mesh_cols_ = 1;
 
-  std::atomic<std::uint64_t> peak_queue_{0};
   /// Mailbox fast-path hits from external (non-worker) posters.
   std::atomic<std::uint64_t> ext_fast_hits_{0};
   std::atomic<std::uint64_t> injects_{0};
@@ -429,8 +434,6 @@ class Machine {
   // Created in the constructor (immutable pointer: workers may read it
   // without synchronisation); recording is toggled by start/stop_trace.
   std::unique_ptr<Tracer> tracer_;
-  /// First worker track id when trace_sched_counters is on; 0 = off.
-  std::uint32_t worker_track_base_ = 0;
 #endif
 
   std::vector<std::thread> workers_;

@@ -126,12 +126,6 @@ void write_chrome_trace(const TraceLog& log, std::ostream& os) {
              << ",\"ordinal\":" << e.id << '}';
           w.close();
           break;
-        case TraceEventKind::Counter:
-          // 'C' phase: Chrome/Perfetto render these as a value graph.
-          w.open(e.name, "sched", 'C', tid, e.ts_ns);
-          os << ",\"args\":{\"value\":" << e.id << '}';
-          w.close();
-          break;
       }
     }
   }
@@ -158,7 +152,6 @@ void write_text_summary(const TraceLog& log, std::ostream& os) {
     std::uint64_t tasks = 0, sent = 0, recvd = 0, work = 0, hops = 0;
     std::map<std::string, std::uint64_t> spans;
     std::map<std::string, std::uint64_t> faults;
-    std::map<std::string, std::uint64_t> counters;  // last sampled value
     for (const TraceEvent& e : t.events) {
       switch (e.kind) {
         case TraceEventKind::TaskBegin:
@@ -180,9 +173,6 @@ void write_text_summary(const TraceLog& log, std::ostream& os) {
         case TraceEventKind::Fault:
           ++faults[e.name];
           break;
-        case TraceEventKind::Counter:
-          counters[e.name] = e.id;  // monotonic: keep the latest sample
-          break;
         default:
           break;
       }
@@ -199,9 +189,6 @@ void write_text_summary(const TraceLog& log, std::ostream& os) {
     }
     for (const auto& [name, n] : faults) {
       os << "  fault " << name << ": " << n << "\n";
-    }
-    for (const auto& [name, n] : counters) {
-      os << "  counter " << name << ": " << n << "\n";
     }
   }
 }

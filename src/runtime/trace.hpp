@@ -16,7 +16,8 @@
 //    run sequentially), so emission is lock-free: plain stores plus one
 //    release store of the head index.
 //    On overflow the oldest record is dropped and a dropped-event counter
-//    ticks; exports report it.
+//    ticks; exports report it. Rings are allocated by the first start(),
+//    so a tracer that never records holds no ring memory.
 //  * Readers (drain) run only while writers are quiescent (machine idle,
 //    trace stopped); the head's release/acquire pair publishes records.
 //  * Compile-time zero cost: with MOTIF_TRACING=0 every hook —
@@ -36,6 +37,7 @@
 #include <cstring>
 #include <iosfwd>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -56,8 +58,6 @@ enum class TraceEventKind : std::uint8_t {
   MsgRecv,     ///< matching delivery: same `id`, `peer` src track
   Fault,       ///< injected fault: `name` kind (drop/dup/delay/kill/throw),
                ///< `peer` the other node involved, `id` the fault ordinal
-  Counter,     ///< monotonic counter sample: `name` the counter (e.g.
-               ///< "steals"), `id` its value at ts_ns
 };
 
 /// Fixed-size trace record. Span labels are stored inline (truncated to
@@ -165,8 +165,7 @@ class Tracer {
   explicit Tracer(TracerOptions opts = {}) : opts_(opts) {}
 
   std::uint32_t add_track(std::string name) {
-    tracks_.push_back(std::make_unique<Track>(
-        std::move(name), opts_.track_capacity));
+    tracks_.push_back(std::make_unique<Track>(std::move(name)));
     return static_cast<std::uint32_t>(tracks_.size() - 1);
   }
 
@@ -174,9 +173,16 @@ class Tracer {
     return static_cast<std::uint32_t>(tracks_.size());
   }
 
-  /// Clears all rings, resets the epoch, and begins recording.
+  /// Clears all rings (the first start() allocates them), resets the
+  /// epoch, and begins recording.
   void start() {
-    for (auto& t : tracks_) t->ring.drain();
+    for (auto& t : tracks_) {
+      if (t->ring) {
+        t->ring->drain();
+      } else {
+        t->ring.emplace(opts_.track_capacity);
+      }
+    }
     epoch_ = std::chrono::steady_clock::now();
     msg_ids_.store(0, std::memory_order_relaxed);
     active_.store(true, std::memory_order_release);
@@ -210,7 +216,7 @@ class Tracer {
     e.hops = hops;
     e.kind = kind;
     e.set_name(name);
-    tracks_[track]->ring.emit(e);
+    tracks_[track]->ring->emit(e);
   }
 
   /// Stops recording and snapshots every track (rings are cleared; track
@@ -222,8 +228,10 @@ class Tracer {
     for (auto& t : tracks_) {
       TraceTrack out;
       out.name = t->name;
-      out.dropped = t->ring.dropped();  // read before drain() clears it
-      out.events = t->ring.drain();
+      if (t->ring) {
+        out.dropped = t->ring->dropped();  // read before drain() clears it
+        out.events = t->ring->drain();
+      }
       log.tracks.push_back(std::move(out));
     }
     return log;
@@ -232,8 +240,8 @@ class Tracer {
  private:
   struct Track {
     std::string name;
-    TraceRing ring;
-    Track(std::string n, std::size_t cap) : name(std::move(n)), ring(cap) {}
+    std::optional<TraceRing> ring;  // allocated by the first start()
+    explicit Track(std::string n) : name(std::move(n)) {}
   };
 
   TracerOptions opts_;

@@ -5,6 +5,7 @@
 // job adds an outer watchdog on top.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <chrono>
@@ -680,6 +681,138 @@ TEST(Chaos, PipelineDropThrowsNotHangs) {
     EXPECT_THROW(p.run(), std::runtime_error) << "seed " << seed;
     EXPECT_GT(mach.fault_totals().drops, 0u) << "seed " << seed;
   }
+}
+
+// --- blocking forms under node loss -----------------------------------------
+
+namespace {
+
+/// Runs `call` on a machine whose node 1 is dead: it must throw
+/// RunIncomplete with status NodeLost instead of hanging. After
+/// revive(1) the same call on the same machine must return; `call`
+/// checks the value itself.
+template <class Call>
+void expect_node_lost_then_recovers(const char* what, Call call) {
+  SCOPED_TRACE(what);
+  rt::FaultPlan plan;
+  plan.kills.push_back({1, 1});  // node 1 dies after its first task
+  rt::Machine mach({.nodes = 4, .workers = 2, .faults = plan});
+  mach.post(1, [] {});
+  mach.wait_idle();
+  ASSERT_EQ(mach.lost_nodes(), std::vector<rt::NodeId>{1});
+  try {
+    call(mach);
+    ADD_FAILURE() << "returned with node 1 dead";
+  } catch (const rt::RunIncomplete& e) {
+    EXPECT_EQ(e.outcome().status, rt::RunStatus::NodeLost) << e.what();
+    EXPECT_EQ(e.outcome().lost_nodes, std::vector<rt::NodeId>{1});
+  }
+  mach.revive(1);
+  call(mach);
+}
+
+struct Bits {
+  int depth = 0;
+  int ones = 0;
+};
+
+}  // namespace
+
+TEST(Chaos, BlockingMotifsThrowOnNodeLoss) {
+  constexpr std::size_t kN = 1000;
+  expect_node_lost_then_recovers("parallel_for", [&](rt::Machine& mach) {
+    std::vector<int> hits(kN, 0);
+    m::parallel_for(mach, 0, kN, [&](std::size_t i) { ++hits[i]; });
+    EXPECT_EQ(hits, std::vector<int>(kN, 1));
+  });
+  expect_node_lost_then_recovers("parallel_reduce", [&](rt::Machine& mach) {
+    const auto sum = m::parallel_reduce<std::uint64_t>(
+        mach, 0, kN, 0, [](std::size_t i) { return std::uint64_t{i}; },
+        [](std::uint64_t a, std::uint64_t b) { return a + b; });
+    EXPECT_EQ(sum, kN * (kN - 1) / 2);
+  });
+  expect_node_lost_then_recovers("parallel_inclusive_scan",
+                                 [&](rt::Machine& mach) {
+    std::vector<long> v(kN, 1);
+    m::parallel_inclusive_scan(mach, v, [](long a, long b) { return a + b; });
+    for (std::size_t i = 0; i < kN; ++i) {
+      ASSERT_EQ(v[i], static_cast<long>(i + 1)) << "at " << i;
+    }
+  });
+  expect_node_lost_then_recovers("jacobi_solve", [&](rt::Machine& mach) {
+    m::Grid2D g(18, 12, 0.0);
+    for (std::size_t c = 0; c < 12; ++c) g.at(0, c) = 100.0;
+    m::Grid2D ref = g, tmp = g;
+    for (int k = 0; k < 10; ++k) {
+      m::jacobi_sweep_seq(ref, tmp);
+      std::swap(ref, tmp);
+    }
+    m::JacobiOptions opts;
+    opts.max_iters = 10;
+    opts.tolerance = 0.0;
+    const auto res = m::jacobi_solve(mach, g, opts);
+    EXPECT_EQ(res.iterations, 10u);
+    EXPECT_EQ(g.data(), ref.data());
+  });
+  expect_node_lost_then_recovers("parallel_bfs", [&](rt::Machine& mach) {
+    rt::Rng rng(7);
+    const auto g = m::Graph::ring_with_chords(300, 60, rng);
+    EXPECT_EQ(m::parallel_bfs(mach, g, 0), m::bfs_sequential(g, 0));
+  });
+  expect_node_lost_then_recovers("parallel_sample_sort",
+                                 [&](rt::Machine& mach) {
+    rt::Rng rng(11);
+    std::vector<int> v(4000);
+    for (int& x : v) x = static_cast<int>(rng.below(100000));
+    auto want = v;
+    std::sort(want.begin(), want.end());
+    EXPECT_EQ(m::parallel_sample_sort(mach, v), want);
+  });
+  int next = 1;
+  const auto tree = balanced_tree(10, next);  // 1,024 leaves
+  expect_node_lost_then_recovers("tree_reduce1", [&](rt::Machine& mach) {
+    EXPECT_EQ((m::tree_reduce1<int, int>(mach, tree, SumEval{})),
+              expected_sum(1024));
+  });
+  expect_node_lost_then_recovers("tree_reduce2", [&](rt::Machine& mach) {
+    EXPECT_EQ((m::tree_reduce2<int, int>(mach, tree, SumEval{})),
+              expected_sum(1024));
+  });
+  expect_node_lost_then_recovers("static_tree_reduce", [&](rt::Machine& mach) {
+    EXPECT_EQ((m::static_tree_reduce<int, int>(mach, tree, SumEval{})),
+              expected_sum(1024));
+  });
+  expect_node_lost_then_recovers("divide_and_conquer", [&](rt::Machine& mach) {
+    const long v = m::divide_and_conquer<int, long>(
+        mach, 16, [](const int& k) { return k < 2; },
+        [](int k) { return static_cast<long>(k); },
+        [](const int& k) { return std::array{k - 1, k - 2}; }, add_pair);
+    EXPECT_EQ(v, fib(16));
+  });
+  expect_node_lost_then_recovers("count_solutions", [&](rt::Machine& mach) {
+    // Bit strings of length 12 with six ones: C(12, 6).
+    const auto expand = [](const Bits& b) {
+      std::vector<Bits> kids;
+      if (b.depth < 12) {
+        kids.push_back({b.depth + 1, b.ones});
+        kids.push_back({b.depth + 1, b.ones + 1});
+      }
+      return kids;
+    };
+    const auto count = m::count_solutions<Bits>(
+        mach, Bits{}, expand,
+        [](const Bits& b) { return b.depth == 12 && b.ones == 6; });
+    EXPECT_EQ(count, 924u);
+  });
+  expect_node_lost_then_recovers("Scheduler::run", [&](rt::Machine& mach) {
+    m::Scheduler sched(mach);
+    std::atomic<int> ran{0};
+    for (int i = 0; i < 12; ++i) {
+      sched.submit([&ran] { ran.fetch_add(1, std::memory_order_relaxed); });
+    }
+    sched.run();
+    EXPECT_EQ(ran.load(), 12);
+  });
 }
 
 // --- cluster (loopback transport) ------------------------------------------

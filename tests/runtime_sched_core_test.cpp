@@ -15,7 +15,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -236,22 +235,6 @@ TEST(SchedCore, ConcurrentShutdownIsIdempotent) {
 
 // --- instrumentation --------------------------------------------------------
 
-TEST(SchedCore, PeakQueueDepthIsOptIn) {
-  {
-    rt::Machine m({.nodes = 2, .workers = 2});  // probe off (default)
-    for (int i = 0; i < 500; ++i) m.post(0, [] {});
-    m.wait_idle();
-    EXPECT_EQ(m.peak_queue_depth(), 0u);  // stays zero: no probe cost paid
-  }
-  {
-    rt::Machine m(
-        {.nodes = 2, .workers = 2, .probe_queue_depth = true});
-    for (int i = 0; i < 500; ++i) m.post(0, [] {});
-    m.wait_idle();
-    EXPECT_GT(m.peak_queue_depth(), 0u);
-  }
-}
-
 TEST(SchedCore, SchedStatsCountFastPathHits) {
   rt::Machine m({.nodes = 2, .workers = 2});
   // A burst at one node from outside: nearly every post after the first
@@ -267,43 +250,5 @@ TEST(SchedCore, SchedStatsCountFastPathHits) {
   m.reset_counters();
   EXPECT_EQ(m.sched_stats().mailbox_fast_hits, 0u);
 }
-
-#if MOTIF_TRACING
-TEST(SchedCore, TraceSchedCounterEventsOnWorkerTracks) {
-  rt::Machine m({.nodes = 4,
-                 .workers = 2,
-                 .trace_sched_counters = true});
-  m.start_trace();
-  // Worker-side cross-posts to one hot node: after the first delivery,
-  // node 0 is almost always already scheduled, so the posting WORKERS
-  // rack up mailbox fast-path hits (the counter the trace samples).
-  std::atomic<int> ran{0};
-  for (int i = 0; i < 400; ++i) {
-    m.post(static_cast<rt::NodeId>(1 + i % 3), [&] {
-      m.post(0, [&] { ran.fetch_add(1, std::memory_order_relaxed); });
-    });
-  }
-  m.wait_idle();
-  m.stop_trace();
-  const auto log = m.drain_trace();
-  // 4 node tracks + 2 worker tracks.
-  ASSERT_EQ(log.tracks.size(), 6u);
-  std::size_t counter_events = 0;
-  bool saw_fast_hits = false;
-  for (std::size_t t = 4; t < log.tracks.size(); ++t) {
-    for (const auto& e : log.tracks[t].events) {
-      if (e.kind == rt::TraceEventKind::Counter) {
-        ++counter_events;
-        if (std::string_view(e.name) == "mailbox_fast_hits") {
-          saw_fast_hits = true;
-        }
-      }
-    }
-  }
-  EXPECT_EQ(ran.load(), 400);
-  EXPECT_GT(counter_events, 0u);
-  EXPECT_TRUE(saw_fast_hits);
-}
-#endif
 
 }  // namespace
