@@ -1,16 +1,26 @@
 // The shared builtin/guard signature tables: the single source of truth
 // for which names the interpreter executes natively, with the argument
 // modes the static analyzer (src/analysis) needs to reason about
-// producers and consumers. interp.cpp dispatches off this table (a goal
-// not listed here is a user process), and motiflint reads the mode
-// strings to classify every variable occurrence.
+// producers and consumers. The interpreter enters every row into its
+// procedure table and runs it by the row's `op` (an exhaustive switch, so
+// a row without a handler is a -Wswitch warning); motiflint reads the
+// mode strings to classify every variable occurrence.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <string_view>
 #include <vector>
 
 namespace motif::interp {
+
+/// What the interpreter runs for a builtin. Rows that share a handler
+/// share an op: `:=` and `=`, and the eight comparisons.
+enum class BuiltinOp : std::uint8_t {
+  Assign, ArithAssign, Compare, Length, RandNum, MakePorts, Distribute,
+  SendAll, MakeTuple, Arg, NodesTotal, CurrentNode, Write, Writeln, Work,
+  True,
+};
 
 /// One builtin process signature. `modes` has one character per argument:
 ///
@@ -24,6 +34,7 @@ namespace motif::interp {
 struct BuiltinSig {
   std::string_view name;
   std::size_t arity;
+  BuiltinOp op;
   std::string_view modes;  // one char per argument
   std::string_view summary;
 };

@@ -1,9 +1,13 @@
 #include "interp/interp.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <iostream>
-#include <sstream>
-#include <unordered_map>
+#include <map>
+#include <mutex>
+#include <optional>
+#include <string_view>
+#include <variant>
 
 #include "interp/arith.hpp"
 #include "interp/builtins.hpp"
@@ -51,65 +55,90 @@ RuleOutcome head_match(const Term& pattern, const Term& value,
     suspend_var = v;
     return RuleOutcome::Suspend;
   }
-  if (p.tag() != v.tag()) return RuleOutcome::Fail;
-  switch (p.tag()) {
-    case term::Tag::Atom:
-      return p.functor() == v.functor() ? RuleOutcome::Commit
-                                        : RuleOutcome::Fail;
-    case term::Tag::Int:
-      return p.int_value() == v.int_value() ? RuleOutcome::Commit
-                                            : RuleOutcome::Fail;
-    case term::Tag::Float:
-      return p.float_value() == v.float_value() ? RuleOutcome::Commit
-                                                : RuleOutcome::Fail;
-    case term::Tag::Str:
-      return p.str_value() == v.str_value() ? RuleOutcome::Commit
-                                            : RuleOutcome::Fail;
-    case term::Tag::Compound: {
-      if (p.functor() != v.functor() || p.arity() != v.arity()) {
-        return RuleOutcome::Fail;
-      }
-      for (std::size_t i = 0; i < p.arity(); ++i) {
-        auto r = head_match(p.arg(i), v.arg(i), b, suspend_var);
-        if (r != RuleOutcome::Commit) return r;
-      }
-      return RuleOutcome::Commit;
-    }
-    case term::Tag::Var:
-      return RuleOutcome::Fail;  // unreachable
+  if (!p.is_compound() || !v.is_compound()) {
+    return p.equals(v) ? RuleOutcome::Commit : RuleOutcome::Fail;
   }
-  return RuleOutcome::Fail;
+  if (p.functor() != v.functor() || p.arity() != v.arity()) {
+    return RuleOutcome::Fail;
+  }
+  for (std::size_t i = 0; i < p.arity(); ++i) {
+    auto r = head_match(p.arg(i), v.arg(i), b, suspend_var);
+    if (r != RuleOutcome::Commit) return r;
+  }
+  return RuleOutcome::Commit;
 }
 
 }  // namespace
 
 struct Interp::Impl {
-  Interp* self = nullptr;
   rt::Machine* machine = nullptr;
-  const term::Program* program = nullptr;
-  InterpOptions options;
 
-  // Definition index built once at construction. The per-definition
-  // counter lives next to the rules (stable address; relaxed atomic).
-  struct DefEntry {
-    std::vector<Clause> rules;
-    std::atomic<std::uint64_t> commits{0};
+  /// Max tail-call iterations inside one Machine task before re-posting
+  /// (keeps virtual nodes fair without extra task overhead per reduction).
+  static constexpr std::uint32_t kTailBudget = 64;
+
+  // ---- the procedure table ------------------------------------------------
+  // Every name/arity a goal may call is exactly one procedure: a builtin
+  // (run by its op), a foreign procedure, or a program definition. The
+  // table is filled before run() and only read while goals reduce, so it
+  // takes no lock.
+  struct Foreign {
+    std::size_t inputs;  // leading arguments that must be ground
+    ForeignFn fn;
   };
-  std::map<ProcKey, DefEntry> defs;
+  struct Rule {
+    Clause clause;
+    bool otherwise;  // the guard opens with `otherwise`
+  };
+  struct Definition {
+    std::vector<Rule> rules;
+    std::atomic<std::uint64_t> commits{0};  // the by_definition profile
+  };
+  using Proc = std::variant<BuiltinOp, Foreign, Definition>;
+  static constexpr const char* kProcKind[] = {
+      "a builtin", "a foreign procedure", "a program definition"};
+
+  /// Orders keys as ProcKey does, and looks a goal's functor up in place.
+  struct KeyLess {
+    using is_transparent = void;
+    using View = std::pair<std::string_view, std::size_t>;
+    static View view(const ProcKey& k) { return {k.name, k.arity}; }
+    static View view(const View& v) { return v; }
+    template <class A, class B>
+    bool operator()(const A& a, const B& b) const {
+      return view(a) < view(b);
+    }
+  };
+  std::map<ProcKey, Proc, KeyLess> procs;
+  bool started = false;  // run() was called: the table is frozen
+
+  /// Enters `key` as a new procedure of kind `Kind`; throws if the
+  /// name/arity is already taken.
+  template <class Kind, class... Args>
+  Kind& enter(const char* what, const ProcKey& key, Args&&... args) {
+    auto [it, fresh] = procs.try_emplace(key, std::in_place_type<Kind>,
+                                         std::forward<Args>(args)...);
+    if (!fresh) {
+      throw InterpError(std::string(what) + " " + key.to_string() +
+                        " collides with " + kProcKind[it->second.index()]);
+    }
+    return std::get<Kind>(it->second);
+  }
 
   std::atomic<std::uint64_t> reductions{0};
   std::atomic<std::uint64_t> suspensions{0};
 
-  // Registry of currently suspended processes, for deadlock diagnostics:
-  // the goal text plus the variable it is waiting on, so runtime reports
-  // cross-reference motiflint's producer diagnostics.
-  struct SuspendedEntry {
-    std::string goal;
-    std::string var;
+  // Suspended processes: the goal and the variable it waits on. A
+  // variable's waiter holds only the id, so a goal that never wakes is
+  // owned here alone and is freed with the interpreter. Taking the entry
+  // out is what wakes the goal, so each entry wakes at most once.
+  struct Suspension {
+    Term goal;
+    Term var;
   };
   std::mutex susp_m;
   std::uint64_t next_susp_id = 0;
-  std::map<std::uint64_t, SuspendedEntry> suspended;
+  std::map<std::uint64_t, Suspension> suspended;
 
   // Ports: multi-producer appenders onto term-level message streams (the
   // `merge` primitive of the Server motif). A port term is '$port'(Id).
@@ -118,13 +147,6 @@ struct Interp::Impl {
 
   std::mutex out_m;
   std::function<void(const std::string&)> output;
-
-  // Foreign (low-level) procedures: name/arity -> (required inputs, fn).
-  struct ForeignEntry {
-    std::size_t inputs;
-    ForeignFn fn;
-  };
-  std::map<ProcKey, ForeignEntry> foreign;
 
   // ---- process scheduling -------------------------------------------------
 
@@ -137,44 +159,52 @@ struct Interp::Impl {
   }
 
   /// Suspends `goal` on `var`: re-posts it (to the current node) when the
-  /// variable is bound. A one-shot flag guards against double wake-up.
+  /// variable is bound.
   void suspend(Term goal, Term var) {
     suspensions.fetch_add(1, std::memory_order_relaxed);
+    const rt::NodeId node = rt::Machine::current_node() == rt::kNoNode
+                                ? 0
+                                : rt::Machine::current_node();
     std::uint64_t id;
     {
       std::lock_guard lock(susp_m);
       id = next_susp_id++;
-      Term v = var.deref();
-      suspended.emplace(
-          id, SuspendedEntry{term::format_term(goal),
-                             v.is_var() ? v.var_name() : std::string()});
+      suspended.emplace(id, Suspension{std::move(goal), var});
     }
-    const rt::NodeId node = rt::Machine::current_node() == rt::kNoNode
-                                ? 0
-                                : rt::Machine::current_node();
-    auto fired = std::make_shared<std::atomic<bool>>(false);
-    var.when_bound([this, goal, node, id, fired] {
-      if (fired->exchange(true)) return;
-      {
-        std::lock_guard lock(susp_m);
-        suspended.erase(id);
-      }
-      spawn_on(node, goal);
-    });
+    var.when_bound([this, node, id] { wake(node, id); });
+  }
+
+  void wake(rt::NodeId node, std::uint64_t id) {
+    Term goal;
+    {
+      std::lock_guard lock(susp_m);
+      auto it = suspended.find(id);
+      if (it == suspended.end()) return;  // already woken
+      goal = std::move(it->second.goal);
+      suspended.erase(it);
+    }
+    spawn_on(node, std::move(goal));
   }
 
   // ---- reduction ----------------------------------------------------------
 
-  /// Runs one process, tail-looping up to options.tail_budget reductions.
+  /// Runs one process, tail-looping up to kTailBudget reductions.
   void step(Term goal) {
     Term current = goal;
-    for (std::uint32_t iter = 0; iter < options.tail_budget; ++iter) {
+    for (std::uint32_t iter = 0; iter < kTailBudget; ++iter) {
       Term next;
       if (!reduce_once(current, next)) return;  // done/suspended/spawned
       current = next;
     }
     // Budget exhausted: yield the node by re-posting the continuation.
     spawn_here(current);
+  }
+
+  /// The procedure goal `g` calls, or nullptr.
+  Proc* lookup(const Term& g) {
+    if (!g.is_atom() && !g.is_compound()) return nullptr;
+    auto it = procs.find(KeyLess::View{g.functor(), g.arity()});
+    return it == procs.end() ? nullptr : &it->second;
   }
 
   /// Reduces `goal` by one step. Returns true and sets `tail` when the
@@ -187,10 +217,9 @@ struct Interp::Impl {
       return false;
     }
 
-    // Placement annotation handled at the process level too (a spawned
-    // goal may itself be annotated, e.g. via metacall).
-    if (g.is_compound() && g.functor() == "@" && g.arity() == 2) {
-      return dispatch_placed(g.arg(0), g.arg(1)), false;
+    if (is_placed(g)) {
+      dispatch_placed(g);
+      return false;
     }
 
     if (!g.is_atom() && !g.is_compound()) {
@@ -200,25 +229,27 @@ struct Interp::Impl {
       throw InterpError("cannot reduce data term: " + term::format_term(g));
     }
 
-    if (try_builtin(g)) return false;
-    if (try_foreign(g)) return false;
-
-    const ProcKey key{g.functor(), g.arity()};
-    auto it = defs.find(key);
-    if (it == defs.end()) {
-      throw InterpError("undefined process: " + key.to_string());
+    Proc* proc = lookup(g);
+    if (proc == nullptr) {
+      throw InterpError("undefined process: " + g.functor() + "/" +
+                        std::to_string(g.arity()));
     }
+    if (const auto* op = std::get_if<BuiltinOp>(proc)) {
+      run_builtin(*op, g);
+      return false;
+    }
+    if (const auto* f = std::get_if<Foreign>(proc)) {
+      call_foreign(*f, g);
+      return false;
+    }
+    Definition& def = std::get<Definition>(*proc);
 
     bool saw_suspend = false;
     Term first_suspend_var;
-    for (const Clause& rule : it->second.rules) {
+    for (const auto& [rule, otherwise] : def.rules) {
       // `otherwise` guard: commits only if no earlier rule could still
       // apply (any earlier suspension blocks it).
-      const bool has_otherwise =
-          !rule.guard.empty() && rule.guard.front().deref().is_atom() &&
-          rule.guard.front().deref().functor() == "otherwise";
-      if (has_otherwise && saw_suspend) break;
-
+      if (otherwise && saw_suspend) break;
       term::Bindings fresh;
       Term head = term::rename_fresh(rule.head, fresh);
       term::Bindings env;
@@ -228,44 +259,27 @@ struct Interp::Impl {
            ++i) {
         m = head_match(head.arg(i), g.arg(i), env, suspend_var);
       }
-      if (m == RuleOutcome::Fail) continue;
-      if (m == RuleOutcome::Suspend) {
-        if (!saw_suspend) {
-          saw_suspend = true;
-          first_suspend_var = suspend_var;
+      // Guards: the first test that does not hold decides.
+      for (auto gt = rule.guard.begin();
+           gt != rule.guard.end() && m == RuleOutcome::Commit; ++gt) {
+        auto r = eval_guard(
+            term::substitute(term::rename_fresh(*gt, fresh), env));
+        if (r.truth == Truth::No) m = RuleOutcome::Fail;
+        if (r.truth == Truth::Suspend) {
+          m = RuleOutcome::Suspend;
+          suspend_var = r.suspend_var;
         }
-        continue;
       }
-
-      // Guards.
-      bool guard_ok = true;
-      bool guard_suspend = false;
-      Term guard_var;
-      for (const Term& gt : rule.guard) {
-        Term inst = term::substitute(term::rename_fresh(gt, fresh), env);
-        auto r = eval_guard(inst);
-        if (r.truth == Truth::Yes) continue;
-        if (r.truth == Truth::No) {
-          guard_ok = false;
-          break;
-        }
-        guard_suspend = true;
-        guard_var = r.suspend_var;
-        break;
+      if (m == RuleOutcome::Suspend && !saw_suspend) {
+        saw_suspend = true;
+        first_suspend_var = suspend_var;
       }
-      if (guard_suspend) {
-        if (!saw_suspend) {
-          saw_suspend = true;
-          first_suspend_var = guard_var;
-        }
-        continue;
-      }
-      if (!guard_ok) continue;
+      if (m != RuleOutcome::Commit) continue;
 
       // Commit: instantiate body, spawn all but the last goal, tail the
       // last.
       reductions.fetch_add(1, std::memory_order_relaxed);
-      it->second.commits.fetch_add(1, std::memory_order_relaxed);
+      def.commits.fetch_add(1, std::memory_order_relaxed);
       if (rule.body.empty()) return false;
       std::vector<Term> body;
       body.reserve(rule.body.size());
@@ -275,8 +289,8 @@ struct Interp::Impl {
       for (std::size_t i = 0; i + 1 < body.size(); ++i) {
         dispatch(body[i]);
       }
-      tail = body.back();
-      return continue_with(tail);
+      tail = body.back();  // a placed tail is dispatched by the next step
+      return true;
     }
 
     if (saw_suspend) {
@@ -287,17 +301,6 @@ struct Interp::Impl {
                       term::format_term(g));
   }
 
-  /// Decides whether `tail` can be tail-looped in this task: placed goals
-  /// and builtins are dispatched immediately instead.
-  bool continue_with(Term& tail) {
-    Term d = tail.deref();
-    if (d.is_compound() && d.functor() == "@" && d.arity() == 2) {
-      dispatch_placed(d.arg(0), d.arg(1));
-      return false;
-    }
-    return true;  // user process or builtin; reduce_once handles both
-  }
-
   /// Spawns one body goal (current node unless annotated). Builtins run
   /// inline so that their effects (sends in particular) happen in
   /// program order within the clause body — a message-protocol program
@@ -305,70 +308,63 @@ struct Interp::Impl {
   /// message is en route before the work begins.
   void dispatch(const Term& goal) {
     Term d = goal.deref();
-    if (d.is_compound() && d.functor() == "@" && d.arity() == 2) {
-      dispatch_placed(d.arg(0), d.arg(1));
+    if (is_placed(d)) {
+      dispatch_placed(d);
       return;
     }
-    if ((d.is_atom() || d.is_compound()) && !d.is_cons() && !d.is_tuple() &&
-        try_builtin(d)) {
+    const Proc* proc = lookup(d);
+    if (const auto* op = proc ? std::get_if<BuiltinOp>(proc) : nullptr) {
+      run_builtin(*op, d);
       return;
     }
     spawn_here(d);
   }
 
-  /// Goal@Where: `random` or a 1-based integer expression.
-  void dispatch_placed(Term goal, Term where) {
-    Term w = where.deref();
-    if (w.is_atom() && w.functor() == "random") {
+  static bool is_placed(const Term& d) {
+    return d.is_compound() && d.functor() == "@" && d.arity() == 2;
+  }
+
+  /// Goal@Where: `random` or a 1-based integer expression (the placed
+  /// goal waits until the expression is bound).
+  void dispatch_placed(const Term& placed) {
+    const Term goal = placed.arg(0), where = placed.arg(1).deref();
+    if (where.is_atom() && where.functor() == "random") {
       spawn_on(machine->random_node(), goal);
       return;
     }
-    auto r = eval_arith(w);
-    if (std::holds_alternative<Suspended>(r)) {
-      // Wait for the placement to become known, then re-dispatch.
-      suspend(Term::compound("@", {goal, w}), std::get<Suspended>(r).var);
-      return;
-    }
-    const Number& n = std::get<Number>(r);
-    if (!std::holds_alternative<std::int64_t>(n)) {
-      throw InterpError("placement must be an integer: " +
-                        term::format_term(w));
-    }
-    const std::int64_t j = std::get<std::int64_t>(n);
+    const auto j = int_arg(where, placed);
+    if (!j) return;
     const auto count = static_cast<std::int64_t>(machine->node_count());
-    if (j < 1 || j > count) {
-      throw InterpError("placement " + std::to_string(j) +
-                        " outside 1.." + std::to_string(count));
+    if (*j < 1 || *j > count) {
+      throw InterpError("placement " + std::to_string(*j) + " outside 1.." +
+                        std::to_string(count));
     }
-    spawn_on(static_cast<rt::NodeId>(j - 1), goal);
+    spawn_on(static_cast<rt::NodeId>(*j - 1), goal);
   }
 
-  /// Executes `g` if it names a registered foreign procedure; suspends on
-  /// unbound dataflow inputs first.
-  bool try_foreign(const Term& g) {
-    auto it = foreign.find(ProcKey{g.functor(), g.arity()});
-    if (it == foreign.end()) return false;
+  /// Runs foreign procedure `f` on `g`; suspends on unbound dataflow
+  /// inputs first.
+  void call_foreign(const Foreign& f, const Term& g) {
     const auto& args = g.args();
-    for (std::size_t i = 0; i < it->second.inputs && i < args.size(); ++i) {
+    for (std::size_t i = 0; i < f.inputs && i < args.size(); ++i) {
       Term d = args[i].deref();
       if (d.is_var()) {
         suspend(g, d);
-        return true;
+        return;
       }
       // Inputs must also be fully ground for a low-level routine.
       auto vars = d.variables();
       if (!vars.empty()) {
         suspend(g, vars.front());
-        return true;
+        return;
       }
     }
     std::function<bool(const Term&, const Term&)> u =
         [this](const Term& a, const Term& b) { return unify(a, b); };
     ForeignCall call{args, u};
-    if (!it->second.fn(call)) {
+    if (!f.fn(call)) {
       throw InterpError("foreign procedure failed: " + term::format_term(g));
     }
-    return true;
   }
 
   // ---- unification for builtin outputs ------------------------------------
@@ -390,26 +386,12 @@ struct Interp::Impl {
         return unify(var, val);
       }
     }
-    if (x.tag() != y.tag()) return false;
-    switch (x.tag()) {
-      case term::Tag::Atom:
-        return x.functor() == y.functor();
-      case term::Tag::Int:
-        return x.int_value() == y.int_value();
-      case term::Tag::Float:
-        return x.float_value() == y.float_value();
-      case term::Tag::Str:
-        return x.str_value() == y.str_value();
-      case term::Tag::Compound: {
-        if (x.functor() != y.functor() || x.arity() != y.arity()) return false;
-        for (std::size_t i = 0; i < x.arity(); ++i) {
-          if (!unify(x.arg(i), y.arg(i))) return false;
-        }
-        return true;
-      }
-      default:
-        return false;
+    if (!x.is_compound() || !y.is_compound()) return x.equals(y);
+    if (x.functor() != y.functor() || x.arity() != y.arity()) return false;
+    for (std::size_t i = 0; i < x.arity(); ++i) {
+      if (!unify(x.arg(i), y.arg(i))) return false;
     }
+    return true;
   }
 
   void unify_output(const Term& pattern, const Term& value, const Term& ctx) {
@@ -424,11 +406,14 @@ struct Interp::Impl {
   GuardResult eval_guard(const Term& g) {
     Term d = g.deref();
     if (d.is_var()) return {Truth::Suspend, d};
-    if (d.is_atom() && d.functor() == "true") return {Truth::Yes, {}};
-    if (d.is_atom() && d.functor() == "otherwise") return {Truth::Yes, {}};
-    if (d.is_compound() && is_comparison(d.functor(), d.arity())) {
+    // `true` and the comparisons are builtins; their table entry says so.
+    const Proc* proc = lookup(d);
+    const auto* op = proc ? std::get_if<BuiltinOp>(proc) : nullptr;
+    if (op && *op == BuiltinOp::True) return {Truth::Yes, {}};
+    if (op && *op == BuiltinOp::Compare) {
       return eval_comparison(d.functor(), d.arg(0), d.arg(1));
     }
+    if (d.is_atom() && d.functor() == "otherwise") return {Truth::Yes, {}};
     if ((d.is_compound() && d.arity() == 1)) {
       if (auto r = eval_type_test(d.functor(), d.arg(0))) return *r;
     }
@@ -437,153 +422,131 @@ struct Interp::Impl {
 
   // ---- builtins -----------------------------------------------------------
 
-  /// Executes `g` if it is a builtin; returns false if it is a user goal.
-  bool try_builtin(const Term& g) {
-    const std::string& f = g.functor();
-    const std::size_t n = g.arity();
-
-    // The shared signature table (builtins.hpp) is authoritative: a goal
-    // not listed there is a user process.
-    if (find_builtin(f, n) == nullptr) return false;
-
-    if ((f == ":=" || f == "=") && n == 2) {
-      builtin_assign(g.arg(0), g.arg(1), /*strict_arith=*/false, g);
-      return true;
-    }
-    if (f == "is" && n == 2) {
-      builtin_assign(g.arg(0), g.arg(1), /*strict_arith=*/true, g);
-      return true;
-    }
-    if (is_comparison(f, n)) {
-      // Comparisons in a body act as assertions (used by tests).
-      auto r = eval_comparison(f, g.arg(0), g.arg(1));
-      if (r.truth == Truth::Suspend) {
-        suspend(g, r.suspend_var);
-      } else if (r.truth == Truth::No) {
-        throw InterpError("body test failed: " + term::format_term(g));
-      }
-      return true;
-    }
-    if (f == "length" && n == 2) {
-      builtin_length(g);
-      return true;
-    }
-    if (f == "rand_num" && n == 2) {
-      auto r = eval_arith(g.arg(0));
-      if (std::holds_alternative<Suspended>(r)) {
-        suspend(g, std::get<Suspended>(r).var);
-        return true;
-      }
-      const Number& num = std::get<Number>(r);
-      if (!std::holds_alternative<std::int64_t>(num)) {
-        throw InterpError("rand_num bound must be an integer");
-      }
-      const std::int64_t hi = std::get<std::int64_t>(num);
-      if (hi < 1) throw InterpError("rand_num bound must be >= 1");
-      const rt::NodeId cur = rt::Machine::current_node();
-      auto& rng = machine->rng(cur == rt::kNoNode ? 0 : cur);
-      unify_output(g.arg(1),
-                   Term::integer(1 + static_cast<std::int64_t>(rng.below(
-                       static_cast<std::uint64_t>(hi)))),
-                   g);
-      return true;
-    }
-    if (f == "make_ports" && n == 3) {
-      builtin_make_ports(g);
-      return true;
-    }
-    if (f == "distribute" && n == 3) {
-      builtin_distribute(g);
-      return true;
-    }
-    if (f == "send_all" && n == 2) {
-      builtin_send_all(g);
-      return true;
-    }
-    if (f == "make_tuple" && n == 2) {
-      builtin_make_tuple(g);
-      return true;
-    }
-    if (f == "arg" && n == 3) {
-      builtin_arg(g);
-      return true;
-    }
-    if (f == "nodes_total" && n == 1) {
-      unify_output(g.arg(0), Term::integer(machine->node_count()), g);
-      return true;
-    }
-    if (f == "current_node" && n == 1) {
-      const rt::NodeId cur = rt::Machine::current_node();
-      unify_output(g.arg(0),
-                   Term::integer(cur == rt::kNoNode ? 0 : cur + 1), g);
-      return true;
-    }
-    if ((f == "write" || f == "writeln") && n == 1) {
-      std::string s = term::format_term(g.arg(0));
-      if (f == "writeln") s += '\n';
-      std::function<void(const std::string&)> sink;
-      {
-        std::lock_guard lock(out_m);
-        sink = output;
-      }
-      if (sink) {
-        sink(s);
-      } else {
-        std::lock_guard lock(out_m);
-        std::cout << s << std::flush;
-      }
-      return true;
-    }
-    if (f == "work" && n == 1) {
-      // Synthetic low-level computation: burns a deterministic amount of
-      // CPU and records virtual cost units (used by the overhead and
-      // load-balance experiments).
-      auto r = eval_arith(g.arg(0));
-      if (std::holds_alternative<Suspended>(r)) {
-        suspend(g, std::get<Suspended>(r).var);
-        return true;
-      }
-      const std::int64_t units =
-          std::get<std::int64_t>(std::get<Number>(r));
-      volatile std::uint64_t h = 0xcbf29ce484222325ull;
-      for (std::int64_t i = 0; i < units; ++i) {
-        h = (h ^ static_cast<std::uint64_t>(i)) * 0x100000001b3ull;
-      }
-      machine->add_work(static_cast<std::uint64_t>(units < 0 ? 0 : units));
-      return true;
-    }
-    if (f == "true" && n == 0) return true;
-    return false;
-  }
-
-  void builtin_assign(const Term& lhs, const Term& rhs, bool strict_arith,
-                      const Term& whole) {
-    Term l = lhs.deref();
-    Term r = rhs.deref();
-    if (strict_arith || looks_arithmetic(r)) {
-      auto res = eval_arith(r);
-      if (std::holds_alternative<Suspended>(res)) {
-        suspend(whole, std::get<Suspended>(res).var);
+  /// Runs builtin `op` on goal `g`. There is no default case, so an op
+  /// without a handler is a -Wswitch warning.
+  void run_builtin(BuiltinOp op, const Term& g) {
+    switch (op) {
+      case BuiltinOp::Assign:
+        return builtin_assign(g, /*strict_arith=*/false);
+      case BuiltinOp::ArithAssign:
+        return builtin_assign(g, /*strict_arith=*/true);
+      case BuiltinOp::Compare: {
+        // Comparisons in a body act as assertions (used by tests).
+        auto r = eval_comparison(g.functor(), g.arg(0), g.arg(1));
+        if (r.truth == Truth::Suspend) {
+          suspend(g, r.suspend_var);
+        } else if (r.truth == Truth::No) {
+          throw InterpError("body test failed: " + term::format_term(g));
+        }
         return;
       }
-      Term value = number_to_term(std::get<Number>(res));
-      if (!l.is_var()) {
-        // Assigning to a bound cell succeeds only if it already equals the
-        // value (useful for checks); otherwise it is the Strand run-time
-        // error.
-        if (l.equals(value)) return;
-        throw InterpError("assignment to bound variable: " +
-                          term::format_term(whole));
+      case BuiltinOp::Length:
+        return builtin_length(g);
+      case BuiltinOp::RandNum:
+        return builtin_rand_num(g);
+      case BuiltinOp::MakePorts:
+        return builtin_make_ports(g);
+      case BuiltinOp::Distribute:
+        return builtin_distribute(g);
+      case BuiltinOp::SendAll:
+        return builtin_send_all(g);
+      case BuiltinOp::MakeTuple:
+        return builtin_make_tuple(g);
+      case BuiltinOp::Arg:
+        return builtin_arg(g);
+      case BuiltinOp::NodesTotal:
+        return unify_output(g.arg(0), Term::integer(machine->node_count()),
+                            g);
+      case BuiltinOp::CurrentNode: {
+        const rt::NodeId cur = rt::Machine::current_node();
+        return unify_output(
+            g.arg(0), Term::integer(cur == rt::kNoNode ? 0 : cur + 1), g);
       }
+      case BuiltinOp::Write:
+        return write_out(term::format_term(g.arg(0)));
+      case BuiltinOp::Writeln:
+        return write_out(term::format_term(g.arg(0)) + '\n');
+      case BuiltinOp::Work:
+        return builtin_work(g);
+      case BuiltinOp::True:
+        return;
+    }
+  }
+
+  /// Evaluates the integer expression `x`, an argument of `g`. Returns
+  /// nullopt after suspending `g` while `x` has an unbound variable.
+  std::optional<std::int64_t> int_arg(const Term& x, const Term& g) {
+    auto r = eval_arith(x);
+    if (const auto* s = std::get_if<Suspended>(&r)) {
+      suspend(g, s->var);
+      return std::nullopt;
+    }
+    const auto* i = std::get_if<std::int64_t>(&std::get<Number>(r));
+    if (i == nullptr) {
+      throw InterpError("expected an integer in " + term::format_term(g));
+    }
+    return *i;
+  }
+
+  void write_out(const std::string& s) {
+    std::function<void(const std::string&)> sink;
+    {
+      std::lock_guard lock(out_m);
+      sink = output;
+    }
+    if (sink) {
+      sink(s);
+    } else {
+      std::lock_guard lock(out_m);
+      std::cout << s << std::flush;
+    }
+  }
+
+  void builtin_rand_num(const Term& g) {
+    const auto hi = int_arg(g.arg(0), g);
+    if (!hi) return;
+    if (*hi < 1) throw InterpError("rand_num bound must be >= 1");
+    const rt::NodeId cur = rt::Machine::current_node();
+    auto& rng = machine->rng(cur == rt::kNoNode ? 0 : cur);
+    const auto draw = rng.below(static_cast<std::uint64_t>(*hi));
+    unify_output(g.arg(1),
+                 Term::integer(1 + static_cast<std::int64_t>(draw)), g);
+  }
+
+  /// Synthetic low-level computation: burns a deterministic amount of CPU
+  /// and records virtual cost units (used by the overhead and load-balance
+  /// experiments).
+  void builtin_work(const Term& g) {
+    const auto units = int_arg(g.arg(0), g);
+    if (!units) return;
+    volatile std::uint64_t h = 0xcbf29ce484222325ull;
+    for (std::int64_t i = 0; i < *units; ++i) {
+      h = (h ^ static_cast<std::uint64_t>(i)) * 0x100000001b3ull;
+    }
+    machine->add_work(static_cast<std::uint64_t>(*units < 0 ? 0 : *units));
+  }
+
+  void builtin_assign(const Term& whole, bool strict_arith) {
+    Term value = whole.arg(1).deref();
+    if (strict_arith || looks_arithmetic(value)) {
+      auto res = eval_arith(value);
+      if (const auto* s = std::get_if<Suspended>(&res)) {
+        suspend(whole, s->var);
+        return;
+      }
+      value = number_to_term(std::get<Number>(res));
+    }
+    Term l = whole.arg(0).deref();
+    if (l.is_var()) {
       l.bind(value);
       return;
     }
-    if (!l.is_var()) {
-      if (l.equals(r)) return;
+    // Assigning to a bound cell succeeds only if it already equals the
+    // value (useful for checks); otherwise it is the Strand run-time error.
+    if (!l.equals(value)) {
       throw InterpError("assignment to bound variable: " +
                         term::format_term(whole));
     }
-    l.bind(r);
   }
 
   void builtin_length(const Term& g) {
@@ -647,12 +610,9 @@ struct Interp::Impl {
   }
 
   void builtin_make_ports(const Term& g) {
-    auto r = eval_arith(g.arg(0));
-    if (std::holds_alternative<Suspended>(r)) {
-      suspend(g, std::get<Suspended>(r).var);
-      return;
-    }
-    const std::int64_t n = std::get<std::int64_t>(std::get<Number>(r));
+    const auto count = int_arg(g.arg(0), g);
+    if (!count) return;
+    const std::int64_t n = *count;
     if (n < 0) throw InterpError("make_ports count must be >= 0");
     std::vector<Term> ports, heads;
     ports.reserve(static_cast<std::size_t>(n));
@@ -678,12 +638,9 @@ struct Interp::Impl {
       throw InterpError("distribute/3 needs a tuple of ports, got: " +
                         term::format_term(dt));
     }
-    auto r = eval_arith(g.arg(0));
-    if (std::holds_alternative<Suspended>(r)) {
-      suspend(g, std::get<Suspended>(r).var);
-      return;
-    }
-    const std::int64_t ix = std::get<std::int64_t>(std::get<Number>(r));
+    const auto index = int_arg(g.arg(0), g);
+    if (!index) return;
+    const std::int64_t ix = *index;
     if (ix < 1 || ix > static_cast<std::int64_t>(dt.arity())) {
       throw InterpError("distribute index " + std::to_string(ix) +
                         " outside 1.." + std::to_string(dt.arity()));
@@ -735,12 +692,9 @@ struct Interp::Impl {
   }
 
   void builtin_arg(const Term& g) {
-    auto r = eval_arith(g.arg(0));
-    if (std::holds_alternative<Suspended>(r)) {
-      suspend(g, std::get<Suspended>(r).var);
-      return;
-    }
-    const std::int64_t ix = std::get<std::int64_t>(std::get<Number>(r));
+    const auto index = int_arg(g.arg(0), g);
+    if (!index) return;
+    const std::int64_t ix = *index;
     Term t = g.arg(1).deref();
     if (t.is_var()) {
       suspend(g, t);
@@ -756,36 +710,38 @@ struct Interp::Impl {
 
 Interp::Interp(term::Program program, InterpOptions options)
     : impl_(std::make_unique<Impl>()), program_(std::move(program)) {
+  for (const auto& sig : builtin_signatures()) {
+    impl_->enter<BuiltinOp>("builtin", {std::string(sig.name), sig.arity},
+                            sig.op);
+  }
+  for (const auto& key : program_.defined()) {
+    auto& def = impl_->enter<Impl::Definition>("program definition", key);
+    for (Clause& rule : program_.rules_for(key)) {
+      const Term first =
+          rule.guard.empty() ? Term() : rule.guard.front().deref();
+      const bool otherwise =
+          first.is_atom() && first.functor() == "otherwise";
+      def.rules.push_back({std::move(rule), otherwise});
+    }
+  }
   machine_ = std::make_unique<rt::Machine>(rt::MachineConfig{
       .nodes = options.nodes,
       .workers = options.workers,
-      .batch = 64,
       .seed = options.seed,
       .faults = options.faults,
   });
-  impl_->self = this;
   impl_->machine = machine_.get();
-  impl_->program = &program_;
-  impl_->options = options;
-  for (const auto& key : program_.defined()) {
-    impl_->defs[key].rules = program_.rules_for(key);
-  }
 }
 
 Interp::~Interp() = default;
 
 void Interp::register_foreign(const std::string& name, std::size_t arity,
                               std::size_t inputs, ForeignFn fn) {
-  const ProcKey key{name, arity};
-  if (impl_->defs.count(key) > 0) {
-    throw InterpError("foreign name collides with program definition: " +
-                      key.to_string());
+  if (impl_->started) {
+    throw InterpError("register_foreign after run(): " + name);
   }
-  if (!impl_->foreign.emplace(key, Impl::ForeignEntry{inputs, std::move(fn)})
-           .second) {
-    throw InterpError("foreign procedure already registered: " +
-                      key.to_string());
-  }
+  impl_->enter<Impl::Foreign>("foreign procedure", {name, arity}, inputs,
+                              std::move(fn));
 }
 
 void Interp::set_output(std::function<void(const std::string&)> sink) {
@@ -794,6 +750,7 @@ void Interp::set_output(std::function<void(const std::string&)> sink) {
 }
 
 RunResult Interp::run(const Term& goal) {
+  impl_->started = true;
   impl_->spawn_on(0, goal);
   machine_->wait_idle();
   RunResult r;
@@ -802,15 +759,18 @@ RunResult Interp::run(const Term& goal) {
   {
     std::lock_guard lock(impl_->susp_m);
     r.still_suspended = impl_->suspended.size();
-    for (const auto& [id, desc] : impl_->suspended) {
+    for (const auto& [id, s] : impl_->suspended) {
       if (r.stuck_goals.size() >= 16) break;
-      std::string line = desc.goal;
-      if (!desc.var.empty()) line += "  (waiting on " + desc.var + ")";
+      std::string line = term::format_term(s.goal);
+      const Term v = s.var.deref();
+      if (v.is_var()) line += "  (waiting on " + v.var_name() + ")";
       r.stuck_goals.push_back(std::move(line));
     }
   }
-  for (const auto& [key, entry] : impl_->defs) {
-    const std::uint64_t n = entry.commits.load(std::memory_order_relaxed);
+  for (const auto& [key, proc] : impl_->procs) {
+    const auto* def = std::get_if<Impl::Definition>(&proc);
+    const std::uint64_t n =
+        def ? def->commits.load(std::memory_order_relaxed) : 0;
     if (n > 0) r.by_definition.emplace_back(key.to_string(), n);
   }
   std::sort(r.by_definition.begin(), r.by_definition.end(),

@@ -21,17 +21,16 @@
 // Placement annotations: Goal@random posts the process to a random node,
 // Goal@E (E an integer expression, 1-based as in the paper) to node E.
 //
-// Builtins: see builtin list in interp.cpp; they include the motif
+// Builtins: see the table in builtins.cpp; they include the motif
 // primitives of Section 3 — rand_num/2, distribute/3, length/2, merge via
-// ports (make_ports/3, send_all/2).
+// ports (make_ports/3, send_all/2). A name/arity is exactly one of a
+// builtin, a foreign procedure or a program definition: a program that
+// defines a builtin's name/arity is rejected at construction.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -52,9 +51,6 @@ struct InterpOptions {
   std::uint32_t nodes = 4;
   std::uint32_t workers = 0;  // 0 = min(nodes, hardware)
   std::uint64_t seed = 0xC0FFEEull;
-  /// Max tail-call iterations inside one Machine task before re-posting
-  /// (keeps virtual nodes fair without extra task overhead per reduction).
-  std::uint32_t tail_budget = 64;
   /// Deterministic fault schedule forwarded to the Machine (default:
   /// none). Dropped posts lose processes; the run still quiesces and the
   /// deadlock reporter classifies what went unbound (motifsh :faults).
@@ -94,6 +90,7 @@ using ForeignFn = std::function<bool(const ForeignCall&)>;
 
 class Interp {
  public:
+  /// Throws InterpError if `program` defines a builtin's name/arity.
   Interp(term::Program program, InterpOptions options = {});
   ~Interp();
 
@@ -103,8 +100,8 @@ class Interp {
   /// Registers a foreign procedure name/arity. The first `inputs`
   /// arguments are dataflow inputs (the goal suspends until they are
   /// bound); remaining arguments are typically outputs. Must be called
-  /// before run(). Foreign names shadow neither builtins nor program
-  /// definitions — registering a name that collides throws.
+  /// before run(), and the name/arity must not already be a builtin, a
+  /// program definition or a foreign procedure; either mistake throws.
   void register_foreign(const std::string& name, std::size_t arity,
                         std::size_t inputs, ForeignFn fn);
 

@@ -133,6 +133,18 @@ TEST(Interp, DeadlockDetected) {
       << r.stuck_goals[0];
 }
 
+TEST(Interp, ProgramRedefiningABuiltinIsRejected) {
+  // A clause for a builtin's name/arity could never run: the builtin
+  // always wins. The interpreter refuses the program instead.
+  EXPECT_THROW(Interp(Program::parse("length(X, N) :- N := 0."), small()),
+               in::InterpError);
+  EXPECT_THROW(Interp(Program::parse("go :- true.\ntrue."), small()),
+               in::InterpError);
+  // Same name, other arity: an ordinary user process.
+  Interp i(Program::parse("length(X) :- X := 0."), small());
+  EXPECT_EQ(i.run_query("length(N)").first.arg(0).int_value(), 0);
+}
+
 TEST(Interp, OtherwiseCommitsWhenEarlierRulesFail) {
   Interp i(Program::parse(
       "p(1,R) :- R := one.\n"

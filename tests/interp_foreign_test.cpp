@@ -87,6 +87,21 @@ TEST(Foreign, CollisionsRejected) {
       i.register_foreign("q", 1, 1,
                          [](const in::ForeignCall&) { return true; }),
       in::InterpError);
+  EXPECT_THROW(
+      i.register_foreign("length", 2, 1,
+                         [](const in::ForeignCall&) { return true; }),
+      in::InterpError);
+}
+
+TEST(Foreign, RegisteringAfterRunIsRejected) {
+  // Goals read the procedure table without a lock, so it is frozen once
+  // run() has started.
+  Interp i(Program::parse("go."), nodes(2));
+  i.run(parse_term("go"));
+  EXPECT_THROW(
+      i.register_foreign("late", 1, 1,
+                         [](const in::ForeignCall&) { return true; }),
+      in::InterpError);
 }
 
 TEST(Foreign, MsaThroughStrandTreeReduce2) {

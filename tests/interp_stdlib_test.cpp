@@ -144,7 +144,7 @@ TEST(InterpStress, WideFanout) {
       "fan(N, L) :- N > 0 | L := [X|L1], leafwork(X)@random, "
       "N1 is N - 1, fan(N1, L1).\n"
       "leafwork(X) :- X := ok."),
-      {.nodes = 8, .workers = 2, .seed = 1, .tail_budget = 64});
+      {.nodes = 8, .workers = 2, .seed = 1});
   auto [g, r] = i.run_query("fan(5000, L)");
   auto xs = g.arg(1).proper_list();
   ASSERT_TRUE(xs.has_value());
@@ -180,7 +180,7 @@ TEST(InterpStress, PortMessageStorm) {
       "count(_, 0, Acc, Total) :- Total := Acc.\n"
       "count([ping|In], N, Acc, Total) :- N > 0 | "
       "N1 is N - 1, Acc1 is Acc + 1, count(In, N1, Acc1, Total)."),
-      {.nodes = 8, .workers = 2, .seed = 3, .tail_budget = 64});
+      {.nodes = 8, .workers = 2, .seed = 3});
   auto [g, r] = i.run_query("go(3000, Total)");
   EXPECT_EQ(g.arg(1).int_value(), 3000);
   EXPECT_FALSE(r.deadlocked());
