@@ -67,15 +67,13 @@ std::int32_t nw_score_wavefront(rt::Machine& m, const std::string& a,
                             nw_row(a, b, params), moves);
 }
 
-double kmer_distance(const std::string& a, const std::string& b, int k) {
-  if (a.size() < static_cast<std::size_t>(k) ||
-      b.size() < static_cast<std::size_t>(k)) {
-    return a == b ? 0.0 : 1.0;
-  }
-  auto census = [k](const std::string& s) {
+double kmer_distance(const std::string& a, const std::string& b) {
+  constexpr std::size_t kKmer = 3;
+  if (a.size() < kKmer || b.size() < kKmer) return a == b ? 0.0 : 1.0;
+  auto census = [](const std::string& s) {
     std::unordered_map<std::string, double> c;
-    for (std::size_t i = 0; i + k <= s.size(); ++i) {
-      c[s.substr(i, k)] += 1.0;
+    for (std::size_t i = 0; i + kKmer <= s.size(); ++i) {
+      c[s.substr(i, kKmer)] += 1.0;
     }
     return c;
   };
@@ -85,8 +83,8 @@ double kmer_distance(const std::string& a, const std::string& b, int k) {
     auto it = cb.find(kmer);
     if (it != cb.end()) shared += std::min(cnt, it->second);
   }
-  const double denom = static_cast<double>(
-      std::min(a.size(), b.size()) - static_cast<std::size_t>(k) + 1);
+  const double denom =
+      static_cast<double>(std::min(a.size(), b.size()) - kKmer + 1);
   return 1.0 - shared / denom;
 }
 

@@ -38,9 +38,9 @@ std::int32_t nw_score_wavefront(rt::Machine& m, const std::string& a,
                                 const std::string& b,
                                 const NWParams& params = {});
 
-/// Distance in [0,1] from a k-mer frequency profile comparison — the
+/// Distance in [0,1] from a 3-mer frequency profile comparison — the
 /// cheap guide-tree distance (the full NW distance is quadratic and only
 /// needed for small inputs).
-double kmer_distance(const std::string& a, const std::string& b, int k = 3);
+double kmer_distance(const std::string& a, const std::string& b);
 
 }  // namespace motif::align

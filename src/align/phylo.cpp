@@ -109,12 +109,12 @@ Tree<int, char>::Ptr upgma(std::vector<std::vector<double>> dist) {
 }
 
 std::vector<std::vector<double>> distance_matrix(
-    const std::vector<std::string>& seqs, int k) {
+    const std::vector<std::string>& seqs) {
   const std::size_t n = seqs.size();
   std::vector<std::vector<double>> d(n, std::vector<double>(n, 0.0));
   for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t j = i + 1; j < n; ++j) {
-      d[i][j] = d[j][i] = kmer_distance(seqs[i], seqs[j], k);
+      d[i][j] = d[j][i] = kmer_distance(seqs[i], seqs[j]);
     }
   }
   return d;

@@ -50,9 +50,9 @@ std::vector<std::string> evolve_family(const Phylo::Ptr& tree,
 /// ready for the tree-reduction motifs).
 Tree<int, char>::Ptr upgma(std::vector<std::vector<double>> dist);
 
-/// Pairwise k-mer distance matrix for a sequence family.
+/// Pairwise k-mer distance matrix (kmer_distance) for a sequence family.
 std::vector<std::vector<double>> distance_matrix(
-    const std::vector<std::string>& seqs, int k = 3);
+    const std::vector<std::string>& seqs);
 
 /// Converts a phylogeny into the same guide-tree form (taxon indices at
 /// leaves) — the "true tree" pipeline.

@@ -70,7 +70,7 @@ RuleOutcome head_match(const Term& pattern, const Term& value,
 
 }  // namespace
 
-struct Interp::Impl {
+struct Interp::Impl : std::enable_shared_from_this<Impl> {
   rt::Machine* machine = nullptr;
 
   /// Max tail-call iterations inside one Machine task before re-posting
@@ -129,9 +129,11 @@ struct Interp::Impl {
   std::atomic<std::uint64_t> suspensions{0};
 
   // Suspended processes: the goal and the variable it waits on. A
-  // variable's waiter holds only the id, so a goal that never wakes is
-  // owned here alone and is freed with the interpreter. Taking the entry
-  // out is what wakes the goal, so each entry wakes at most once.
+  // variable's waiter holds only the id and a weak reference to this
+  // registry, so a goal that never wakes is owned here alone and is freed
+  // with the interpreter, and a variable bound after that wakes nothing.
+  // Taking the entry out is what wakes the goal, so each entry wakes at
+  // most once.
   struct Suspension {
     Term goal;
     Term var;
@@ -171,7 +173,9 @@ struct Interp::Impl {
       id = next_susp_id++;
       suspended.emplace(id, Suspension{std::move(goal), var});
     }
-    var.when_bound([this, node, id] { wake(node, id); });
+    var.when_bound([self = weak_from_this(), node, id] {
+      if (auto impl = self.lock()) impl->wake(node, id);
+    });
   }
 
   void wake(rt::NodeId node, std::uint64_t id) {
@@ -709,14 +713,14 @@ struct Interp::Impl {
 };
 
 Interp::Interp(term::Program program, InterpOptions options)
-    : impl_(std::make_unique<Impl>()), program_(std::move(program)) {
+    : impl_(std::make_shared<Impl>()) {
   for (const auto& sig : builtin_signatures()) {
     impl_->enter<BuiltinOp>("builtin", {std::string(sig.name), sig.arity},
                             sig.op);
   }
-  for (const auto& key : program_.defined()) {
+  for (const auto& key : program.defined()) {
     auto& def = impl_->enter<Impl::Definition>("program definition", key);
-    for (Clause& rule : program_.rules_for(key)) {
+    for (Clause& rule : program.rules_for(key)) {
       const Term first =
           rule.guard.empty() ? Term() : rule.guard.front().deref();
       const bool otherwise =

@@ -117,12 +117,10 @@ class Interp {
   void set_output(std::function<void(const std::string&)> sink);
 
   rt::Machine& machine() { return *machine_; }
-  const term::Program& program() const { return program_; }
 
  private:
   struct Impl;
-  std::unique_ptr<Impl> impl_;
-  term::Program program_;
+  std::shared_ptr<Impl> impl_;  // shared only so waiters can hold it weakly
   std::unique_ptr<rt::Machine> machine_;
 };
 

@@ -1,4 +1,4 @@
-// Supervision: retry-with-backoff around any motif invocation, turning
+// Supervision: bounded retry around any motif invocation, turning
 // the runtime's classified RunOutcomes (runtime/fault.hpp) into a policy.
 //
 // The paper presents motifs as "archives of expertise" — but expertise a
@@ -11,23 +11,19 @@
 //   1. abandons whatever the failed attempt left queued,
 //   2. revives killed nodes and reseeds the fault plan (a probabilistic
 //      fault need not recur; an exact-count kill cannot re-fire),
-//   3. backs off (doubling) and starts a fresh attempt — fresh SVars,
-//      fresh messages, so the "at most one communication per offspring
-//      pair" invariant of Tree-Reduce-2 holds per attempt, not across
-//      attempts (DESIGN.md §9).
+//   3. starts a fresh attempt at once — fresh SVars, fresh messages, so
+//      the "at most one communication per offspring pair" invariant of
+//      Tree-Reduce-2 holds per attempt, not across attempts (DESIGN.md §9).
 //
-// When attempts are exhausted the caller's `on_degrade` fallback may
-// still produce a value (e.g. a cached or approximate result); otherwise
-// the SupervisedResult reports the last classified outcome.
+// When attempts are exhausted the machine is handed back quiet, whole and
+// with its original fault plan, and the SupervisedResult reports the last
+// classified outcome.
 #pragma once
 
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
-#include <functional>
 #include <optional>
-#include <thread>
-#include <utility>
 
 #include "motifs/tree_reduce.hpp"
 #include "runtime/fault.hpp"
@@ -40,29 +36,15 @@ struct SuperviseOptions {
   std::uint32_t max_attempts = 3;
   /// Per-attempt deadline for wait_result_for.
   std::chrono::nanoseconds deadline = std::chrono::milliseconds(2000);
-  /// Sleep before the 2nd attempt; doubles each further attempt. Zero =
-  /// immediate retry (the default: simulated faults need no cool-down).
-  std::chrono::nanoseconds backoff = std::chrono::nanoseconds(0);
-  /// Bring killed nodes back before each retry (and after exhaustion, so
-  /// the machine is handed back usable).
-  bool revive_lost_nodes = true;
-  /// Re-derive the fault plan's seed per attempt (FaultPlan::reseeded) so
-  /// probabilistic drop/dup/delay decisions differ across attempts.
-  bool reseed_faults = true;
-  /// Also retry when a task threw (injected or user error). When false a
-  /// TaskFailed outcome ends the loop immediately.
-  bool retry_on_task_failure = true;
 };
 
-/// Final verdict of a supervised run. `value` is set on success or when
-/// on_degrade supplied a fallback (then `degraded` is true); `last` is
-/// the classified outcome of the final attempt.
+/// Final verdict of a supervised run. `value` is set on success; `last`
+/// is the classified outcome of the final attempt.
 template <class T>
 struct SupervisedResult {
   std::optional<T> value;
   std::uint32_t attempts = 0;
   rt::RunOutcome last;
-  bool degraded = false;
 
   bool ok() const { return value.has_value(); }
 };
@@ -77,28 +59,19 @@ struct SupervisedResult {
 ///
 /// Classification: a machine that quiesced cleanly but never bound the
 /// result (a dropped or dead-dropped message ate a value) is reported as
-/// Stalled — or NodeLost when nodes died — by wait_result_for.
+/// Stalled — or NodeLost when nodes died — by wait_result_for. Every
+/// outcome but Completed, a thrown task included, is retried.
 template <class T, class Start>
-SupervisedResult<T> supervised(
-    rt::Machine& m, Start start, SuperviseOptions opts = {},
-    std::function<std::optional<T>(const rt::RunOutcome&)> on_degrade = {}) {
+SupervisedResult<T> supervised(rt::Machine& m, Start start,
+                               SuperviseOptions opts = {}) {
   SupervisedResult<T> res;
   const rt::FaultPlan base = m.fault_plan();
   const std::uint32_t max_attempts = std::max<std::uint32_t>(1, opts.max_attempts);
-  auto backoff = opts.backoff;
   for (std::uint32_t attempt = 1; attempt <= max_attempts; ++attempt) {
     res.attempts = attempt;
     if (attempt > 1) {
       m.abandon_pending();
-      if (opts.reseed_faults && base.enabled()) {
-        m.set_fault_plan(base.reseeded(attempt), opts.revive_lost_nodes);
-      } else if (opts.revive_lost_nodes) {
-        m.set_fault_plan(base, /*revive_dead=*/true);
-      }
-      if (backoff.count() > 0) {
-        std::this_thread::sleep_for(backoff);
-        backoff *= 2;
-      }
+      m.set_fault_plan(base.enabled() ? base.reseeded(attempt) : base);
     }
     rt::SVar<T> out = start(m, attempt);
     res.last = m.wait_result_for(out, opts.deadline);
@@ -106,18 +79,10 @@ SupervisedResult<T> supervised(
       res.value = out.get();
       return res;
     }
-    if (res.last.status == rt::RunStatus::TaskFailed &&
-        !opts.retry_on_task_failure) {
-      break;
-    }
   }
-  // Exhausted: hand the machine back quiet and (optionally) whole.
+  // Exhausted: hand the machine back quiet and whole.
   m.abandon_pending();
-  if (opts.revive_lost_nodes) m.set_fault_plan(base, /*revive_dead=*/true);
-  if (on_degrade) {
-    res.value = on_degrade(res.last);
-    res.degraded = res.value.has_value();
-  }
+  m.set_fault_plan(base);
   return res;
 }
 

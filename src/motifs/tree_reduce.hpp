@@ -602,13 +602,12 @@ V tree_reduce2(rt::Machine& m, const typename Tree<V, Tag>::Ptr& tree,
   return out;
 }
 
-/// Static-partition baseline: cut the tree at `depth` (default:
-/// cut_depth(processors)), reduce each piece sequentially on a processor
-/// assigned round-robin, combine the cap as values arrive.
+/// Static-partition baseline: cut the tree at cut_depth(processors),
+/// reduce each piece sequentially on a processor assigned round-robin,
+/// combine the cap as values arrive.
 template <class V, class Tag, class Eval>
 V static_tree_reduce(rt::Machine& m, const typename Tree<V, Tag>::Ptr& tree,
-                     Eval eval, std::uint32_t depth = 0) {
-  if (depth == 0) depth = cut_depth(m.node_count());
+                     Eval eval) {
   struct Cut {
     TreeRange r;
     std::uint32_t depth;  // levels left above the cut
@@ -618,7 +617,7 @@ V static_tree_reduce(rt::Machine& m, const typename Tree<V, Tag>::Ptr& tree,
   // machine is idle.
   const TreeStorage<V, Tag>& s = tree->storage();
   auto out = detail::dnc_async<Cut, V>(
-      m, 0, Cut{tree->range(), depth, 0},
+      m, 0, Cut{tree->range(), cut_depth(m.node_count()), 0},
       [](const Cut& c) { return c.r.is_leaf() || c.depth == 0; },
       [&](const Cut& c) {
         TRACE_SPAN("static_tree_reduce.partition");

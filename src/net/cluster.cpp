@@ -14,6 +14,10 @@ namespace {
 std::uint64_t flow_id(std::uint32_t rank, std::uint64_t seq) {
   return (static_cast<std::uint64_t>(rank + 1) << 40) | (seq & ((1ull << 40) - 1));
 }
+/// Pause between termination-probe rounds on rank 0.
+constexpr std::chrono::milliseconds kProbeInterval{2};
+/// How long rank 0's start() waits for every rank to Join.
+constexpr std::chrono::seconds kJoinTimeout{30};
 }  // namespace
 
 Cluster::Cluster(Transport& transport, ClusterConfig cfg)
@@ -49,7 +53,7 @@ void Cluster::start() {
   if (ranks() == 1) return;
   if (rank() == 0) {
     std::unique_lock<std::mutex> lk(state_m_);
-    const bool ok = state_cv_.wait_for(lk, cfg_.join_timeout, [&] {
+    const bool ok = state_cv_.wait_for(lk, kJoinTimeout, [&] {
       return joined_.size() == ranks() - 1;
     });
     if (!ok) {
@@ -353,7 +357,7 @@ rt::RunOutcome Cluster::wait_idle_rank0(std::chrono::nanoseconds deadline) {
         }
       }
     }
-    std::this_thread::sleep_for(cfg_.probe_interval);
+    std::this_thread::sleep_for(kProbeInterval);
   }
 }
 

@@ -67,10 +67,6 @@ struct ClusterConfig {
   rt::MachineConfig machine{};
   /// Fault lottery applied to outbound remote posts (transport seam).
   rt::FaultPlan net_faults{};
-  /// Pause between termination-probe rounds on rank 0.
-  std::chrono::milliseconds probe_interval{2};
-  /// How long rank 0's start() waits for every rank to Join.
-  std::chrono::seconds join_timeout{30};
 };
 
 class Cluster {
@@ -103,7 +99,7 @@ class Cluster {
   std::uint16_t register_handler(std::string name, Handler h);
 
   /// Brings the cluster up (see lifecycle note above). Throws if a rank
-  /// fails to join within join_timeout.
+  /// fails to join within 30 s.
   void start();
 
   /// Runs `handler(payload)` as a task on global node `dst` — locally or

@@ -905,13 +905,11 @@ void Machine::abandon_pending() {
   discarding_.store(false, std::memory_order_seq_cst);
 }
 
-void Machine::set_fault_plan(FaultPlan plan, bool revive_dead) {
+void Machine::set_fault_plan(FaultPlan plan) {
   faults_enabled_.store(false, std::memory_order_release);
   faults_ = std::move(plan);
-  if (revive_dead) {
-    for (auto& node : nodes_) {
-      node->dead.store(false, std::memory_order_release);
-    }
+  for (auto& node : nodes_) {
+    node->dead.store(false, std::memory_order_release);
   }
   faults_enabled_.store(faults_.enabled(), std::memory_order_release);
 }

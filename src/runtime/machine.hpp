@@ -122,33 +122,6 @@ class Machine {
   /// draw from it.
   Rng& rng(NodeId n) { return nodes_[n]->rng; }
 
-  /// Convenience: post `f(value)` to node `n` once `v` is bound.
-  template <class T, class F>
-  void post_when(SVar<T> v, NodeId n, F f) {
-    v.when_bound([this, n, f = std::move(f)](const T& value) mutable {
-      // Copy the value into the task: data moves between nodes by value
-      // (CP.31), as on a real multicomputer. The init-capture matters:
-      // a plain [value] capture of a `const T&` parameter produces a
-      // *const* member, which silently turns every later move of the
-      // closure (into the Task, into f) into another copy.
-      post(n, [f = std::move(f), value = value]() mutable { f(value); });
-    });
-  }
-
-  /// Move-path variant of post_when for heavy payloads (alignment
-  /// profiles, tiles): the value is still copied once into the posted
-  /// task — it crosses nodes by value, CP.31 — but is then *moved* into
-  /// `f`, so a by-value consumer sees one copy + one move instead of two
-  /// copies per continuation.
-  template <class T, class F>
-  void post_when_move(SVar<T> v, NodeId n, F f) {
-    v.when_bound([this, n, f = std::move(f)](const T& value) mutable {
-      post(n, [f = std::move(f), value = value]() mutable {
-        f(std::move(value));
-      });
-    });
-  }
-
   /// Blocks until no task is pending or running, then rethrows the first
   /// exception any task threw (if any).
   ///
@@ -218,10 +191,10 @@ class Machine {
 
   /// Replaces the fault plan. Call while the machine is idle (between
   /// runs / retry attempts): posts racing a plan swap see either plan.
-  /// When `revive_dead` (the default) all killed nodes come back empty —
-  /// kill specs match an exact cumulative task count, so a fired kill
-  /// does not re-fire on the revived node.
-  void set_fault_plan(FaultPlan plan, bool revive_dead = true);
+  /// All killed nodes come back empty — kill specs match an exact
+  /// cumulative task count, so a fired kill does not re-fire on the
+  /// revived node.
+  void set_fault_plan(FaultPlan plan);
   const FaultPlan& fault_plan() const { return faults_; }
 
   /// Brings a killed node back (empty queue, counters intact).

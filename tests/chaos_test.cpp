@@ -102,7 +102,6 @@ TEST(Chaos, SupervisedTreeReduce1SurvivesNodeLoss) {
   auto res = m::supervised_tree_reduce1<int, int>(mach, tree, SumEval{}, opts);
   ASSERT_TRUE(res.ok()) << res.last.to_string();
   EXPECT_EQ(*res.value, expected_sum(16));
-  EXPECT_FALSE(res.degraded);
   EXPECT_GE(res.attempts, 1u);
   // The supervisor hands the machine back whole.
   EXPECT_TRUE(mach.lost_nodes().empty());
@@ -321,7 +320,6 @@ TEST(Chaos, TreeReduce2LaunchDropStallsThenRetryConverges) {
   auto tree = balanced_tree(5, next);
   m::SuperviseOptions opts;
   opts.deadline = kDeadline;
-  opts.reseed_faults = false;
   rt::FaultPlan lossy;
   lossy.drop = 1.0;
   for (const bool in_task : {true, false}) {
@@ -411,7 +409,6 @@ TEST(Chaos, SupervisedDivideAndConquerSurvivesNodeLoss) {
       opts);
   ASSERT_TRUE(res.ok()) << res.last.to_string();
   EXPECT_EQ(*res.value, fib(16));
-  EXPECT_FALSE(res.degraded);
   EXPECT_EQ(mach.fault_totals().kills, 1u);
   EXPECT_TRUE(mach.lost_nodes().empty());
 }
@@ -437,9 +434,11 @@ TEST(Chaos, DivideAndConquerEngineIsFreedAfterTotalLoss) {
   EXPECT_EQ(token.use_count(), 1);
 }
 
-TEST(Chaos, SupervisedDegradeFallbackWhenAttemptsExhausted) {
+TEST(Chaos, SupervisedExhaustionHandsTheMachineBack) {
   rt::FaultPlan plan;
   plan.drop = 1.0;  // every cross-node message dies: no attempt can finish
+  // Whichever processor runs the first task dies after it.
+  for (rt::NodeId n = 0; n < 4; ++n) plan.kills.push_back({n, 1});
   rt::Machine mach({.nodes = 4, .workers = 2, .faults = plan});
   int next = 1;
   auto tree = balanced_tree(3, next);
@@ -452,16 +451,15 @@ TEST(Chaos, SupervisedDegradeFallbackWhenAttemptsExhausted) {
         return m::tree_reduce1_async<int, int>(mm, tree, SumEval{},
                                                m::MapPolicy::Random);
       },
-      opts,
-      [](const rt::RunOutcome& last) -> std::optional<int> {
-        EXPECT_FALSE(last.ok());
-        return -1;  // cached / approximate fallback
-      });
-  ASSERT_TRUE(res.ok());
-  EXPECT_TRUE(res.degraded);
-  EXPECT_EQ(*res.value, -1);
+      opts);
   EXPECT_EQ(res.attempts, 2u);
+  EXPECT_FALSE(res.ok());
   EXPECT_NE(res.last.status, rt::RunStatus::Completed);
+  EXPECT_GE(mach.fault_totals().kills, 1u);
+  // Exhausted, the supervisor revives the lost processors and restores
+  // the caller's plan, not the last attempt's reseeded one.
+  EXPECT_TRUE(mach.lost_nodes().empty());
+  EXPECT_EQ(mach.fault_plan().seed, plan.seed);
 }
 
 // --- server ----------------------------------------------------------------

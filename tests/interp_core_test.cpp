@@ -133,6 +133,19 @@ TEST(Interp, DeadlockDetected) {
       << r.stuck_goals[0];
 }
 
+TEST(Interp, BindingAfterDestructionIsSafe) {
+  // The caller's goal outlives the interpreter, and so does the waiter of
+  // the deadlocked p(Y) on Y. Binding Y afterwards runs that waiter, which
+  // must find the interpreter gone and do nothing.
+  Term goal = parse_term("p(Y)");
+  {
+    Interp i(Program::parse("p(X) :- X > 0 | q.\nq."), small());
+    EXPECT_TRUE(i.run(goal).deadlocked());
+  }
+  goal.arg(0).bind(Term::integer(1));
+  EXPECT_EQ(goal.arg(0).int_value(), 1);
+}
+
 TEST(Interp, ProgramRedefiningABuiltinIsRejected) {
   // A clause for a builtin's name/arity could never run: the builtin
   // always wins. The interpreter refuses the program instead.

@@ -1,7 +1,7 @@
 // Fault injection and classified outcomes (runtime/fault.hpp): the
 // deterministic FaultPlan lottery, replayability, dead-node semantics,
-// wait_idle_for classification, abandon_pending / shutdown lifecycle,
-// and the post_when copy-path regression.
+// wait_idle_for classification and the abandon_pending / shutdown
+// lifecycle.
 #include "runtime/fault.hpp"
 
 #include <gtest/gtest.h>
@@ -320,60 +320,6 @@ TEST(Fault, ConcurrentWaitIdleDeliversErrorToExactlyOne) {
   a.join();
   b.join();
   EXPECT_EQ(caught.load(), 1);
-}
-
-namespace {
-
-/// Copy/move audit payload for the post_when regression.
-struct Counted {
-  static std::atomic<int> copies;
-  Counted() = default;
-  Counted(const Counted&) { copies.fetch_add(1); }
-  Counted& operator=(const Counted&) {
-    copies.fetch_add(1);
-    return *this;
-  }
-  Counted(Counted&&) noexcept = default;
-  Counted& operator=(Counted&&) noexcept = default;
-};
-std::atomic<int> Counted::copies{0};
-
-}  // namespace
-
-TEST(Fault, PostWhenMoveSkipsTheSecondCopy) {
-  rt::Machine m({.nodes = 2, .workers = 2});
-
-  // Copy path: one copy into the posted task + one copy into the
-  // by-value consumer.
-  {
-    rt::SVar<Counted> v;
-    Counted::copies.store(0);
-    rt::SVar<bool> done;
-    m.post_when(v, 1, [&done](Counted c) {
-      (void)c;
-      done.bind(true);
-    });
-    m.post(0, [v]() mutable { v.bind(Counted{}); });
-    m.wait_idle();
-    EXPECT_TRUE(done.bound());
-    EXPECT_EQ(Counted::copies.load(), 2);
-  }
-
-  // Move path: the value still crosses nodes by value (one copy into the
-  // task) but is then moved into the consumer.
-  {
-    rt::SVar<Counted> v;
-    Counted::copies.store(0);
-    rt::SVar<bool> done;
-    m.post_when_move(v, 1, [&done](Counted c) {
-      (void)c;
-      done.bind(true);
-    });
-    m.post(0, [v]() mutable { v.bind(Counted{}); });
-    m.wait_idle();
-    EXPECT_TRUE(done.bound());
-    EXPECT_EQ(Counted::copies.load(), 1);
-  }
 }
 
 TEST(Fault, SetFaultPlanSwapsPlansBetweenRuns) {

@@ -153,19 +153,6 @@ TEST(Machine, RandomNodeCoversAllNodes) {
   EXPECT_EQ(seen.size(), 8u);
 }
 
-TEST(Machine, PostWhenDeliversValueToNode) {
-  rt::Machine m({.nodes = 4, .workers = 2});
-  rt::SVar<int> v;
-  rt::SVar<std::pair<rt::NodeId, int>> result;
-  m.post_when(v, 3, [&](const int& x) {
-    result.bind({rt::Machine::current_node(), x});
-  });
-  m.post(1, [&] { v.bind(55); });
-  m.wait_idle();
-  EXPECT_EQ(result.get().first, 3u);
-  EXPECT_EQ(result.get().second, 55);
-}
-
 TEST(Machine, PostLocalFromOutsideGoesToNodeZero) {
   rt::Machine m({.nodes = 4, .workers = 2});
   rt::SVar<rt::NodeId> where;
