@@ -83,8 +83,6 @@ class Scheduler {
     return id;
   }
 
-  std::size_t task_count() const { return tasks_.size(); }
-
   /// Runs all tasks to completion. Returns the number of messages the
   /// top-level manager handled (the hotspot metric of experiment E7).
   /// A throwing task body is rethrown; a run that went idle short of

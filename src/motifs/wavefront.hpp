@@ -6,17 +6,19 @@
 //
 // The grid is tiled; a tile is ready once its upper and left neighbours
 // are done, so anti-diagonals of tiles can run in parallel. One engine
-// serves every form. The caller (the *owner*) runs ready tiles itself and
-// offers the rest by posting short helper tasks to idle processors; a
-// helper claims whatever tiles are ready when it runs, lingers while tiles
-// that may release more are running, and leaves when none are. The owner
-// only ever waits for a tile a running helper has already claimed, so a
-// dropped, late or duplicated helper costs parallelism, never progress,
-// and the engine can run inside a task.
+// serves every form. The caller (the *owner*) runs ready tiles itself;
+// while more tiles are ready than running threads will take, the run sits
+// on the machine's offer board, and an idle worker pulls a helper from it
+// onto an idle processor. A helper claims whatever tiles are ready when it
+// runs, lingers while tiles that may release more are running, and leaves
+// when none are. The owner only ever waits for a tile a running helper has
+// already claimed, so a helper that never comes costs parallelism, never
+// progress, and the engine can run inside a task.
 #pragma once
 
 #include <algorithm>
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <exception>
 #include <memory>
@@ -37,7 +39,9 @@ namespace detail {
 /// The tile graph of one wavefront run, shared by its owner and helpers.
 /// `m == nullptr` is the caller-alone form: the owner runs every tile.
 template <class TileBody>
-class WaveTiles : public std::enable_shared_from_this<WaveTiles<TileBody>> {
+class WaveTiles final
+    : public rt::Offer,
+      public std::enable_shared_from_this<WaveTiles<TileBody>> {
  public:
   WaveTiles(rt::Machine* m, std::size_t rows, std::size_t cols,
             std::size_t tile, TileBody body)
@@ -53,6 +57,12 @@ class WaveTiles : public std::enable_shared_from_this<WaveTiles<TileBody>> {
   /// Runs tiles until all are done, then returns; or, once a tile has
   /// thrown and no helper is still inside one, rethrows its exception.
   void run_owner() {
+    // Off the board on every way out. Once the loop below has ended no
+    // tile finishes, so no publish puts the run back.
+    struct OffBoard {
+      WaveTiles* t;
+      ~OffBoard() { if (t->m_ != nullptr) t->m_->withdraw(*t); }
+    } off{this};
     std::unique_lock<std::mutex> lk(mu_);
     while (failed_ ? running_ > 0 : remaining_ > 0) {
       if (!failed_ && !ready_.empty()) {
@@ -66,11 +76,14 @@ class WaveTiles : public std::enable_shared_from_this<WaveTiles<TileBody>> {
   }
 
  private:
+  rt::Task helper() override {
+    return [self = this->shared_from_this()] { self->help(); };
+  }
+
   /// A helper task: claims ready tiles, and lingers while tiles run that
-  /// may release more, so those need no new offer.
+  /// may release more, so those need no idle worker to come.
   void help() {
     std::unique_lock<std::mutex> lk(mu_);
-    if (offered_ > 0) --offered_;
     while (!failed_ && (!ready_.empty() || running_ > 0)) {
       if (!ready_.empty()) {
         run_claimed(lk);
@@ -110,12 +123,12 @@ class WaveTiles : public std::enable_shared_from_this<WaveTiles<TileBody>> {
     } catch (...) {
       error = std::current_exception();
     }
-    std::size_t offers = 0;
     lk.lock();
     --running_;
     if (error) {
       if (!error_) error_ = error;
       failed_ = true;
+      spare.store(0, std::memory_order_relaxed);
     } else {
       --remaining_;
       if (t + tc_ < deps_.size() && --deps_[t + tc_] == 0) {
@@ -123,38 +136,16 @@ class WaveTiles : public std::enable_shared_from_this<WaveTiles<TileBody>> {
       }
       if (bj + 1 < tc_ && --deps_[t + 1] == 0) ready_.push_back(t + 1);
       // This thread takes one ready tile and each waiting one another;
-      // offer the rest, less the helpers offered and not yet started.
-      const std::size_t hands = 1 + waiting_;
-      if (m_ != nullptr && ready_.size() > hands + offered_) {
-        offers = ready_.size() - hands - offered_;
-        offered_ += offers;
+      // the rest are spare. Published under mu_, so never after the
+      // owner's loop has ended.
+      const auto hands = static_cast<std::ptrdiff_t>(1 + waiting_);
+      spare.store(static_cast<std::ptrdiff_t>(ready_.size()) - hands,
+                  std::memory_order_relaxed);
+      if (m_ != nullptr && spare.load(std::memory_order_relaxed) > 0) {
+        m_->publish(*this);
       }
     }
     epoch_.fetch_add(1, std::memory_order_release);
-    if (offers > 0) {
-      lk.unlock();
-      offer(offers);
-      lk.lock();
-    }
-  }
-
-  /// Posts up to `k` helpers, one per idle processor other than this one;
-  /// offers that find no idle processor are withdrawn.
-  void offer(std::size_t k) {
-    const rt::NodeId n = m_->node_count();
-    const rt::NodeId here = rt::Machine::current_node();
-    const rt::NodeId first = here == rt::kNoNode ? 0 : here + 1;
-    for (rt::NodeId step = 0; step < n && k > 0; ++step) {
-      const rt::NodeId dst = (first + step) % n;
-      if (dst == here || !m_->node_idle(dst)) continue;
-      m_->post(dst, [self = this->shared_from_this()] { self->help(); });
-      --k;
-    }
-    m_->share_handoff();
-    if (k > 0) {
-      std::lock_guard<std::mutex> lk(mu_);
-      offered_ -= std::min(offered_, k);
-    }
   }
 
   rt::Machine* const m_;
@@ -168,7 +159,6 @@ class WaveTiles : public std::enable_shared_from_this<WaveTiles<TileBody>> {
   std::vector<std::size_t> ready_;
   std::size_t remaining_;     // tiles not yet done
   std::size_t running_ = 0;   // claimed, body still running
-  std::size_t offered_ = 0;   // helpers posted and not yet started
   std::size_t waiting_ = 0;   // owner or helpers in await_tile
   bool failed_ = false;
   std::exception_ptr error_;
@@ -191,9 +181,10 @@ auto cell_tiles(Body body) {
 
 /// Runs body(i0, i1, j0, j1) once for each tile [i0, i1) x [j0, j1) of the
 /// rows x cols grid; a tile runs after the tiles above and to its left.
-/// The caller runs tiles itself and offers ready ones to idle processors
-/// of `m`, or runs every tile when `m` is null. Returns when every tile
-/// has run, or rethrows the first body exception once no tile is running.
+/// The caller runs tiles itself and lets idle processors of `m` take
+/// spare ready ones, or runs every tile when `m` is null. Returns when
+/// every tile has run, or rethrows the first body exception once no tile
+/// is running.
 /// Safe inside a task of `m`: it waits only for its own tiles.
 template <class TileBody>
 void wavefront_tiles(rt::Machine* m, std::size_t rows, std::size_t cols,

@@ -59,19 +59,14 @@ void Cluster::start() {
     if (!ok) {
       throw std::runtime_error("cluster: not all ranks joined within timeout");
     }
-    lk.unlock();
-    Frame f;
-    f.type = FrameType::Start;
-    f.src_rank = 0;
-    for (std::uint32_t r = 1; r < ranks(); ++r) send_ctl(r, f);
   } else {
+    // A follower does not wait for rank 0: a single-thread loopback
+    // cluster starts followers before rank 0, and nothing may post before
+    // rank 0 finishes start() anyway.
     Frame f;
     f.type = FrameType::Join;
     f.src_rank = rank();
     send_ctl(0, f);
-    // Deliberately no wait for Start: a single-thread loopback cluster
-    // starts followers before rank 0, and nothing may post before rank 0
-    // finishes start() anyway.
   }
 }
 
@@ -194,12 +189,6 @@ void Cluster::on_frame(Frame&& f, std::size_t wire_bytes) {
     case FrameType::Join: {
       std::lock_guard<std::mutex> lk(state_m_);
       joined_.insert(f.src_rank);
-      state_cv_.notify_all();
-      return;
-    }
-    case FrameType::Start: {
-      std::lock_guard<std::mutex> lk(state_m_);
-      start_seen_ = true;
       state_cv_.notify_all();
       return;
     }

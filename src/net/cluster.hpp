@@ -14,10 +14,10 @@
 //
 // Lifecycle (rank 0 coordinates):
 //   * start()      — followers bring the transport up and send Join;
-//                    rank 0 waits for all Joins, then broadcasts Start.
-//                    Follower start() does NOT block on Start, so an
-//                    all-in-one-thread loopback cluster can start its
-//                    followers first and rank 0 last.
+//                    rank 0 waits for all Joins. Follower start() does
+//                    not wait for rank 0, so an all-in-one-thread
+//                    loopback cluster can start its followers first and
+//                    rank 0 last.
 //   * wait_idle_for — distributed termination detection, rank-0 driven:
 //                    probe rounds collect (idle, tx, rx) from every rank;
 //                    the run is done when all ranks are idle and the
@@ -161,7 +161,6 @@ class Cluster {
   mutable std::mutex state_m_;
   std::condition_variable state_cv_;
   std::set<std::uint32_t> joined_;      // rank 0: ranks that sent Join
-  bool start_seen_ = false;             // follower: Start arrived
   std::uint64_t release_round_ = 0;     // follower: latest Release round
   bool shutdown_seen_ = false;
   std::uint64_t reply_round_ = 0;       // rank 0: round being collected

@@ -184,7 +184,6 @@ std::vector<std::uint8_t> encode_frame(const Frame& f) {
   switch (f.type) {
     case FrameType::Hello:
     case FrameType::Join:
-    case FrameType::Start:
     case FrameType::Shutdown:
       break;  // header only
     case FrameType::Post:
@@ -225,19 +224,12 @@ std::optional<Frame> decode_frame(const std::uint8_t* p, std::size_t n,
   Decoder d(p + 4, len);
   const std::uint8_t version = d.u8();
   if (version != kWireVersion) throw WireError("wire version mismatch");
-  const std::uint8_t type = d.u8();
-  if (type < static_cast<std::uint8_t>(FrameType::Hello) ||
-      type > static_cast<std::uint8_t>(FrameType::Shutdown)) {
-    throw WireError("unknown frame type");
-  }
-
   Frame f;
-  f.type = static_cast<FrameType>(type);
+  f.type = static_cast<FrameType>(d.u8());
   f.src_rank = d.u32();
   switch (f.type) {
     case FrameType::Hello:
     case FrameType::Join:
-    case FrameType::Start:
     case FrameType::Shutdown:
       break;
     case FrameType::Post:
@@ -256,6 +248,8 @@ std::optional<Frame> decode_frame(const std::uint8_t* p, std::size_t n,
       f.rx = d.u64();
       f.idle = d.u8() != 0;
       break;
+    default:
+      throw WireError("unknown frame type");
   }
   if (!d.done()) throw WireError("trailing bytes in frame");
   *consumed = 4u + len;

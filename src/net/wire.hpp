@@ -48,7 +48,7 @@ class WireError : public std::runtime_error {
   explicit WireError(const std::string& what) : std::runtime_error(what) {}
 };
 
-inline constexpr std::uint8_t kWireVersion = 1;
+inline constexpr std::uint8_t kWireVersion = 2;
 /// Upper bound on one frame's post-length-word size; larger lengths are
 /// treated as corruption, not as a request for a 4 GiB buffer.
 inline constexpr std::uint32_t kMaxFrameBytes = 1u << 24;
@@ -162,7 +162,6 @@ term::Term term_from_bytes(const std::uint8_t* p, std::size_t n);
 enum class FrameType : std::uint8_t {
   Hello = 1,    ///< first frame on a TCP connection: version + sender rank
   Join = 2,     ///< rank -> rank 0: transport up, ready to start
-  Start = 3,    ///< rank 0 -> all: every rank joined, run
   Post = 4,     ///< data: deliver `payload` to `handler` on `dst_node`
   Probe = 5,    ///< rank 0 -> rank: termination probe for `round`
   ProbeReply = 6,  ///< rank -> rank 0: idle flag + tx/rx frame counts

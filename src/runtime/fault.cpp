@@ -63,7 +63,10 @@ std::string RunOutcome::to_string() const {
   std::string s = rt::to_string(status);
   if (!lost_nodes.empty()) {
     s += " (lost:";
-    for (NodeId n : lost_nodes) s += " " + std::to_string(n);
+    for (NodeId n : lost_nodes) {
+      s += ' ';  // not " " + ...: GCC 12 misreports -Wrestrict on it at -O3
+      s += std::to_string(n);
+    }
     s += ")";
   }
   if (faults.total() != 0) {

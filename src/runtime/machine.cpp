@@ -3,11 +3,23 @@
 #include <algorithm>
 #include <cstdio>
 #include <string>
+#include <utility>
 
 namespace motif::rt {
 
 namespace {
 thread_local NodeId tl_current_node = kNoNode;
+
+/// The message of a task error, for reports.
+std::string error_text(const std::exception_ptr& e) {
+  try {
+    std::rethrow_exception(e);
+  } catch (const std::exception& ex) {
+    return ex.what();
+  } catch (...) {
+    return "unknown exception";
+  }
+}
 }  // namespace
 
 /// Mailbox entry: intrusive link first (so a link pointer converts back to
@@ -73,7 +85,7 @@ struct Machine::Worker {
   Worker(Machine* m, std::uint32_t i, std::uint64_t seed)
       : machine(m), index(i), rng(seed) {}
   ~Worker() {
-    MailNode* p = free_head;  // worker_loop normally drained this already
+    MailNode* p = free_head;
     while (p != nullptr) {
       MailNode* nx = p->free_next;
       delete p;
@@ -132,32 +144,14 @@ void Machine::shutdown() {
 
 void Machine::do_shutdown() {
   // Drain outstanding work first so no posted task is silently dropped.
-  {
-    std::unique_lock lock(idle_m_);
-    idle_cv_.wait(lock, [&] {
-      return pending_.load(std::memory_order_acquire) == 0;
-    });
-  }
+  wait_quiet();
   // A task error no wait_idle ever collected must not vanish: count it
   // and say so, since nobody is left to rethrow it to.
-  std::exception_ptr e;
-  {
-    std::lock_guard el(error_m_);
-    e = first_error_;
-    first_error_ = nullptr;
-  }
-  if (e) {
+  if (const std::exception_ptr e = take_error()) {
     dropped_task_errors().fetch_add(1, std::memory_order_relaxed);
-    std::string what = "unknown exception";
-    try {
-      std::rethrow_exception(e);
-    } catch (const std::exception& ex) {
-      what = ex.what();
-    } catch (...) {
-    }
     std::fprintf(stderr,
                  "[motif] task error dropped at Machine shutdown: %s\n",
-                 what.c_str());
+                 error_text(e).c_str());
   }
   accepting_.store(false, std::memory_order_release);
   stopping_.store(true, std::memory_order_seq_cst);
@@ -333,24 +327,14 @@ void Machine::post(NodeId n, Task t) {
   // ordering the classic store-buffering interleaving loses the wakeup.)
   // On x86 the load is a plain MOV, so the already-scheduled case — the
   // common one under load — costs no locked instruction at all.
-  if (dst.state.load(std::memory_order_seq_cst) == kScheduled) {
-    if (w != nullptr) {
-      // Single-writer (this worker's own counter): no RMW on the fast path.
-      w->fast_hits.store(w->fast_hits.load(std::memory_order_relaxed) + 1,
-                         std::memory_order_relaxed);
-    } else {
-      ext_fast_hits_.fetch_add(1, std::memory_order_relaxed);
-    }
-    return;
-  }
   // Slow path: the node looked idle; the seq_cst exchange decides the
   // race against the release protocol (and other producers) — exactly
   // one side schedules the node, at most one activation in flight.
-  const std::uint8_t prev =
-      dst.state.exchange(kScheduled, std::memory_order_seq_cst);
-  if (prev == kIdle) {
+  if (dst.state.load(std::memory_order_seq_cst) != kScheduled &&
+      dst.state.exchange(kScheduled, std::memory_order_seq_cst) == kIdle) {
     activate(w, n);
   } else if (w != nullptr) {
+    // Single-writer (this worker's own counter): no RMW on the fast path.
     w->fast_hits.store(w->fast_hits.load(std::memory_order_relaxed) + 1,
                        std::memory_order_relaxed);
   } else {
@@ -424,12 +408,55 @@ void Machine::activate(Worker* w, NodeId n) {
   }
 }
 
-void Machine::share_handoff() {
-  Worker* w = tl_worker_;
-  if (w == nullptr || w->machine != this || w->handoff == kNoNode) return;
-  w->deque.push(w->handoff);
-  w->handoff = kNoNode;
+void Machine::publish(Offer& o) {
+  {
+    std::lock_guard lock(board_m_);
+    if (std::find(board_.begin(), board_.end(), &o) == board_.end()) {
+      board_.push_back(&o);
+      offers_.store(static_cast<std::uint32_t>(board_.size()),
+                    std::memory_order_relaxed);
+    }
+  }
   ec_.notify_if_waiting();
+}
+
+void Machine::withdraw(Offer& o) {
+  std::lock_guard lock(board_m_);
+  const auto it = std::find(board_.begin(), board_.end(), &o);
+  if (it == board_.end()) return;
+  board_.erase(it);
+  offers_.store(static_cast<std::uint32_t>(board_.size()),
+                std::memory_order_relaxed);
+}
+
+bool Machine::take_offer(Worker& w) {
+  // The helper becomes an idle node's task, so each node still runs one
+  // thing at a time.
+  const auto n = static_cast<NodeId>(nodes_.size());
+  NodeId dst = kNoNode;
+  for (NodeId i = 0; i < n && dst == kNoNode; ++i) {
+    const NodeId k = (w.index + i) % n;
+    if (nodes_[k]->state.load(std::memory_order_relaxed) == kIdle &&
+        node_alive(k)) {
+      dst = k;
+    }
+  }
+  std::lock_guard lock(board_m_);
+  const auto it = std::find_if(board_.begin(), board_.end(), [](Offer* o) {
+    return o->spare.load(std::memory_order_relaxed) > 0;
+  });
+  if (dst == kNoNode || it == board_.end()) return false;
+  // Outside a drain the post has no sending node, so the fault lottery
+  // never reaches it; it lands in w's handoff slot when it wins dst's
+  // activation. An idle worker holds no credit lease, so the one this
+  // post bought goes back at once.
+  post(dst, (*it)->helper());
+  settle(&w, 0);
+  // A taker that leaves spare work behind wakes the next idle worker.
+  if ((*it)->spare.fetch_sub(1, std::memory_order_relaxed) > 1) {
+    ec_.notify_if_waiting();
+  }
+  return true;
 }
 
 void Machine::inject_push(NodeId n) {
@@ -480,8 +507,12 @@ bool Machine::work_available() const {
 void Machine::idle_wait(Worker& w) {
   // Adaptive idling: spin briefly (arrivals are usually imminent under
   // load), yield the core every few rounds, then park on the eventcount.
+  // A spinning worker also takes spare work from the offer board.
   for (int spin = 0; spin < 64; ++spin) {
-    if (stopping_.load(std::memory_order_acquire) || work_available()) return;
+    if (stopping_.load(std::memory_order_acquire) || work_available() ||
+        (offers_.load(std::memory_order_relaxed) != 0 && take_offer(w))) {
+      return;
+    }
     if ((spin & 7) == 7) {
       std::this_thread::yield();
     } else {
@@ -549,15 +580,6 @@ void Machine::worker_loop(std::uint32_t index) {
     inject_push(w.handoff);
     w.handoff = kNoNode;
   }
-  // Return the free list before the thread goes away.
-  MailNode* p = w.free_head;
-  while (p != nullptr) {
-    MailNode* nx = p->free_next;
-    delete p;
-    p = nx;
-  }
-  w.free_head = nullptr;
-  w.free_count = 0;
   tl_worker_ = nullptr;
 }
 
@@ -565,23 +587,14 @@ void Machine::run_node(NodeId n, Worker* w) {
   Node& node = *nodes_[n];
   // We hold the node's (single) activation: state stays kScheduled until
   // the release protocol below observes an empty mailbox.
-  // Settles a shed's pending_ debt plus any credit lease (see post())
-  // picked up along the way — e.g. by a task destructor that posts.
-  const auto shed_settle = [&](std::uint64_t shed) {
-    if (w != nullptr) {
-      shed += w->pending_lease;
-      w->pending_lease = 0;
-    }
-    if (shed != 0) note_pending_sub(shed);
-  };
   if (node.dead.load(std::memory_order_acquire)) {
     // Mail that raced past the dead-check in post(): shed it here so
     // pending_ still drains and the machine quiesces instead of hanging.
-    shed_settle(shed_and_release(node, /*as_dead_drops=*/true));
+    settle(w, shed_and_release(node, /*as_dead_drops=*/true));
     return;
   }
   if (discarding_.load(std::memory_order_acquire)) {
-    shed_settle(shed_and_release(node, /*as_dead_drops=*/false));
+    settle(w, shed_and_release(node, /*as_dead_drops=*/false));
     return;
   }
   tl_current_node = n;
@@ -592,7 +605,6 @@ void Machine::run_node(NodeId n, Worker* w) {
   ThreadTrackGuard trace_guard(tracer_.get(), n);
 #endif
   std::uint32_t executed = 0;
-  std::uint32_t spins = 0;
   std::uint64_t completed = 0;  // executed tasks; pending_ is credited once
   // Drain-local counter accumulators. They MUST be flushed before the
   // release protocol publishes Idle: the moment another worker can win
@@ -621,25 +633,13 @@ void Machine::run_node(NodeId n, Worker* w) {
   bool died = false;
   for (;;) {
     MpscLink* lk = nullptr;
-    const MpscQueue::Pop r = node.mail.try_pop(&lk);
-    if (r == MpscQueue::Pop::kRetry) {
-      // A producer sits between its back_ exchange and its link store;
-      // the entry is instants away unless it lost its timeslice.
-      if (++spins > 64) {
-        std::this_thread::yield();
-      } else {
-        cpu_relax();
-      }
-      continue;
-    }
-    spins = 0;
-    if (r == MpscQueue::Pop::kEmpty) {
+    if (!node.mail.pop(&lk)) {
       // Release protocol: publish Idle, then re-probe the mailbox. A
       // producer that pushed before seeing Idle is caught by the probe
       // (seq_cst pairing in sched_queue.hpp); one that saw Idle
       // schedules the activation itself. The CAS decides the race when
       // both notice. NOTE: this is the only place maybe_nonempty() may
-      // be consulted — after a kEmpty verdict it cannot false-negative.
+      // be consulted — after an empty verdict it cannot false-negative.
       // (exchange, not store: a seq_cst RMW is one locked instruction on
       // x86 where a seq_cst store costs a trailing full fence.)
       flush_counters();
@@ -756,80 +756,64 @@ void Machine::run_node(NodeId n, Worker* w) {
   // published Idle: dead/discarding re-activations return before ever
   // touching these counters.
   flush_counters();
-  // One pending_ decrement per drain instead of one per task, settling
-  // the completed/shed count AND returning the unspent credit lease (see
-  // post()). Deferring the SUBTRACT side is always safe: until the flush,
-  // pending_ merely over-states the outstanding work, so idle-waiters can
-  // only wake late, never early.
-  std::uint64_t settle = completed;
-  if (w != nullptr) {
-    settle += w->pending_lease;
-    w->pending_lease = 0;
-  }
-  if (settle != 0) note_pending_sub(settle);
+  // One pending_ decrement per drain instead of one per task. Deferring
+  // the SUBTRACT side is always safe: until the flush, pending_ merely
+  // over-states the outstanding work, so idle-waiters can only wake late,
+  // never early.
+  settle(w, completed);
   tl_current_node = kNoNode;
 }
 
-std::uint64_t Machine::shed_mailbox(Node& node, bool as_dead_drops) {
-  Worker* w = tl_worker_;
-  if (w != nullptr && w->machine != this) w = nullptr;
-  std::uint64_t shed = 0;
-  std::uint32_t spins = 0;
-  for (;;) {
-    MpscLink* lk = nullptr;
-    const MpscQueue::Pop r = node.mail.try_pop(&lk);
-    if (r == MpscQueue::Pop::kEmpty) break;
-    if (r == MpscQueue::Pop::kRetry) {
-      if (++spins > 64) {
-        std::this_thread::yield();
-      } else {
-        cpu_relax();
-      }
-      continue;
-    }
-    spins = 0;
-    free_mail(w, MailNode::from_link(lk));
-    ++shed;
+void Machine::settle(Worker* w, std::uint64_t done) {
+  if (w != nullptr) {
+    done += w->pending_lease;
+    w->pending_lease = 0;
   }
-  if (shed != 0) {
-    auto& counter =
-        as_dead_drops ? fault_counts_.dead_drops : discarded_posts_;
-    counter.fetch_add(shed, std::memory_order_relaxed);
-  }
-  return shed;
+  note_pending_sub(done);
 }
 
 std::uint64_t Machine::shed_and_release(Node& node, bool as_dead_drops) {
-  // Caller holds the activation. Shed, release, and re-claim if mail
-  // raced in behind the shed — otherwise that mail would strand (its
-  // producer saw Scheduled and did not activate). Returns the number of
-  // tasks shed; the CALLER settles the pending_ accounting (workers fold
-  // it into their drain-exit batch decrement).
+  // Re-claiming matters: mail that raced in behind the shed would strand
+  // otherwise (its producer saw Scheduled and did not activate). The
+  // CALLER settles the pending_ accounting (workers fold it into their
+  // drain-exit batch decrement).
+  Worker* w = tl_worker_;
+  if (w != nullptr && w->machine != this) w = nullptr;
   std::uint64_t shed = 0;
   for (;;) {
-    shed += shed_mailbox(node, as_dead_drops);
+    MpscLink* lk = nullptr;
+    while (node.mail.pop(&lk)) {
+      free_mail(w, MailNode::from_link(lk));
+      ++shed;
+    }
     node.state.store(kIdle, std::memory_order_seq_cst);
-    if (!node.mail.maybe_nonempty()) return shed;
     std::uint8_t expected = kIdle;
-    if (!node.state.compare_exchange_strong(expected, kScheduled,
+    if (!node.mail.maybe_nonempty() ||
+        !node.state.compare_exchange_strong(expected, kScheduled,
                                             std::memory_order_seq_cst)) {
-      return shed;  // a producer claimed it; the next drainer sheds
+      break;  // empty, or a producer claimed it and the next drainer sheds
     }
   }
+  auto& counter = as_dead_drops ? fault_counts_.dead_drops : discarded_posts_;
+  if (shed != 0) counter.fetch_add(shed, std::memory_order_relaxed);
+  return shed;
 }
 
-void Machine::wait_idle() {
+void Machine::wait_quiet() {
   std::unique_lock lock(idle_m_);
   idle_cv_.wait(lock, [&] {
     return pending_.load(std::memory_order_acquire) == 0;
   });
-  lock.unlock();
+}
+
+std::exception_ptr Machine::take_error() {
   std::lock_guard el(error_m_);
-  if (first_error_) {
-    auto e = first_error_;
-    first_error_ = nullptr;
-    std::rethrow_exception(e);
-  }
+  return std::exchange(first_error_, nullptr);
+}
+
+void Machine::wait_idle() {
+  wait_quiet();
+  if (const std::exception_ptr e = take_error()) std::rethrow_exception(e);
 }
 
 RunOutcome Machine::wait_idle_for(std::chrono::nanoseconds deadline) {
@@ -847,18 +831,10 @@ RunOutcome Machine::wait_idle_for(std::chrono::nanoseconds deadline) {
     mark_unfinished(out, RunStatus::DeadlineExceeded);
     return out;
   }
-  std::lock_guard el(error_m_);
-  if (first_error_) {
+  out.error = take_error();
+  if (out.error) {
     out.status = RunStatus::TaskFailed;
-    out.error = first_error_;
-    first_error_ = nullptr;
-    try {
-      std::rethrow_exception(out.error);
-    } catch (const std::exception& e) {
-      out.error_message = e.what();
-    } catch (...) {
-      out.error_message = "unknown exception";
-    }
+    out.error_message = error_text(out.error);
   } else {
     out.status = RunStatus::Completed;
   }
@@ -892,16 +868,8 @@ void Machine::abandon_pending() {
   }
   // In-flight tasks finish (their onward posts are discarded above);
   // only then is the machine really quiet for the next attempt.
-  {
-    std::unique_lock lock(idle_m_);
-    idle_cv_.wait(lock, [&] {
-      return pending_.load(std::memory_order_acquire) == 0;
-    });
-  }
-  {
-    std::lock_guard el(error_m_);
-    first_error_ = nullptr;  // the abandoned attempt's error dies with it
-  }
+  wait_quiet();
+  take_error();  // the abandoned attempt's error dies with it
   discarding_.store(false, std::memory_order_seq_cst);
 }
 
@@ -975,20 +943,9 @@ bool Machine::throw_due(NodeId n, std::uint64_t task_no) const {
 }
 
 LoadSummary Machine::load_summary() const {
-  // NodeCounters are not copyable (atomics); summarise in place.
-  std::vector<NodeCounters> view(nodes_.size());
-  for (std::size_t i = 0; i < nodes_.size(); ++i) {
-    view[i].tasks = nodes_[i]->counters.tasks.load(std::memory_order_relaxed);
-    view[i].posts_local =
-        nodes_[i]->counters.posts_local.load(std::memory_order_relaxed);
-    view[i].posts_remote =
-        nodes_[i]->counters.posts_remote.load(std::memory_order_relaxed);
-    view[i].recv_remote =
-        nodes_[i]->counters.recv_remote.load(std::memory_order_relaxed);
-    view[i].work = nodes_[i]->counters.work.load(std::memory_order_relaxed);
-    view[i].hops = nodes_[i]->counters.hops.load(std::memory_order_relaxed);
-  }
-  LoadSummary s = summarize(view);
+  LoadSummary s = summarize(
+      nodes_.size(),
+      [&](std::size_t i) -> const NodeCounters& { return nodes_[i]->counters; });
   s.sched = sched_stats();
   return s;
 }

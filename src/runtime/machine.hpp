@@ -17,7 +17,8 @@
 // Vyukov MPSC queue; node *activations* (ids of nodes with mail) live in
 // per-worker Chase-Lev deques with randomized work stealing plus a small
 // mutex-guarded inject queue for external posts, batch re-arms and
-// fairness; idle workers spin, yield, then park on an eventcount. The
+// fairness; idle workers spin, yield, then park on an eventcount, and
+// while they spin they take spare work from the offer board. The
 // observable contract — per-node FIFO, at-most-one-active-task-per-node,
 // replayable fault ordinals, pending_/wait_idle/abandon_pending/shutdown
 // semantics — is identical to the old mutex + global-ready-deque core.
@@ -29,6 +30,7 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <exception>
@@ -68,6 +70,19 @@ enum class Topology {
   Hypercube,  ///< distance = Hamming distance of node ids
 };
 
+/// Spare work of a running task that idle workers may take from the
+/// machine's offer board (Machine::publish; DESIGN.md §10).
+class Offer {
+ public:
+  /// A task that takes some of the spare work.
+  virtual Task helper() = 0;
+  /// Work a helper would find now, less the helpers taken since; a hint.
+  std::atomic<std::ptrdiff_t> spare{0};
+
+ protected:
+  ~Offer() = default;
+};
+
 struct MachineConfig {
   std::uint32_t nodes = 4;    ///< number of virtual processors
   std::uint32_t workers = 0;  ///< OS threads; 0 = min(nodes, hw concurrency)
@@ -99,11 +114,18 @@ class Machine {
   /// called from outside the machine.
   void post_local(Task t);
 
-  /// For a task that keeps running after it posts: moves the activation
-  /// its worker would run next (the direct-handoff slot, which no other
-  /// worker sees) to the worker's deque and wakes an idle worker to steal
-  /// it. No-op outside a task of this machine.
-  void share_handoff();
+  /// Puts `o` on the offer board, unless it is there, and wakes a parked
+  /// worker. An idle worker posts o.helper() to an idle, live node while
+  /// o.spare > 0. `o` must stay alive until withdraw(o).
+  void publish(Offer& o);
+
+  /// Takes `o` off the offer board; no-op when it is not there.
+  void withdraw(Offer& o);
+
+  /// Entries on the offer board right now.
+  std::uint32_t offers() const {
+    return offers_.load(std::memory_order_relaxed);
+  }
 
   /// Node executing the current task, or kNoNode outside the machine.
   static NodeId current_node();
@@ -233,12 +255,6 @@ class Machine {
     return pending_.load(std::memory_order_acquire) == 0;
   }
 
-  /// True when node `n` has no queued or running task right now. A racy
-  /// hint: the wavefront motif offers its helpers to idle nodes first.
-  bool node_idle(NodeId n) const {
-    return nodes_[n]->state.load(std::memory_order_relaxed) == kIdle;
-  }
-
   /// Network counters for this machine's rank (written by the cluster
   /// layer in src/net; all-zero when the machine is standalone).
   NetCounters& net_counters() { return net_counters_; }
@@ -321,6 +337,8 @@ class Machine {
   void worker_loop(std::uint32_t index);
   void run_node(NodeId n, Worker* w);
   void idle_wait(Worker& w);
+  /// Posts an offered helper to an idle, live node; true if it did.
+  bool take_offer(Worker& w);
   bool work_available() const;
   NodeId try_steal(Worker& w);
 
@@ -334,15 +352,20 @@ class Machine {
   MailNode* alloc_mail(Worker* w);
   void free_mail(Worker* w, MailNode* m);
 
-  /// Single-consumer drain of a node's mailbox (caller must hold the
-  /// activation): frees every entry, charging it to dead_drops or
-  /// discarded_posts. Returns the count (caller credits pending_).
-  std::uint64_t shed_mailbox(Node& node, bool as_dead_drops);
-  /// Shed + release loop for a dead or discarding node: sheds, releases
-  /// the activation, and re-claims if mail raced in. On return the node
-  /// is Idle (or another owner claimed it).
+  /// Shed + release loop for a dead or discarding node (caller holds the
+  /// activation): frees every mailbox entry, charging it to dead_drops or
+  /// discarded_posts, releases the activation, and re-claims if mail
+  /// raced in. On return the node is Idle (or another owner claimed it).
+  /// Returns the count shed (caller credits pending_).
   std::uint64_t shed_and_release(Node& node, bool as_dead_drops);
 
+  /// Blocks until pending_ is zero.
+  void wait_quiet();
+  /// Takes the first stored task error, leaving none.
+  std::exception_ptr take_error();
+  /// Credits `done` finished or shed tasks to pending_, with w's unspent
+  /// credit lease (see post()).
+  void settle(Worker* w, std::uint64_t done);
   /// Throws RunIncomplete for an idle machine whose awaited result is
   /// unbound.
   [[noreturn]] void throw_incomplete() const;
@@ -402,6 +425,12 @@ class Machine {
   std::atomic<std::uint64_t> ext_fast_hits_{0};
   std::atomic<std::uint64_t> injects_{0};
   NetCounters net_counters_;
+
+  // The offer board: offers_ mirrors board_.size() for the idle spin's
+  // one relaxed load; board_ allocates on the first publish.
+  std::atomic<std::uint32_t> offers_{0};
+  std::mutex board_m_;
+  std::vector<Offer*> board_;
 
 #if MOTIF_TRACING
   // Created in the constructor (immutable pointer: workers may read it

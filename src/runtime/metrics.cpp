@@ -25,11 +25,13 @@ std::atomic<std::size_t>& eval_working_bytes() {
   return b;
 }
 
-LoadSummary summarize(const std::vector<NodeCounters>& counters) {
+LoadSummary summarize(
+    std::size_t n, const std::function<const NodeCounters&(std::size_t)>& at) {
   LoadSummary s;
-  if (counters.empty()) return s;
+  if (n == 0) return s;
   s.min_tasks = std::numeric_limits<std::uint64_t>::max();
-  for (const auto& c : counters) {
+  for (std::size_t i = 0; i < n; ++i) {
+    const NodeCounters& c = at(i);
     const std::uint64_t t = c.tasks.load(std::memory_order_relaxed);
     s.total_tasks += t;
     s.max_tasks = std::max(s.max_tasks, t);
@@ -46,12 +48,12 @@ LoadSummary summarize(const std::vector<NodeCounters>& counters) {
                                 static_cast<double>(s.remote_msgs)
                           : 0.0;
   s.mean_tasks = static_cast<double>(s.total_tasks) /
-                 static_cast<double>(counters.size());
+                 static_cast<double>(n);
   s.imbalance = s.mean_tasks > 0.0
                     ? static_cast<double>(s.max_tasks) / s.mean_tasks
                     : 0.0;
   const double mean_work = static_cast<double>(s.total_work) /
-                           static_cast<double>(counters.size());
+                           static_cast<double>(n);
   s.work_imbalance =
       mean_work > 0.0 ? static_cast<double>(s.makespan) / mean_work : 0.0;
   s.virtual_speedup = s.makespan > 0

@@ -11,6 +11,7 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "runtime/trace.hpp"
@@ -225,6 +226,13 @@ struct LoadSummary {
   SchedStats sched{};
 };
 
-LoadSummary summarize(const std::vector<NodeCounters>& counters);
+/// Summarises the counters at(0) ... at(n - 1) of n nodes.
+LoadSummary summarize(
+    std::size_t n, const std::function<const NodeCounters&(std::size_t)>& at);
+inline LoadSummary summarize(const std::vector<NodeCounters>& counters) {
+  return summarize(counters.size(), [&](std::size_t i) -> const NodeCounters& {
+    return counters[i];
+  });
+}
 
 }  // namespace motif::rt

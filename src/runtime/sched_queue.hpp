@@ -27,6 +27,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <thread>
 #include <vector>
 
 namespace motif::rt {
@@ -47,25 +48,21 @@ struct MpscLink {
   std::atomic<MpscLink*> next{nullptr};
 };
 
-/// Vyukov intrusive MPSC queue. push() is wait-free for producers; try_pop
-/// is single-consumer and tri-state:
-///
-///   kItem  — *out holds the oldest entry (now owned by the caller).
-///   kEmpty — the queue was observably empty (back_ == &stub_): a
-///            linearizable verdict producers cannot fake.
-///   kRetry — a producer is mid-push (between its back_ exchange and its
-///            prev->next store); the entry is instants away. Spin.
+/// Vyukov intrusive MPSC queue. push() is wait-free for producers; pop()
+/// is single-consumer. It returns the oldest entry, or false when the
+/// queue was observably empty (back_ == &stub_): a linearizable verdict
+/// producers cannot fake. A producer caught mid-push (between its back_
+/// exchange and its prev->next store) has its entry instants away, so
+/// pop() spins for it.
 ///
 /// maybe_nonempty() is a producer-visible probe with one caveat: it can
 /// report *false negatives* while the consumer's own stub re-insertion is
-/// in flight, so it is only meaningful AFTER a kEmpty verdict (at which
+/// in flight, so it is only meaningful AFTER an empty verdict (at which
 /// point the chain is exactly [stub] and any later push flips it). The
 /// Machine's node-release protocol relies on precisely that window and
 /// nothing else; never use it to decide "no work" mid-drain.
 class MpscQueue {
  public:
-  enum class Pop { kItem, kEmpty, kRetry };
-
   MpscQueue() noexcept : back_(&stub_), front_(&stub_) {}
   MpscQueue(const MpscQueue&) = delete;
   MpscQueue& operator=(const MpscQueue&) = delete;
@@ -79,7 +76,27 @@ class MpscQueue {
     prev->next.store(n, std::memory_order_release);
   }
 
-  /// Single-consumer.
+  /// Single-consumer; see the class comment.
+  bool pop(MpscLink** out) noexcept {
+    for (std::uint32_t spins = 0;; ++spins) {
+      const Pop r = try_pop(out);
+      if (r != Pop::kRetry) return r == Pop::kItem;
+      if (spins >= 64) {
+        std::this_thread::yield();
+      } else {
+        cpu_relax();
+      }
+    }
+  }
+
+  /// See the class comment: trustworthy only after an empty verdict.
+  bool maybe_nonempty() const noexcept {
+    return back_.load(std::memory_order_seq_cst) != &stub_;
+  }
+
+ private:
+  enum class Pop { kItem, kEmpty, kRetry };
+
   Pop try_pop(MpscLink** out) noexcept {
     MpscLink* front = front_;
     MpscLink* next = front->next.load(std::memory_order_acquire);
@@ -118,12 +135,6 @@ class MpscQueue {
     return Pop::kRetry;  // raced with a producer between confirm and swap
   }
 
-  /// See the class comment: trustworthy only after a kEmpty verdict.
-  bool maybe_nonempty() const noexcept {
-    return back_.load(std::memory_order_seq_cst) != &stub_;
-  }
-
- private:
   std::atomic<MpscLink*> back_;  // producers exchange; newest entry
   MpscLink* front_;              // consumer-owned; oldest entry
   MpscLink stub_;

@@ -41,6 +41,19 @@ std::string fresh_var_name(const Clause& c, const std::string& base) {
   return namer.fresh(base).var_name();
 }
 
+std::vector<Term> numbered_vars(std::size_t n) {
+  std::vector<Term> vars;
+  vars.reserve(n);
+  for (std::size_t i = 1; i <= n; ++i) {
+    // Appended rather than "V" + ...: GCC 12 reports a false -Wrestrict
+    // overlap for a const char* + std::string at -O3.
+    std::string name = "V";
+    name += std::to_string(i);
+    vars.push_back(Term::var(std::move(name)));
+  }
+  return vars;
+}
+
 FreshNamer::FreshNamer(const Clause& c) {
   collect_names(c.head, used_);
   for (const auto& g : c.guard) collect_names(g, used_);

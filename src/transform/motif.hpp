@@ -64,6 +64,10 @@ Motif compose_all(std::vector<Motif> outer_to_inner);
 /// merge on re-parse).
 std::string fresh_var_name(const term::Clause& c, const std::string& base);
 
+/// Variables V1..Vn: the arguments of a rule generated for a procedure
+/// of arity n.
+std::vector<term::Term> numbered_vars(std::size_t n);
+
 /// Stateful fresh-name supply for a clause being rewritten: every name it
 /// hands out is recorded so repeated requests for the same base stay
 /// distinct (two @random goals in one body need N/O and N1/O1).

@@ -40,12 +40,7 @@ Clause rewrite_clause(const Clause& c) {
 
 Clause server_rule_for(const ProcKey& k) {
   // server([p(V1,...,Vn)|In]) :- p(V1,...,Vn), server(In).
-  std::vector<Term> vars;
-  vars.reserve(k.arity);
-  for (std::size_t i = 0; i < k.arity; ++i) {
-    vars.push_back(Term::var("V" + std::to_string(i + 1)));
-  }
-  Term call = Term::compound(k.name, vars);
+  Term call = Term::compound(k.name, numbered_vars(k.arity));
   Term in = Term::var("In");
   Clause c;
   c.head = Term::compound("server", {Term::cons(call, in)});

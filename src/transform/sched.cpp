@@ -36,12 +36,7 @@ Clause rewrite_clause(const Clause& c) {
 
 Clause dispatcher_rule_for(const ProcKey& k) {
   // run_task(p(V1,...,Vn)) :- p(V1,...,Vn).
-  std::vector<Term> vars;
-  vars.reserve(k.arity);
-  for (std::size_t i = 0; i < k.arity; ++i) {
-    vars.push_back(Term::var("V" + std::to_string(i + 1)));
-  }
-  Term call = Term::compound(k.name, vars);
+  Term call = Term::compound(k.name, numbered_vars(k.arity));
   Clause c;
   c.head = Term::compound("run_task", {call});
   c.body = {call};

@@ -117,10 +117,7 @@ Motif terminate_motif(ProcKey entry) {
 
     // Terminating entry wrapper:
     //   <entry>_tw(V1..Vn) :- <entry>(V1..Vn, closed, R), tw_watch(R).
-    std::vector<Term> vars;
-    for (std::size_t i = 0; i < entry.arity; ++i) {
-      vars.push_back(Term::var("V" + std::to_string(i + 1)));
-    }
+    const std::vector<Term> vars = numbered_vars(entry.arity);
     Term r = Term::var("R");
     std::vector<Term> inner_args = vars;
     inner_args.push_back(Term::atom("closed"));

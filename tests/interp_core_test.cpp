@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "term/parser.hpp"
 
 namespace in = motif::interp;
@@ -144,6 +146,30 @@ TEST(Interp, BindingAfterDestructionIsSafe) {
   }
   goal.arg(0).bind(Term::integer(1));
   EXPECT_EQ(goal.arg(0).int_value(), 1);
+}
+
+TEST(Interp, DroppedDeadlockedGoalFreesEveryCell) {
+  // tag/1 hangs a token on its argument's cell, so a token lives as long
+  // as that cell. The goal deadlocks with r(X, Z) suspended on the
+  // caller's X and holding the interpreter's own Z. Once the interpreter
+  // and the goal are dropped, no cell holds a token, while the process
+  // runs on.
+  auto token = std::make_shared<int>(0);
+  const std::weak_ptr<int> alive = token;
+  {
+    Term goal = parse_term("p(Y)");
+    Interp i(Program::parse("p(X) :- tag(X), tag(Z), r(X, Z).\n"
+                            "r(X, Z) :- X > 0 | Z := 1."),
+             small());
+    i.register_foreign("tag", 1, 0, [token](const in::ForeignCall& c) {
+      c.args[0].when_bound([token] {});
+      return true;
+    });
+    token.reset();
+    EXPECT_TRUE(i.run(goal).deadlocked());
+    EXPECT_EQ(alive.use_count(), 3);  // the procedure and two cells
+  }
+  EXPECT_TRUE(alive.expired());
 }
 
 TEST(Interp, ProgramRedefiningABuiltinIsRejected) {

@@ -133,7 +133,11 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(std::pair{1, 1}, std::pair{2, 0}, std::pair{3, 0},
                       std::pair{4, 2}, std::pair{5, 10}, std::pair{6, 4},
                       std::pair{7, 40}, std::pair{8, 92}),
-    [](const auto& info) { return "n" + std::to_string(info.param.first); });
+    [](const auto& info) {
+      std::string name = "n";  // not "n" + ...: a GCC 12 -O3 -Wrestrict misfire
+      name += std::to_string(info.param.first);
+      return name;
+    });
 
 TEST(Search, FindFirstQueensSolutionIsValid) {
   rt::Machine mach({.nodes = 4, .workers = 2});

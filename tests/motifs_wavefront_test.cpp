@@ -141,6 +141,27 @@ TEST(Wavefront, IdleProcessorsHelpWithTiles) {
   EXPECT_GT(helped.load(), 0);
 }
 
+TEST(Wavefront, ThrowingTileLeavesTheOfferBoardEmpty) {
+  // After the first tile two are ready and the caller takes one, so the
+  // run is on the offer board from then on. A thrown tile ends the run,
+  // and the board must not keep the engine that is gone.
+  rt::Machine mach({.nodes = 4, .workers = 2});
+  std::atomic<bool> on_board{false};
+  EXPECT_THROW(m::wavefront_tiles(
+                   &mach, 8 * 16, 8 * 16,
+                   [&](std::size_t i0, std::size_t, std::size_t j0,
+                       std::size_t) {
+                     if (mach.offers() > 0) on_board = true;
+                     if (i0 == 4 * 16 && j0 == 4 * 16) {
+                       throw std::runtime_error("tile");
+                     }
+                   },
+                   /*tile=*/16),
+               std::runtime_error);
+  EXPECT_TRUE(on_board.load());
+  EXPECT_EQ(mach.offers(), 0u);
+}
+
 TEST(Wavefront, CallerAloneRunsEveryTileInDependencyOrder) {
   std::vector<int> done(5 * 7, 0);
   bool violated = false;

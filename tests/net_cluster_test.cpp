@@ -200,7 +200,7 @@ TEST(NetCluster, SchedStatsExposeNetCounters) {
   ASSERT_TRUE(lc.trs[0]->run(6, 3, kDeadline).ok);
   const auto stats = lc.rank0().machine().sched_stats();
   EXPECT_EQ(stats.net.tx_frames, lc.rank0().net_stats().tx_frames);
-  EXPECT_GT(stats.net.ctl_frames, 0u);  // probes/start are control traffic
+  EXPECT_GT(stats.net.ctl_frames, 0u);  // joins and probes are control traffic
   lc.rank0().machine().reset_counters();
   EXPECT_EQ(lc.rank0().machine().sched_stats().net.tx_frames, 0u);
 }

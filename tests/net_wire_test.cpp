@@ -258,10 +258,14 @@ TEST(WireFrame, VersionMismatchRejected) {
 TEST(WireFrame, UnknownTypeAndBadLengthRejected) {
   n::Frame f;
   f.type = n::FrameType::Join;
-  auto b = n::encode_frame(f);
-  b[5] = 0x7F;  // type byte
   std::size_t consumed = 0;
-  EXPECT_THROW(n::decode_frame(b.data(), b.size(), &consumed), n::WireError);
+  // Type bytes: none, the retired Start frame, and out of range.
+  for (const std::uint8_t type : {0x00, 0x03, 0x7F}) {
+    auto b = n::encode_frame(f);
+    b[5] = type;
+    EXPECT_THROW(n::decode_frame(b.data(), b.size(), &consumed), n::WireError)
+        << int{type};
+  }
 
   // Length word claiming more than kMaxFrameBytes.
   auto c = n::encode_frame(f);

@@ -120,7 +120,9 @@ TEST(Term, LongAliasChainDerefs) {
   Term first = Term::var("V0");
   Term cur = first;
   for (int i = 1; i < 100; ++i) {
-    Term next = Term::var("V" + std::to_string(i));
+    std::string name = "V";  // not "V" + ...: a GCC 12 -O3 -Wrestrict misfire
+    name += std::to_string(i);
+    Term next = Term::var(name);
     cur.bind(next);
     cur = next;
   }
