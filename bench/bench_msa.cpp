@@ -66,8 +66,8 @@ double run_case(benchmark::State& state, al::MsaSchedule sched,
   double score = 0;
   std::int64_t peak = 0, evals = 0;
   std::size_t columns = 0;
+  const rt::SchedStats s0 = mach.load_summary().sched;
   for (auto _ : state) {
-    mach.reset_counters();
     ms.clear();
     for (int rep = 0; rep < kReps; ++rep) {
       rt::live_bytes().reset();
@@ -84,7 +84,7 @@ double run_case(benchmark::State& state, al::MsaSchedule sched,
     std::sort(ms.begin(), ms.end());
     state.SetIterationTime(ms[kReps / 2] / 1e3);
   }
-  const auto s = mach.sched_stats();
+  const rt::SchedStats s1 = mach.load_summary().sched;
   state.counters["taxa"] = static_cast<double>(taxa);
   state.counters["length"] = static_cast<double>(len);
   state.counters["ms_median"] = ms[kReps / 2];
@@ -95,8 +95,8 @@ double run_case(benchmark::State& state, al::MsaSchedule sched,
   state.counters["sp_per_col"] = score / static_cast<double>(columns);
   state.counters["columns"] = static_cast<double>(columns);
   state.counters["workers"] = static_cast<double>(workers);
-  state.counters["steals"] = static_cast<double>(s.steals) / kReps;
-  state.counters["parks"] = static_cast<double>(s.parks) / kReps;
+  state.counters["steals"] = static_cast<double>(s1.steals - s0.steals) / kReps;
+  state.counters["parks"] = static_cast<double>(s1.parks - s0.parks) / kReps;
   return ms[kReps / 2];
 }
 

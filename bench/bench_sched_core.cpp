@@ -74,18 +74,13 @@ constexpr bool posts_inline() {
   }
 }
 
-// Detection idiom so the binary also builds against the pre-rework core
-// (no sched_stats) for before/after interleaved runs.
-template <typename M>
-void report_sched_stats(benchmark::State& state, M& m) {
-  if constexpr (requires { m.sched_stats(); }) {
-    const auto s = m.sched_stats();
-    state.counters["steals"] += static_cast<double>(s.steals);
-    state.counters["parks"] += static_cast<double>(s.parks);
-    state.counters["mailbox_fast_hits"] +=
-        static_cast<double>(s.mailbox_fast_hits);
-    state.counters["injects"] += static_cast<double>(s.injects);
-  }
+void report_sched(benchmark::State& state, const rt::Machine& m) {
+  const rt::SchedStats s = m.load_summary().sched;
+  state.counters["steals"] += static_cast<double>(s.steals);
+  state.counters["parks"] += static_cast<double>(s.parks);
+  state.counters["mailbox_fast_hits"] +=
+      static_cast<double>(s.mailbox_fast_hits);
+  state.counters["injects"] += static_cast<double>(s.injects);
 }
 
 // Payload pushing the closure past std::function's small-buffer limit
@@ -171,7 +166,7 @@ void run_cross_post(benchmark::State& state, std::uint32_t workers) {
     }
     m.wait_idle();
     secs += seconds_since(t0);
-    report_sched_stats(state, m);
+    report_sched(state, m);
   }
   const double total =
       static_cast<double>(kHops) * static_cast<double>(state.iterations());
@@ -253,7 +248,7 @@ void BM_FanOutFanIn(benchmark::State& state) {
     m.post(0, FanScatter{s});
     m.wait_idle();
     secs += seconds_since(t0);
-    report_sched_stats(state, m);
+    report_sched(state, m);
     if (!done.load(std::memory_order_acquire)) state.SkipWithError("lost acks");
   }
   // Each round: (nodes-1) scatter posts + (nodes-1) acks.
@@ -296,8 +291,8 @@ void BM_TR2ZeroGrain(benchmark::State& state) {
   }
   double secs = 0.0;
   std::uint64_t jobs = 0;
+  const rt::LoadSummary before = m.load_summary();
   for (auto _ : state) {
-    m.reset_counters();
     const auto t0 = std::chrono::steady_clock::now();
     while (jobs < kMinJobs || seconds_since(t0) < kMeasureS) {
       job();
@@ -305,18 +300,20 @@ void BM_TR2ZeroGrain(benchmark::State& state) {
     }
     secs += seconds_since(t0);
   }
+  const rt::LoadSummary after = m.load_summary();
   const double n = static_cast<double>(jobs);
   state.counters["workers"] = workers;
   state.counters["ns_per_leaf"] = secs * 1e9 / (n * kLeaves);
   state.counters["tasks_per_job"] =
-      static_cast<double>(m.load_summary().total_tasks) / n;
+      static_cast<double>(after.total_tasks - before.total_tasks) / n;
   // Of the last job: the labels, and so these counts, vary by job.
   state.counters["value_messages"] = static_cast<double>(st.value_messages);
   state.counters["remote_values"] = static_cast<double>(st.remote_values);
   state.counters["drains"] = static_cast<double>(st.drains);
-  const auto s = m.sched_stats();
-  state.counters["steals"] = static_cast<double>(s.steals) / n;
-  state.counters["parks"] = static_cast<double>(s.parks) / n;
+  state.counters["steals"] =
+      static_cast<double>(after.sched.steals - before.sched.steals) / n;
+  state.counters["parks"] =
+      static_cast<double>(after.sched.parks - before.sched.parks) / n;
   MOTIF_BENCH_REPORT(state);
 }
 

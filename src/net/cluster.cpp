@@ -94,7 +94,6 @@ void Cluster::post(GlobalNode dst, std::uint16_t handler, term::Term payload) {
   f.trace_id = flow_id(rank(), trace_seq_.fetch_add(1, std::memory_order_relaxed) + 1);
   f.payload = std::move(payload);
 
-  rt::NetCounters& net = machine_->net_counters();
   if (cfg_.net_faults.enabled()) {
     const std::uint64_t nth =
         send_ordinal_.fetch_add(1, std::memory_order_relaxed) + 1;
@@ -102,17 +101,17 @@ void Cluster::post(GlobalNode dst, std::uint16_t handler, term::Term payload) {
       case rt::PostFault::Drop:
         // Never reaches the wire, never counted as sent — so the
         // termination detector's sent==received comparison stays exact.
-        net.drops.fetch_add(1, std::memory_order_relaxed);
+        net_.drops += 1;
         rt::trace_emit_here(rt::TraceEventKind::Fault, "net.drop", nth, to);
         return;
       case rt::PostFault::Duplicate:
-        net.dups.fetch_add(1, std::memory_order_relaxed);
+        net_.dups += 1;
         rt::trace_emit_here(rt::TraceEventKind::Fault, "net.dup", nth, to);
         send_data(to, f);
         send_data(to, f);
         return;
       case rt::PostFault::Delay: {
-        net.delays.fetch_add(1, std::memory_order_relaxed);
+        net_.delays += 1;
         rt::trace_emit_here(rt::TraceEventKind::Fault, "net.delay", nth, to);
         std::lock_guard<std::mutex> lk(delayed_m_);
         delayed_.emplace_back(to, std::move(f));
@@ -129,9 +128,8 @@ void Cluster::send_data(std::uint32_t to, Frame& f) {
   rt::trace_emit_here(rt::TraceEventKind::MsgSend,
                       handlers_[f.handler].first.c_str(), f.trace_id, to);
   const std::size_t bytes = transport_.send(to, f);
-  rt::NetCounters& net = machine_->net_counters();
-  net.tx_bytes.fetch_add(bytes, std::memory_order_relaxed);
-  net.tx_frames.fetch_add(1, std::memory_order_relaxed);
+  net_.tx_bytes += bytes;
+  net_.tx_frames += 1;
   // A delayed frame is "re-queued behind later arrivals": ship anything
   // parked for this rank now that a later frame has passed it.
   flush_delayed(to);
@@ -139,9 +137,8 @@ void Cluster::send_data(std::uint32_t to, Frame& f) {
 
 void Cluster::send_ctl(std::uint32_t to, const Frame& f) {
   const std::size_t bytes = transport_.send(to, f);
-  rt::NetCounters& net = machine_->net_counters();
-  net.tx_bytes.fetch_add(bytes, std::memory_order_relaxed);
-  net.ctl_frames.fetch_add(1, std::memory_order_relaxed);
+  net_.tx_bytes += bytes;
+  net_.ctl_frames += 1;
 }
 
 void Cluster::flush_delayed(std::uint32_t to) {
@@ -157,18 +154,17 @@ void Cluster::flush_delayed(std::uint32_t to) {
       }
     }
   }
-  rt::NetCounters& net = machine_->net_counters();
   for (Frame& f : due) {
     const std::uint32_t dst_rank = owner(static_cast<GlobalNode>(f.dst_node));
     try {
       const std::size_t bytes = transport_.send(dst_rank, f);
-      net.tx_bytes.fetch_add(bytes, std::memory_order_relaxed);
-      net.tx_frames.fetch_add(1, std::memory_order_relaxed);
+      net_.tx_bytes += bytes;
+      net_.tx_frames += 1;
     } catch (const std::exception&) {
       // Peer lost: the frame never reached the wire, so it must not be
       // counted as sent (termination detection stays exact) — record it
       // as a drop and keep flushing the rest.
-      net.drops.fetch_add(1, std::memory_order_relaxed);
+      net_.drops += 1;
     }
   }
 }
@@ -179,11 +175,10 @@ bool Cluster::delayed_empty() const {
 }
 
 void Cluster::on_frame(Frame&& f, std::size_t wire_bytes) {
-  rt::NetCounters& net = machine_->net_counters();
-  net.rx_bytes.fetch_add(wire_bytes, std::memory_order_relaxed);
+  net_.rx_bytes += wire_bytes;
   switch (f.type) {
     case FrameType::Post:
-      net.rx_frames.fetch_add(1, std::memory_order_relaxed);
+      net_.rx_frames += 1;
       deliver_post(std::move(f));
       return;
     case FrameType::Join: {
@@ -206,8 +201,8 @@ void Cluster::on_frame(Frame&& f, std::size_t wire_bytes) {
         r.type = FrameType::ProbeReply;
         r.src_rank = rank();
         r.round = f.round;
-        r.tx = net.tx_frames.load(std::memory_order_acquire);
-        r.rx = net.rx_frames.load(std::memory_order_acquire);
+        r.tx = net_.tx_frames;
+        r.rx = net_.rx_frames;
         r.idle = machine_->idle() && delayed_empty();
         send_ctl(f.src_rank, r);
       } catch (const std::exception&) {
@@ -282,10 +277,9 @@ rt::RunOutcome Cluster::wait_idle_rank0(std::chrono::nanoseconds deadline) {
       return deadline_outcome();
     }
     flush_delayed(kAllRanks);
-    rt::NetCounters& net = machine_->net_counters();
     const bool local_idle = machine_->idle() && delayed_empty();
-    const std::uint64_t local_tx = net.tx_frames.load(std::memory_order_acquire);
-    const std::uint64_t local_rx = net.rx_frames.load(std::memory_order_acquire);
+    const std::uint64_t local_tx = net_.tx_frames;
+    const std::uint64_t local_rx = net_.rx_frames;
 
     ++round;
     {

@@ -5,8 +5,8 @@
 // rt::Machine with `per` virtual nodes. A post() to a node this rank owns
 // goes straight to the local machine; a post to any other node becomes a
 // Post frame through the Transport — which is exactly the paper's
-// inter-processor message, now with a measurable wire cost (net_tx /
-// net_rx / bytes counters on the owning Machine).
+// inter-processor message, now with a measurable wire cost (the frame
+// and byte counters of net_stats()).
 //
 // Handlers: remote code is addressed by a small registry index, not by
 // shipping closures. Every rank must register the same handlers in the
@@ -119,8 +119,9 @@ class Cluster {
   /// stop the transport. Idempotent.
   void shutdown();
 
-  /// Network counters of the local rank (also in machine().sched_stats()).
-  rt::NetStats net_stats() const { return machine_->net_counters().snapshot(); }
+  /// Network counters of the local rank, at one instant. They only grow:
+  /// one run's counts are the difference of two snapshots.
+  rt::NetStats net_stats() const { return net_; }
 
  private:
   void on_frame(Frame&& f, std::size_t wire_bytes);
@@ -144,9 +145,13 @@ class Cluster {
   ClusterConfig cfg_;
   std::uint32_t per_;
   std::vector<std::pair<std::string, Handler>> handlers_;
-  /// Declared after handlers_ on purpose: queued tasks reference
-  /// handlers_ entries, so the machine (destroyed first, in reverse
-  /// declaration order) must be gone before the registry is.
+  /// Written by this class only; the termination detector compares the
+  /// ranks' tx_frames and rx_frames sums, so nothing resets them.
+  rt::NetStats net_;
+  /// Declared after handlers_ and net_ on purpose: queued tasks reference
+  /// handlers_ entries and count their posts in net_, so the machine
+  /// (destroyed first, in reverse declaration order) must be gone before
+  /// either is.
   std::unique_ptr<rt::Machine> machine_;
   bool started_ = false;
 

@@ -26,6 +26,8 @@
 #include <string>
 #include <vector>
 
+#include "runtime/metrics.hpp"
+
 namespace motif::rt {
 
 using NodeId = std::uint32_t;  // mirrors machine.hpp (kept header-light)
@@ -90,20 +92,6 @@ struct FaultPlan {
   /// A ready-made chaos plan (mild drop/dup/delay) for sweeps and the
   /// motifsh --fault-seed flag.
   static FaultPlan chaos(std::uint64_t seed);
-};
-
-/// Monotonic counts of injected faults, by kind (snapshot view).
-struct FaultTotals {
-  std::uint64_t drops = 0;       ///< posts dropped (probabilistic)
-  std::uint64_t dead_drops = 0;  ///< posts dropped because the target died
-  std::uint64_t duplicates = 0;
-  std::uint64_t delays = 0;
-  std::uint64_t kills = 0;
-  std::uint64_t throws = 0;
-
-  std::uint64_t total() const {
-    return drops + dead_drops + duplicates + delays + kills + throws;
-  }
 };
 
 /// Why a deadline-bounded wait returned.

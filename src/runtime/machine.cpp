@@ -76,8 +76,8 @@ struct Machine::Worker {
   std::uint32_t handoff_streak = 0;
   static constexpr std::uint32_t kHandoffCap = 16;
 
-  // Substrate counters: relaxed atomics so sched_stats()/load_summary()
-  // can snapshot them while the machine runs.
+  // Substrate counters: relaxed atomics so load_summary() can snapshot
+  // them while the machine runs.
   std::atomic<std::uint64_t> steals{0};
   std::atomic<std::uint64_t> parks{0};
   std::atomic<std::uint64_t> fast_hits{0};
@@ -196,7 +196,7 @@ void Machine::post(NodeId n, Task t) {
     // After shutdown() (or while abandon_pending drains) posting is safe
     // but inert: the task is discarded and counted, never enqueued onto
     // stopped workers.
-    discarded_posts_.fetch_add(1, std::memory_order_relaxed);
+    discarded_posts_ += 1;
     return;
   }
   // A worker of another Machine (loopback clusters deliver on the
@@ -208,7 +208,7 @@ void Machine::post(NodeId n, Task t) {
   if (dst.dead.load(std::memory_order_acquire)) {
     // A crashed processor loses its mail silently — the defining hazard
     // the supervision layer exists to classify.
-    fault_counts_.dead_drops.fetch_add(1, std::memory_order_relaxed);
+    fault_totals_.dead_drops += 1;
     if (from != kNoNode) emit_fault(from, "dead-drop", 0, n);
     return;
   }
@@ -227,14 +227,14 @@ void Machine::post(NodeId n, Task t) {
     pf = faults_.post_fault(from, ordinal);
   }
   if (pf == PostFault::Drop) {
-    fault_counts_.drops.fetch_add(1, std::memory_order_relaxed);
+    fault_totals_.drops += 1;
     emit_fault(from, "drop", ordinal, n);
     return;
   }
   std::uint32_t delay = 0;
   if (pf == PostFault::Delay) {
     delay = 1;  // one bounce: re-queued behind later arrivals
-    fault_counts_.delays.fetch_add(1, std::memory_order_relaxed);
+    fault_totals_.delays += 1;
     emit_fault(from, "delay", ordinal, n);
   }
 #if MOTIF_TRACING
@@ -272,7 +272,7 @@ void Machine::post(NodeId n, Task t) {
   }
   const bool dup = pf == PostFault::Duplicate;
   if (dup) {
-    fault_counts_.duplicates.fetch_add(1, std::memory_order_relaxed);
+    fault_totals_.duplicates += 1;
     emit_fault(from, "dup", ordinal, n);
   }
   // The pending credit must be GLOBAL before the push: the instant the
@@ -338,7 +338,7 @@ void Machine::post(NodeId n, Task t) {
     w->fast_hits.store(w->fast_hits.load(std::memory_order_relaxed) + 1,
                        std::memory_order_relaxed);
   } else {
-    ext_fast_hits_.fetch_add(1, std::memory_order_relaxed);
+    ext_fast_hits_ += 1;
   }
 }
 
@@ -463,7 +463,7 @@ void Machine::inject_push(NodeId n) {
   std::lock_guard lock(inject_m_);
   inject_.push_back(n);
   inject_size_.fetch_add(1, std::memory_order_seq_cst);
-  injects_.fetch_add(1, std::memory_order_relaxed);
+  injects_ += 1;
 }
 
 NodeId Machine::inject_pop() {
@@ -703,7 +703,7 @@ void Machine::run_node(NodeId n, Worker* w) {
     const bool faults_on = faults_enabled_.load(std::memory_order_acquire);
     try {
       if (faults_on && throw_due(n, task_no)) {
-        fault_counts_.throws.fetch_add(1, std::memory_order_relaxed);
+        fault_totals_.throws += 1;
         emit_fault(n, "throw", task_no, n);
         // The task body never runs: the "process" died before producing
         // its outputs.
@@ -725,7 +725,7 @@ void Machine::run_node(NodeId n, Worker* w) {
 #endif
     if (faults_on && kill_due(n, task_no)) {
       node.dead.store(true, std::memory_order_release);
-      fault_counts_.kills.fetch_add(1, std::memory_order_relaxed);
+      fault_totals_.kills += 1;
       emit_fault(n, "kill", task_no, n);
       died = true;
     }
@@ -794,8 +794,9 @@ std::uint64_t Machine::shed_and_release(Node& node, bool as_dead_drops) {
       break;  // empty, or a producer claimed it and the next drainer sheds
     }
   }
-  auto& counter = as_dead_drops ? fault_counts_.dead_drops : discarded_posts_;
-  if (shed != 0) counter.fetch_add(shed, std::memory_order_relaxed);
+  if (shed != 0) {
+    (as_dead_drops ? fault_totals_.dead_drops : discarded_posts_) += shed;
+  }
   return shed;
 }
 
@@ -825,7 +826,7 @@ RunOutcome Machine::wait_idle_for(std::chrono::nanoseconds deadline) {
     });
   }
   RunOutcome out;
-  out.faults = fault_totals();
+  out.faults = fault_totals_;
   out.lost_nodes = lost_nodes();
   if (!idle) {
     mark_unfinished(out, RunStatus::DeadlineExceeded);
@@ -843,7 +844,7 @@ RunOutcome Machine::wait_idle_for(std::chrono::nanoseconds deadline) {
 
 void Machine::throw_incomplete() const {
   RunOutcome o;
-  o.faults = fault_totals();
+  o.faults = fault_totals_;
   o.lost_nodes = lost_nodes();
   mark_unfinished(o, RunStatus::Stalled);
   throw RunIncomplete(std::move(o));
@@ -894,17 +895,6 @@ std::vector<NodeId> Machine::lost_nodes() const {
   return out;
 }
 
-FaultTotals Machine::fault_totals() const {
-  FaultTotals t;
-  t.drops = fault_counts_.drops.load(std::memory_order_relaxed);
-  t.dead_drops = fault_counts_.dead_drops.load(std::memory_order_relaxed);
-  t.duplicates = fault_counts_.duplicates.load(std::memory_order_relaxed);
-  t.delays = fault_counts_.delays.load(std::memory_order_relaxed);
-  t.kills = fault_counts_.kills.load(std::memory_order_relaxed);
-  t.throws = fault_counts_.throws.load(std::memory_order_relaxed);
-  return t;
-}
-
 void Machine::note_pending_sub(std::uint64_t k) {
   if (k == 0) return;
   if (pending_.fetch_sub(k, std::memory_order_acq_rel) == k) {
@@ -946,20 +936,15 @@ LoadSummary Machine::load_summary() const {
   LoadSummary s = summarize(
       nodes_.size(),
       [&](std::size_t i) -> const NodeCounters& { return nodes_[i]->counters; });
-  s.sched = sched_stats();
-  return s;
-}
-
-SchedStats Machine::sched_stats() const {
-  SchedStats s;
   for (const auto& w : worker_data_) {
-    s.steals += w->steals.load(std::memory_order_relaxed);
-    s.parks += w->parks.load(std::memory_order_relaxed);
-    s.mailbox_fast_hits += w->fast_hits.load(std::memory_order_relaxed);
+    s.sched.steals += w->steals.load(std::memory_order_relaxed);
+    s.sched.parks += w->parks.load(std::memory_order_relaxed);
+    s.sched.mailbox_fast_hits += w->fast_hits.load(std::memory_order_relaxed);
   }
-  s.mailbox_fast_hits += ext_fast_hits_.load(std::memory_order_relaxed);
-  s.injects = injects_.load(std::memory_order_relaxed);
-  s.net = net_counters_.snapshot();
+  s.sched.mailbox_fast_hits += ext_fast_hits_;
+  s.sched.injects = injects_;
+  s.faults = fault_totals_;
+  s.discarded_posts = discarded_posts_;
   return s;
 }
 
@@ -982,18 +967,6 @@ std::uint32_t Machine::hop_distance(NodeId a, NodeId b) const {
       return static_cast<std::uint32_t>(__builtin_popcount(a ^ b));
   }
   return 1;
-}
-
-void Machine::reset_counters() {
-  for (auto& n : nodes_) n->counters.reset();
-  for (auto& w : worker_data_) {
-    w->steals.store(0, std::memory_order_relaxed);
-    w->parks.store(0, std::memory_order_relaxed);
-    w->fast_hits.store(0, std::memory_order_relaxed);
-  }
-  ext_fast_hits_.store(0, std::memory_order_relaxed);
-  injects_.store(0, std::memory_order_relaxed);
-  net_counters_.reset();
 }
 
 }  // namespace motif::rt

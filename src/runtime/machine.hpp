@@ -195,7 +195,7 @@ class Machine {
   /// discards every queued task and every post made while draining, then
   /// waits for in-flight tasks to finish and clears any stored task
   /// error. Already-executing tasks run to completion; their onward posts
-  /// are discarded (counted in discarded_posts()).
+  /// are discarded (counted in load_summary().discarded_posts).
   void abandon_pending();
 
   /// Drains outstanding work, then stops and joins the workers.
@@ -205,8 +205,8 @@ class Machine {
   /// error was never collected by wait_idle, it is NOT silently
   /// swallowed: it is counted in rt::dropped_task_errors() and reported
   /// on stderr. After shutdown the machine accepts no work — post()
-  /// safely discards (counted in discarded_posts()) instead of touching
-  /// stopped workers.
+  /// safely discards (counted in load_summary().discarded_posts) instead
+  /// of touching stopped workers.
   void shutdown();
 
   // --- fault injection (see runtime/fault.hpp) ---------------------------
@@ -229,23 +229,12 @@ class Machine {
   /// Nodes currently dead, ascending.
   std::vector<NodeId> lost_nodes() const;
 
-  /// Injected-fault counts so far (monotonic snapshot).
-  FaultTotals fault_totals() const;
-
-  /// Posts discarded because the machine was shut down or draining in
-  /// abandon_pending (dead-node drops are counted as faults instead).
-  std::uint64_t discarded_posts() const {
-    return discarded_posts_.load(std::memory_order_relaxed);
-  }
-
   const NodeCounters& counters(NodeId n) const { return nodes_[n]->counters; }
-  LoadSummary load_summary() const;
-  void reset_counters();
 
-  /// Scheduler-substrate counters (monotonic snapshot): how the lock-free
-  /// core is behaving, not what the motif did. reset_counters() clears.
-  /// Includes a NetStats snapshot when this machine is a cluster rank.
-  SchedStats sched_stats() const;
+  /// Every counter of this machine at one instant: node load, scheduler
+  /// substrate, injected faults, discarded posts. Counters only grow, so
+  /// one run's counts are the difference of two snapshots.
+  LoadSummary load_summary() const;
 
   /// Conservative quiescence probe: true when no task is pending or
   /// running *right now*. Unlike wait_idle() this does not block and does
@@ -254,11 +243,6 @@ class Machine {
   bool idle() const {
     return pending_.load(std::memory_order_acquire) == 0;
   }
-
-  /// Network counters for this machine's rank (written by the cluster
-  /// layer in src/net; all-zero when the machine is standalone).
-  NetCounters& net_counters() { return net_counters_; }
-  const NetCounters& net_counters() const { return net_counters_; }
 
   /// Records `units` of virtual work against the current node (node 0 when
   /// called externally). Experiments use per-node work totals to compute a
@@ -322,16 +306,6 @@ class Machine {
     /// (the node's drainer), hence plain store(load+1) in post().
     std::atomic<std::uint64_t> xposts{0};
     explicit Node(std::uint64_t seed) : rng(seed) {}
-  };
-
-  /// Monotonic injected-fault counters (snapshot via fault_totals()).
-  struct FaultCounters {
-    std::atomic<std::uint64_t> drops{0};
-    std::atomic<std::uint64_t> dead_drops{0};
-    std::atomic<std::uint64_t> duplicates{0};
-    std::atomic<std::uint64_t> delays{0};
-    std::atomic<std::uint64_t> kills{0};
-    std::atomic<std::uint64_t> throws{0};
   };
 
   void worker_loop(std::uint32_t index);
@@ -409,10 +383,10 @@ class Machine {
   // faults_enabled_ with acquire, published with release.
   FaultPlan faults_;
   std::atomic<bool> faults_enabled_{false};
-  FaultCounters fault_counts_;
+  FaultTotals fault_totals_;
   std::atomic<bool> accepting_{true};   // false after shutdown()
   std::atomic<bool> discarding_{false}; // true while abandon_pending drains
-  std::atomic<std::uint64_t> discarded_posts_{0};
+  Counter discarded_posts_;
   std::once_flag shutdown_once_;
 
   std::mutex ext_rng_m_;
@@ -422,9 +396,8 @@ class Machine {
   std::uint32_t mesh_cols_ = 1;
 
   /// Mailbox fast-path hits from external (non-worker) posters.
-  std::atomic<std::uint64_t> ext_fast_hits_{0};
-  std::atomic<std::uint64_t> injects_{0};
-  NetCounters net_counters_;
+  Counter ext_fast_hits_;
+  Counter injects_;
 
   // The offer board: offers_ mirrors board_.size() for the idle spin's
   // one relaxed load; board_ allocates on the first publish.

@@ -12,7 +12,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <vector>
 
 #include "runtime/trace.hpp"
 
@@ -122,73 +121,64 @@ struct alignas(64) NodeCounters {
   std::atomic<std::uint64_t> recv_remote{0};  // tasks received from elsewhere
   std::atomic<std::uint64_t> work{0};         // virtual cost units executed
   std::atomic<std::uint64_t> hops{0};         // topology hops of sent msgs
+};
 
-  void reset() {
-    tasks = 0;
-    posts_local = 0;
-    posts_remote = 0;
-    recv_remote = 0;
-    work = 0;
-    hops = 0;
+/// A count any thread may add to (`+=` is a relaxed fetch_add). A copy
+/// holds the current value, so a struct of Counters is its own snapshot.
+/// Counters only grow: one run's count is the difference of two copies.
+class Counter {
+ public:
+  Counter(std::uint64_t v = 0) noexcept : v_(v) {}
+  Counter(const Counter& o) noexcept : v_(o) {}
+  Counter& operator=(const Counter& o) noexcept {
+    v_.store(o, std::memory_order_relaxed);
+    return *this;
+  }
+  Counter& operator+=(std::uint64_t d) noexcept {
+    v_.fetch_add(d, std::memory_order_relaxed);
+    return *this;
+  }
+  operator std::uint64_t() const noexcept {
+    return v_.load(std::memory_order_relaxed);
+  }
+
+ private:
+  std::atomic<std::uint64_t> v_;
+};
+
+/// Injected faults by kind (Machine::load_summary().faults).
+struct FaultTotals {
+  Counter drops;       ///< posts dropped (probabilistic)
+  Counter dead_drops;  ///< posts dropped because the target died
+  Counter duplicates;
+  Counter delays;
+  Counter kills;
+  Counter throws;
+
+  std::uint64_t total() const {
+    return drops + dead_drops + duplicates + delays + kills + throws;
   }
 };
 
-/// Network-layer counters (src/net cluster): what crossed the process
-/// boundary. tx_frames/rx_frames count *data* (Post) frames only — they
-/// double as the sent/received totals the distributed termination detector
-/// compares, so control traffic (probes, joins) is kept separate in
-/// ctl_frames. Bytes count everything on the wire.
+/// Network-layer counters of one cluster rank (net::Cluster::net_stats()):
+/// what crossed the process boundary. tx_frames/rx_frames count *data*
+/// (Post) frames only — they double as the sent/received totals the
+/// distributed termination detector compares, so control traffic
+/// (probes, joins) is kept separate in ctl_frames. Bytes count everything
+/// on the wire.
 struct NetStats {
-  std::uint64_t tx_frames = 0;  ///< Post frames shipped to other ranks
-  std::uint64_t rx_frames = 0;  ///< Post frames received from other ranks
-  std::uint64_t tx_bytes = 0;   ///< wire bytes sent (all frame types)
-  std::uint64_t rx_bytes = 0;   ///< wire bytes received (all frame types)
-  std::uint64_t ctl_frames = 0; ///< non-Post frames sent (handshake/probes)
-  std::uint64_t drops = 0;      ///< remote posts dropped by the fault seam
-  std::uint64_t dups = 0;       ///< remote posts duplicated by the seam
-  std::uint64_t delays = 0;     ///< remote posts delayed by the seam
+  Counter tx_frames;   ///< Post frames shipped to other ranks
+  Counter rx_frames;   ///< Post frames received from other ranks
+  Counter tx_bytes;    ///< wire bytes sent (all frame types)
+  Counter rx_bytes;    ///< wire bytes received (all frame types)
+  Counter ctl_frames;  ///< non-Post frames sent (handshake/probes)
+  Counter drops;       ///< remote posts dropped by the fault seam
+  Counter dups;        ///< remote posts duplicated by the seam
+  Counter delays;      ///< remote posts delayed by the seam
 };
 
-/// Atomic backing for NetStats, owned by the Machine so `:stats` and
-/// sched_stats() see network behaviour next to scheduler behaviour. The
-/// cluster layer is the only writer; zero when no cluster is attached.
-struct NetCounters {
-  std::atomic<std::uint64_t> tx_frames{0};
-  std::atomic<std::uint64_t> rx_frames{0};
-  std::atomic<std::uint64_t> tx_bytes{0};
-  std::atomic<std::uint64_t> rx_bytes{0};
-  std::atomic<std::uint64_t> ctl_frames{0};
-  std::atomic<std::uint64_t> drops{0};
-  std::atomic<std::uint64_t> dups{0};
-  std::atomic<std::uint64_t> delays{0};
-
-  NetStats snapshot() const {
-    NetStats s;
-    s.tx_frames = tx_frames.load(std::memory_order_relaxed);
-    s.rx_frames = rx_frames.load(std::memory_order_relaxed);
-    s.tx_bytes = tx_bytes.load(std::memory_order_relaxed);
-    s.rx_bytes = rx_bytes.load(std::memory_order_relaxed);
-    s.ctl_frames = ctl_frames.load(std::memory_order_relaxed);
-    s.drops = drops.load(std::memory_order_relaxed);
-    s.dups = dups.load(std::memory_order_relaxed);
-    s.delays = delays.load(std::memory_order_relaxed);
-    return s;
-  }
-  void reset() {
-    tx_frames = 0;
-    rx_frames = 0;
-    tx_bytes = 0;
-    rx_bytes = 0;
-    ctl_frames = 0;
-    drops = 0;
-    dups = 0;
-    delays = 0;
-  }
-};
-
-/// Scheduler-substrate counters (Machine::sched_stats): how the lock-free
-/// core behaved, independent of what the motif computed. All monotonic
-/// until reset_counters().
+/// Scheduler-substrate counters (Machine::load_summary().sched): how the
+/// lock-free core behaved, independent of what the motif computed.
 struct SchedStats {
   std::uint64_t steals = 0;  ///< activations taken from another worker
   std::uint64_t parks = 0;   ///< times a worker slept on the eventcount
@@ -196,9 +186,6 @@ struct SchedStats {
   /// append, zero scheduler interaction — the fast path.
   std::uint64_t mailbox_fast_hits = 0;
   std::uint64_t injects = 0;  ///< activations routed via the global FIFO
-  /// Network counters when this machine is one rank of a cluster
-  /// (src/net/cluster.hpp); all-zero otherwise.
-  NetStats net{};
 };
 
 /// Aggregate view over a machine's node counters.
@@ -221,18 +208,17 @@ struct LoadSummary {
   std::uint64_t makespan = 0;      // max per-node work
   double work_imbalance = 0.0;     // makespan / mean work
   double virtual_speedup = 0.0;    // total_work / makespan
-  /// Filled by Machine::load_summary() (zero when summarize() is called
-  /// directly on a counter vector — the substrate is not in the counters).
+  /// The rest is filled by Machine::load_summary() (zero when
+  /// summarize() is called directly: it is not in the node counters).
   SchedStats sched{};
+  FaultTotals faults{};
+  /// Posts discarded because the machine was shut down or draining in
+  /// abandon_pending (dead-node drops are counted in faults instead).
+  std::uint64_t discarded_posts = 0;
 };
 
 /// Summarises the counters at(0) ... at(n - 1) of n nodes.
 LoadSummary summarize(
     std::size_t n, const std::function<const NodeCounters&(std::size_t)>& at);
-inline LoadSummary summarize(const std::vector<NodeCounters>& counters) {
-  return summarize(counters.size(), [&](std::size_t i) -> const NodeCounters& {
-    return counters[i];
-  });
-}
 
 }  // namespace motif::rt

@@ -127,7 +127,7 @@ TEST(Chaos, SupervisedTreeReduce2SurvivesNodeLoss) {
   ASSERT_TRUE(res.ok()) << res.last.to_string();
   EXPECT_EQ(*res.value, expected_sum(1024));
   EXPECT_GE(res.attempts, 2u);
-  EXPECT_EQ(mach.fault_totals().kills, 1u);
+  EXPECT_EQ(mach.load_summary().faults.kills, 1u);
   EXPECT_TRUE(mach.lost_nodes().empty());
 }
 
@@ -188,7 +188,7 @@ TEST(Chaos, SupervisedTreeReduce2SurvivesDuplicateAndDelay) {
     ASSERT_TRUE(res.ok()) << "seed " << seed << ": " << res.last.to_string();
     EXPECT_EQ(*res.value, expected_sum(256)) << "seed " << seed;
     EXPECT_EQ(res.attempts, 1u) << "seed " << seed;
-    duplicates += mach.fault_totals().duplicates;
+    duplicates += mach.load_summary().faults.duplicates;
   }
   EXPECT_GT(duplicates, 0u);
 }
@@ -230,7 +230,7 @@ TEST(Chaos, TreeReduce2LaunchedInATaskSurvivesDuplicateAndDelay) {
     ASSERT_TRUE(res.ok()) << "seed " << seed << ": " << res.last.to_string();
     EXPECT_EQ(*res.value, expected_sum(256)) << "seed " << seed;
     EXPECT_EQ(res.attempts, 1u) << "seed " << seed;
-    duplicates += mach.fault_totals().duplicates;
+    duplicates += mach.load_summary().faults.duplicates;
   }
   EXPECT_GT(duplicates, 0u);
 }
@@ -261,7 +261,7 @@ TEST(Chaos, TreeReduce2DuplicatedLaunchPostsAreNoOps) {
   ASSERT_TRUE(out.bound());
   EXPECT_EQ(out.get(), expected_sum(256));
   EXPECT_EQ(evals.load(), 255);
-  EXPECT_GT(mach.fault_totals().duplicates, 0u);
+  EXPECT_GT(mach.load_summary().faults.duplicates, 0u);
 }
 
 TEST(Chaos, TreeReduce2ValueBatchesDeliverOnce) {
@@ -297,7 +297,7 @@ TEST(Chaos, TreeReduce2ValueBatchesDeliverOnce) {
     ASSERT_TRUE(out.bound()) << "seed " << seed;
     EXPECT_EQ(out.get(), expected_sum(256)) << "seed " << seed;
     EXPECT_EQ(evals.load(), 255) << "seed " << seed;
-    duplicates += mach.fault_totals().duplicates;
+    duplicates += mach.load_summary().faults.duplicates;
   }
   EXPECT_GT(duplicates, 0u);
 }
@@ -339,8 +339,8 @@ TEST(Chaos, TreeReduce2InboxesDeliverEachValueOnce) {
     const m::TR2Stats got = st->stats();
     EXPECT_EQ(got.local_values, want->stats().local_values);
     EXPECT_EQ(got.remote_values, want->stats().remote_values);
-    EXPECT_GT(dup ? mach.fault_totals().duplicates : mach.fault_totals().delays,
-              0u);
+    const rt::FaultTotals f = mach.load_summary().faults;
+    EXPECT_GT(dup ? f.duplicates : f.delays, 0u);
   }
 }
 
@@ -373,7 +373,7 @@ TEST(Chaos, TreeReduce2LaunchDropStallsThenRetryConverges) {
       EXPECT_FALSE(res.ok()) << "in_task " << in_task;
       EXPECT_EQ(res.last.status, rt::RunStatus::Stalled)
           << "in_task " << in_task << ": " << res.last.to_string();
-      EXPECT_GT(mach.fault_totals().drops, 0u);
+      EXPECT_GT(mach.load_summary().faults.drops, 0u);
     }
     // The same loss on the first attempt only.
     rt::Machine mach({.nodes = 4, .workers = 2, .faults = lossy});
@@ -383,7 +383,7 @@ TEST(Chaos, TreeReduce2LaunchDropStallsThenRetryConverges) {
                           << res.last.to_string();
     EXPECT_EQ(*res.value, expected_sum(32));
     EXPECT_EQ(res.attempts, 2u);
-    EXPECT_GT(mach.fault_totals().drops, 0u);
+    EXPECT_GT(mach.load_summary().faults.drops, 0u);
   }
 }
 
@@ -406,7 +406,7 @@ TEST(Chaos, TreeReduce1EngineIsFreedAfterTotalLoss) {
     out = m::tree_reduce1_async<int, int>(mach, tree, eval);
     const rt::RunOutcome o = mach.wait_idle_for(kDeadline);
     EXPECT_NE(o.status, rt::RunStatus::DeadlineExceeded) << o.to_string();
-    EXPECT_GT(mach.fault_totals().drops, 0u);
+    EXPECT_GT(mach.load_summary().faults.drops, 0u);
   }
   EXPECT_FALSE(out.bound());
   EXPECT_EQ(token.use_count(), 1);
@@ -446,7 +446,7 @@ TEST(Chaos, SupervisedDivideAndConquerSurvivesNodeLoss) {
       opts);
   ASSERT_TRUE(res.ok()) << res.last.to_string();
   EXPECT_EQ(*res.value, fib(16));
-  EXPECT_EQ(mach.fault_totals().kills, 1u);
+  EXPECT_EQ(mach.load_summary().faults.kills, 1u);
   EXPECT_TRUE(mach.lost_nodes().empty());
 }
 
@@ -465,7 +465,7 @@ TEST(Chaos, DivideAndConquerEngineIsFreedAfterTotalLoss) {
     });
     const rt::RunOutcome o = mach.wait_idle_for(kDeadline);
     EXPECT_NE(o.status, rt::RunStatus::DeadlineExceeded) << o.to_string();
-    EXPECT_GT(mach.fault_totals().drops, 0u);
+    EXPECT_GT(mach.load_summary().faults.drops, 0u);
   }
   EXPECT_FALSE(out.bound());
   EXPECT_EQ(token.use_count(), 1);
@@ -492,7 +492,7 @@ TEST(Chaos, SupervisedExhaustionHandsTheMachineBack) {
   EXPECT_EQ(res.attempts, 2u);
   EXPECT_FALSE(res.ok());
   EXPECT_NE(res.last.status, rt::RunStatus::Completed);
-  EXPECT_GE(mach.fault_totals().kills, 1u);
+  EXPECT_GE(mach.load_summary().faults.kills, 1u);
   // Exhausted, the supervisor revives the lost processors and restores
   // the caller's plan, not the last attempt's reseeded one.
   EXPECT_TRUE(mach.lost_nodes().empty());
@@ -536,7 +536,7 @@ TEST(Chaos, ServerJournalRecoversDroppedMessages) {
   // Every hop of every token ran at least once (duplicates allowed: the
   // plan may double-deliver, and replay re-sends lost mail).
   EXPECT_GE(hops_done.load(), kTokens * (kHops + 1));
-  EXPECT_GT(mach.fault_totals().drops, 0u) << "plan never fired";
+  EXPECT_GT(mach.load_summary().faults.drops, 0u) << "plan never fired";
 }
 
 TEST(Chaos, ServerSurvivesServerCrash) {
@@ -609,7 +609,7 @@ TEST(Chaos, SchedulerRunForClassifiesWorkerLoss) {
   EXPECT_EQ(outcome.lost_nodes, std::vector<rt::NodeId>{1});
   EXPECT_GT(msgs, 0u);
   EXPECT_EQ(done.load(), 9);  // c0..c6 + f7 + f8; f9 and the tail lost
-  EXPECT_GE(mach.fault_totals().kills, 1u);
+  EXPECT_GE(mach.load_summary().faults.kills, 1u);
 }
 
 TEST(Chaos, SchedulerRunForCompletesWithoutFaults) {
@@ -691,8 +691,9 @@ TEST(Chaos, PipelineSurvivesDuplicateAndDelay) {
     // fewer than 2 x 2 x hops x items tasks, plus the initial posts.
     EXPECT_LE(mach.load_summary().total_tasks, 4 * kItems * kSteps)
         << "seed " << seed;
-    duplicates += mach.fault_totals().duplicates;
-    delays += mach.fault_totals().delays;
+    const rt::FaultTotals f = mach.load_summary().faults;
+    duplicates += f.duplicates;
+    delays += f.delays;
   }
   EXPECT_GT(duplicates, 0u);
   EXPECT_GT(delays, 0u);
@@ -714,7 +715,7 @@ TEST(Chaos, PipelineDropThrowsNotHangs) {
         .stage([](int v) { return v + 1; })
         .sink([](int) {});
     EXPECT_THROW(p.run(), std::runtime_error) << "seed " << seed;
-    EXPECT_GT(mach.fault_totals().drops, 0u) << "seed " << seed;
+    EXPECT_GT(mach.load_summary().faults.drops, 0u) << "seed " << seed;
   }
 }
 

@@ -53,7 +53,7 @@ struct LoopCluster {
   n::Cluster& rank0() { return *cs[0]; }
 
   /// A NetStats counter summed over every rank.
-  std::uint64_t total(std::uint64_t rt::NetStats::*counter) const {
+  std::uint64_t total(rt::Counter rt::NetStats::*counter) const {
     std::uint64_t sum = 0;
     for (const auto& c : cs) sum += c->net_stats().*counter;
     return sum;
@@ -195,14 +195,25 @@ TEST(NetCluster, DuplicatedFramesAreDeliveredOnce) {
             2 * lc.total(&rt::NetStats::dups));
 }
 
-TEST(NetCluster, SchedStatsExposeNetCounters) {
+TEST(NetCluster, RunFrameCountsAreSnapshotDifferences) {
+  // Two generations on one cluster. The frame counters only grow (the
+  // termination detector compares their sums across ranks), so each
+  // run's frames are the difference of two net_stats() snapshots, and
+  // the second run still terminates.
   LoopCluster lc(2, 2);
-  ASSERT_TRUE(lc.trs[0]->run(6, 3, kDeadline).ok);
-  const auto stats = lc.rank0().machine().sched_stats();
-  EXPECT_EQ(stats.net.tx_frames, lc.rank0().net_stats().tx_frames);
-  EXPECT_GT(stats.net.ctl_frames, 0u);  // joins and probes are control traffic
-  lc.rank0().machine().reset_counters();
-  EXPECT_EQ(lc.rank0().machine().sched_stats().net.tx_frames, 0u);
+  for (std::uint64_t seed : {3ull, 2026ull}) {
+    const std::uint64_t tx0 = lc.total(&rt::NetStats::tx_frames);
+    const std::uint64_t rx0 = lc.total(&rt::NetStats::rx_frames);
+    const auto res = lc.trs[0]->run(6, seed, kDeadline);
+    ASSERT_TRUE(res.ok) << "seed=" << seed << " " << res.outcome.to_string();
+    const std::uint64_t tx = lc.total(&rt::NetStats::tx_frames) - tx0;
+    const std::uint64_t rx = lc.total(&rt::NetStats::rx_frames) - rx0;
+    const FrameBand band = planned_frames(2, 2, 6, seed);
+    EXPECT_GT(tx, 0u) << "seed=" << seed;
+    EXPECT_GE(tx, band.lo) << "seed=" << seed;
+    EXPECT_LE(tx, band.hi) << "seed=" << seed;
+    EXPECT_EQ(rx, tx) << "seed=" << seed;
+  }
 }
 
 TEST(NetCluster, SingleRankClusterStaysLocal) {

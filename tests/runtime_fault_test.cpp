@@ -114,7 +114,7 @@ TEST(Fault, BitReplaySameSeedSamePlanSameRun) {
     cascade(m, delivered, 40);
     m.wait_idle();
     m.stop_trace();
-    totals = m.fault_totals();
+    totals = m.load_summary().faults;
     events = fault_events(m.drain_trace());
     count = delivered.load();
   };
@@ -154,7 +154,7 @@ TEST(Fault, DropLosesTheMessage) {
   });
   m.wait_idle();
   EXPECT_EQ(arrived.load(), 0);
-  EXPECT_EQ(m.fault_totals().drops, 1u);
+  EXPECT_EQ(m.load_summary().faults.drops, 1u);
 }
 
 TEST(Fault, DuplicateDeliversTwice) {
@@ -167,7 +167,7 @@ TEST(Fault, DuplicateDeliversTwice) {
   });
   m.wait_idle();
   EXPECT_EQ(arrived.load(), 2);
-  EXPECT_EQ(m.fault_totals().duplicates, 1u);
+  EXPECT_EQ(m.load_summary().faults.duplicates, 1u);
 }
 
 TEST(Fault, DelayStillDelivers) {
@@ -182,7 +182,7 @@ TEST(Fault, DelayStillDelivers) {
   });
   m.wait_idle();
   EXPECT_EQ(arrived.load(), 8);  // delayed, never lost
-  EXPECT_EQ(m.fault_totals().delays, 8u);
+  EXPECT_EQ(m.load_summary().faults.delays, 8u);
 }
 
 TEST(Fault, KillStopsTheNodeAndShedsItsMail) {
@@ -195,7 +195,7 @@ TEST(Fault, KillStopsTheNodeAndShedsItsMail) {
   EXPECT_EQ(ran.load(), 1);
   EXPECT_FALSE(m.node_alive(1));
   EXPECT_EQ(m.lost_nodes(), std::vector<rt::NodeId>{1});
-  EXPECT_EQ(m.fault_totals().kills, 1u);
+  EXPECT_EQ(m.load_summary().faults.kills, 1u);
 
   // Mail to the dead node is discarded (dead-drop), and the machine
   // still quiesces instead of hanging.
@@ -203,7 +203,7 @@ TEST(Fault, KillStopsTheNodeAndShedsItsMail) {
   rt::RunOutcome o = m.wait_idle_for(5s);
   EXPECT_EQ(o.status, rt::RunStatus::Completed);
   EXPECT_EQ(ran.load(), 1);
-  EXPECT_GE(m.fault_totals().dead_drops, 1u);
+  EXPECT_GE(m.load_summary().faults.dead_drops, 1u);
   ASSERT_EQ(o.lost_nodes.size(), 1u);
 
   // Revive: the node serves again; the exact-count kill cannot re-fire
@@ -213,7 +213,7 @@ TEST(Fault, KillStopsTheNodeAndShedsItsMail) {
   m.post(1, [&ran] { ran.fetch_add(1); });
   m.wait_idle();
   EXPECT_EQ(ran.load(), 2);
-  EXPECT_EQ(m.fault_totals().kills, 1u);
+  EXPECT_EQ(m.load_summary().faults.kills, 1u);
 }
 
 TEST(Fault, ThrowInjectsClassifiedTaskFailure) {
@@ -228,7 +228,7 @@ TEST(Fault, ThrowInjectsClassifiedTaskFailure) {
   EXPECT_EQ(o.status, rt::RunStatus::TaskFailed);
   EXPECT_NE(o.error_message.find("injected fault"), std::string::npos);
   EXPECT_EQ(ran.load(), 2);  // task 2 replaced by the throw
-  EXPECT_EQ(m.fault_totals().throws, 1u);
+  EXPECT_EQ(m.load_summary().faults.throws, 1u);
   ASSERT_TRUE(o.error);
   EXPECT_THROW(std::rethrow_exception(o.error), rt::InjectedFault);
 }
@@ -284,10 +284,10 @@ TEST(Fault, PostAfterShutdownIsDiscardedAndCounted) {
   m.post(0, [&ran] { ran.fetch_add(1); });
   m.shutdown();
   EXPECT_EQ(ran.load(), 1);
-  const std::uint64_t before = m.discarded_posts();
+  const std::uint64_t before = m.load_summary().discarded_posts;
   m.post(0, [&ran] { ran.fetch_add(1); });
   m.post(1, [&ran] { ran.fetch_add(1); });
-  EXPECT_EQ(m.discarded_posts(), before + 2);
+  EXPECT_EQ(m.load_summary().discarded_posts, before + 2);
   EXPECT_EQ(ran.load(), 1);
   m.shutdown();  // idempotent
 }

@@ -231,6 +231,12 @@ TEST(Machine, LoadSummaryImbalance) {
   EXPECT_EQ(s.max_tasks, 100u);
   EXPECT_EQ(s.min_tasks, 0u);
   EXPECT_DOUBLE_EQ(s.imbalance, 4.0);
-  m.reset_counters();
-  EXPECT_EQ(m.load_summary().total_tasks, 0u);
+  // Counters only grow: a second run's counts are the difference of two
+  // snapshots.
+  for (int i = 0; i < 100; ++i) m.post(1, [] {});
+  m.wait_idle();
+  const auto s2 = m.load_summary();
+  EXPECT_EQ(s2.total_tasks - s.total_tasks, 100u);
+  EXPECT_EQ(s2.max_tasks, 100u);
+  EXPECT_DOUBLE_EQ(s2.imbalance, 2.0);
 }

@@ -7,6 +7,17 @@
 
 namespace rt = motif::rt;
 
+namespace {
+
+rt::LoadSummary summarize_nodes(const std::vector<rt::NodeCounters>& cs) {
+  return rt::summarize(cs.size(),
+                       [&](std::size_t i) -> const rt::NodeCounters& {
+                         return cs[i];
+                       });
+}
+
+}  // namespace
+
 TEST(Gauge, TracksCurrentAndPeak) {
   rt::Gauge g;
   g.add(10);
@@ -89,7 +100,7 @@ TEST(EvalScope, CountsActiveEvaluations) {
 }
 
 TEST(Summarize, EmptyIsZero) {
-  auto s = rt::summarize({});
+  auto s = rt::summarize(0, nullptr);
   EXPECT_EQ(s.total_tasks, 0u);
   EXPECT_EQ(s.imbalance, 0.0);
 }
@@ -97,7 +108,7 @@ TEST(Summarize, EmptyIsZero) {
 TEST(Summarize, EmptyCountersProduceNoNanOrSentinel) {
   // An empty machine must not divide by counters.size() or leave the
   // min-tracking sentinel behind: every field is a plain zero.
-  auto s = rt::summarize(std::vector<rt::NodeCounters>{});
+  auto s = summarize_nodes({});
   EXPECT_EQ(s.min_tasks, 0u);
   EXPECT_EQ(s.max_tasks, 0u);
   EXPECT_EQ(s.mean_tasks, 0.0);
@@ -114,7 +125,7 @@ TEST(Summarize, ZeroMakespanGuardsVirtualSpeedup) {
   cs[0].tasks = 4;
   cs[1].tasks = 4;
   cs[2].tasks = 4;
-  auto s = rt::summarize(cs);
+  auto s = summarize_nodes(cs);
   EXPECT_EQ(s.total_work, 0u);
   EXPECT_EQ(s.makespan, 0u);
   EXPECT_EQ(s.virtual_speedup, 0.0);
@@ -130,7 +141,7 @@ TEST(Summarize, ComputesAggregates) {
   cs[3].tasks = 40;
   cs[0].posts_remote = 5;
   cs[1].posts_local = 7;
-  auto s = rt::summarize(cs);
+  auto s = summarize_nodes(cs);
   EXPECT_EQ(s.total_tasks, 100u);
   EXPECT_EQ(s.max_tasks, 40u);
   EXPECT_EQ(s.min_tasks, 10u);

@@ -154,7 +154,7 @@ rt::FaultTotals run_pingpong(std::uint64_t seed) {
   m.post(0, Bounce{&m, 0, 1, 200});
   m.post(2, Bounce{&m, 2, 3, 200});
   m.wait_idle_for(std::chrono::seconds(60));
-  return m.fault_totals();
+  return m.load_summary().faults;
 }
 
 TEST(SchedCore, FaultSeedReplayIsBitIdentical) {
@@ -185,7 +185,7 @@ TEST(SchedCore, DuplicateOrdinalsReplayOnOneDirectionalChain) {
   // A→B only, driven by a single sequential chain on A, B never posts:
   // A's ordinals are 1..N regardless of scheduling, so the dup lottery
   // replays exactly.
-  auto run = [](std::uint64_t seed) {
+  auto run = [](std::uint64_t seed) -> std::uint64_t {
     rt::FaultPlan plan;
     plan.seed = seed;
     plan.duplicate = 0.10;
@@ -200,7 +200,7 @@ TEST(SchedCore, DuplicateOrdinalsReplayOnOneDirectionalChain) {
     };
     m.post(0, Send{&m, 300});
     m.wait_idle();
-    return m.fault_totals().duplicates;
+    return m.load_summary().faults.duplicates;
   };
   const auto a = run(42);
   EXPECT_EQ(a, run(42));
@@ -228,7 +228,7 @@ TEST(SchedCore, ConcurrentShutdownIsIdempotent) {
     // Post-shutdown posts are discarded, not enqueued, and counted.
     m.post(0, [&] { ran.fetch_add(1); });
     EXPECT_EQ(ran.load(), 200);
-    EXPECT_GE(m.discarded_posts(), 1u);
+    EXPECT_GE(m.load_summary().discarded_posts, 1u);
     m.shutdown();  // explicit second call: still a no-op
   }
 }
@@ -240,15 +240,22 @@ TEST(SchedCore, SchedStatsCountFastPathHits) {
   // A burst at one node from outside: nearly every post after the first
   // finds the node already scheduled — the mailbox fast path.
   std::atomic<int> ran{0};
-  for (int i = 0; i < 2000; ++i) {
-    m.post(0, [&] { ran.fetch_add(1, std::memory_order_relaxed); });
-  }
-  m.wait_idle();
+  const auto burst = [&] {
+    for (int i = 0; i < 2000; ++i) {
+      m.post(0, [&] { ran.fetch_add(1, std::memory_order_relaxed); });
+    }
+    m.wait_idle();
+  };
+  burst();
   EXPECT_EQ(ran.load(), 2000);
-  const auto s = m.sched_stats();
-  EXPECT_GT(s.mailbox_fast_hits, 0u);
-  m.reset_counters();
-  EXPECT_EQ(m.sched_stats().mailbox_fast_hits, 0u);
+  const rt::SchedStats s1 = m.load_summary().sched;
+  EXPECT_GT(s1.mailbox_fast_hits, 0u);
+  // Counters only grow: the second burst's hits are the difference of two
+  // snapshots.
+  burst();
+  EXPECT_EQ(ran.load(), 4000);
+  const rt::SchedStats s2 = m.load_summary().sched;
+  EXPECT_GT(s2.mailbox_fast_hits - s1.mailbox_fast_hits, 0u);
 }
 
 }  // namespace

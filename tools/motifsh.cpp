@@ -16,7 +16,7 @@
 //   motif> :nodes 8                   set the machine size
 //   motif> :run create(8, run(tree('+',leaf(1),leaf(2)),V))
 //   motif> :profile                   reductions by definition (last run)
-//   motif> :stats                     scheduler counters (last run)
+//   motif> :stats                     scheduler, load and fault counters
 //   motif> :trace on                  record timelines for later runs
 //   motif> :trace dump [file]         text summary, or Chrome JSON to file
 //
@@ -178,16 +178,29 @@ struct Shell {
         }
       }
       std::cout << "\n";
-      if (faults.enabled()) {
-        const auto t = interp.machine().fault_totals();
-        std::cout << "faults: drops=" << t.drops << " dead_drops="
-                  << t.dead_drops << " dups=" << t.duplicates
-                  << " delays=" << t.delays << " kills=" << t.kills
-                  << " throws=" << t.throws << "\n";
-      }
+      if (faults.enabled()) print_load(r.load, /*faults_only=*/true);
     } catch (const std::exception& e) {
       std::cout << "error: " << e.what() << "\n";
     }
+  }
+
+  /// The sched: and load: lines of `l` (unless `faults_only`), then its
+  /// faults: line. Every count is cumulative over the machine's runs.
+  static void print_load(const motif::rt::LoadSummary& l, bool faults_only) {
+    if (!faults_only) {
+      std::cout << "sched: steals=" << l.sched.steals
+                << " parks=" << l.sched.parks
+                << " mailbox_fast_hits=" << l.sched.mailbox_fast_hits
+                << " injects=" << l.sched.injects << "\n";
+      std::cout << "load:  tasks=" << l.total_tasks
+                << " remote_msgs=" << l.remote_msgs
+                << " local_msgs=" << l.local_msgs
+                << " imbalance=" << l.imbalance << "\n";
+    }
+    const auto& f = l.faults;
+    std::cout << "faults: drops=" << f.drops << " dead_drops=" << f.dead_drops
+              << " dups=" << f.duplicates << " delays=" << f.delays
+              << " kills=" << f.kills << " throws=" << f.throws << "\n";
   }
 
   void print_net_stats() {
@@ -417,15 +430,7 @@ struct Shell {
         if (!net.active()) std::cout << "stats: no run yet (use :run)\n";
         return true;
       }
-      const auto& l = last.load;
-      std::cout << "sched: steals=" << l.sched.steals
-                << " parks=" << l.sched.parks
-                << " mailbox_fast_hits=" << l.sched.mailbox_fast_hits
-                << " injects=" << l.sched.injects << "\n";
-      std::cout << "load:  tasks=" << l.total_tasks
-                << " remote_msgs=" << l.remote_msgs
-                << " local_msgs=" << l.local_msgs
-                << " imbalance=" << l.imbalance << "\n";
+      print_load(last.load, /*faults_only=*/false);
       return true;
     }
     if (cmd == "profile") {

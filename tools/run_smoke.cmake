@@ -27,10 +27,15 @@ string(FIND "${out}" "reduce/3" rpos)
 if(rpos EQUAL -1)
   message(FATAL_ERROR "profile should show reduce/3 commits:\n${out}")
 endif()
-# :stats surfaces the scheduler-substrate counters of the last run.
+# :stats surfaces the scheduler-substrate and fault counters of the last
+# run.
 string(FIND "${out}" "mailbox_fast_hits=" spos)
 if(spos EQUAL -1)
   message(FATAL_ERROR ":stats should print scheduler counters:\n${out}")
+endif()
+string(FIND "${out}" "faults: drops=" fpos)
+if(fpos EQUAL -1)
+  message(FATAL_ERROR ":stats should print fault counters:\n${out}")
 endif()
 # :netrun across the 2-rank loopback cluster matches the oracle, and
 # :stats adds the net: counter line while the cluster is up.
