@@ -47,11 +47,9 @@ struct Pair {
   explicit Pair(bool over_tcp,
                 const std::function<void(n::Cluster&)>& extra = {}) {
     if (over_tcp) {
-      const auto ports = n::pick_free_ports(2);
-      std::vector<std::string> peers;
-      for (auto p : ports) peers.push_back("127.0.0.1:" + std::to_string(p));
-      tcp0 = n::make_tcp_transport(0, peers);
-      tcp1 = n::make_tcp_transport(1, peers);
+      // Rank 0 binds any free port; rank 1 dials the one it got.
+      tcp0 = n::make_tcp_transport(0, {"127.0.0.1:0", "127.0.0.1:0"});
+      tcp1 = n::make_tcp_transport(1, {tcp0->listen_address(), "127.0.0.1:0"});
     }
     for (std::uint32_t r = 0; r < 2; ++r) {
       n::ClusterConfig cfg;
@@ -68,13 +66,12 @@ struct Pair {
     }
     if (over_tcp) {
       // TCP start() blocks on the connect handshake: bring rank 1 up
-      // concurrently. (Loopback start is non-blocking for followers.)
+      // concurrently. (Loopback start is a no-op.)
       std::thread t([this] { cs[1]->start(); });
       cs[0]->start();
       t.join();
     } else {
-      cs[1]->start();
-      cs[0]->start();
+      for (auto& c : cs) c->start();
     }
   }
 

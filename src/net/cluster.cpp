@@ -1,5 +1,6 @@
 #include "net/cluster.hpp"
 
+#include <algorithm>
 #include <cstdio>
 #include <stdexcept>
 #include <thread>
@@ -16,8 +17,6 @@ std::uint64_t flow_id(std::uint32_t rank, std::uint64_t seq) {
 }
 /// Pause between termination-probe rounds on rank 0.
 constexpr std::chrono::milliseconds kProbeInterval{2};
-/// How long rank 0's start() waits for every rank to Join.
-constexpr std::chrono::seconds kJoinTimeout{30};
 }  // namespace
 
 Cluster::Cluster(Transport& transport, ClusterConfig cfg)
@@ -50,24 +49,6 @@ std::uint16_t Cluster::register_handler(std::string name, Handler h) {
 void Cluster::start() {
   started_ = true;
   transport_.start();
-  if (ranks() == 1) return;
-  if (rank() == 0) {
-    std::unique_lock<std::mutex> lk(state_m_);
-    const bool ok = state_cv_.wait_for(lk, kJoinTimeout, [&] {
-      return joined_.size() == ranks() - 1;
-    });
-    if (!ok) {
-      throw std::runtime_error("cluster: not all ranks joined within timeout");
-    }
-  } else {
-    // A follower does not wait for rank 0: a single-thread loopback
-    // cluster starts followers before rank 0, and nothing may post before
-    // rank 0 finishes start() anyway.
-    Frame f;
-    f.type = FrameType::Join;
-    f.src_rank = rank();
-    send_ctl(0, f);
-  }
 }
 
 void Cluster::post(GlobalNode dst, std::uint16_t handler, term::Term payload) {
@@ -181,12 +162,6 @@ void Cluster::on_frame(Frame&& f, std::size_t wire_bytes) {
       net_.rx_frames += 1;
       deliver_post(std::move(f));
       return;
-    case FrameType::Join: {
-      std::lock_guard<std::mutex> lk(state_m_);
-      joined_.insert(f.src_rank);
-      state_cv_.notify_all();
-      return;
-    }
     case FrameType::Probe: {
       // Flush delays first so a parked frame cannot look like global
       // quiescence; then report. Per-peer FIFO means every Post this
@@ -218,15 +193,11 @@ void Cluster::on_frame(Frame&& f, std::size_t wire_bytes) {
       }
       return;
     }
-    case FrameType::Release: {
-      std::lock_guard<std::mutex> lk(state_m_);
-      release_round_ = f.round;
-      state_cv_.notify_all();
-      return;
-    }
     case FrameType::Shutdown: {
+      // Only rank 0 sends one; from a follower it is the transport's
+      // notice that the follower's link was lost (transport.hpp).
       std::lock_guard<std::mutex> lk(state_m_);
-      shutdown_seen_ = true;
+      (f.src_rank == 0 ? shutdown_seen_ : follower_lost_) = true;
       state_cv_.notify_all();
       return;
     }
@@ -251,11 +222,6 @@ void Cluster::deliver_post(Frame&& f) {
   });
 }
 
-rt::RunOutcome Cluster::wait_idle_for(std::chrono::nanoseconds deadline) {
-  if (ranks() == 1) return machine_->wait_idle_for(deadline);
-  return rank() == 0 ? wait_idle_rank0(deadline) : wait_idle_follower(deadline);
-}
-
 rt::RunOutcome Cluster::deadline_outcome() {
   rt::RunOutcome o = machine_->wait_idle_for(std::chrono::milliseconds(1));
   if (o.ok()) {
@@ -265,7 +231,11 @@ rt::RunOutcome Cluster::deadline_outcome() {
   return o;
 }
 
-rt::RunOutcome Cluster::wait_idle_rank0(std::chrono::nanoseconds deadline) {
+rt::RunOutcome Cluster::wait_idle_for(std::chrono::nanoseconds deadline) {
+  if (rank() != 0) {
+    throw std::logic_error("Cluster::wait_idle_for is rank-0 only");
+  }
+  if (ranks() == 1) return machine_->wait_idle_for(deadline);
   const auto deadline_tp = std::chrono::steady_clock::now() + deadline;
   bool have_prev = false;
   bool prev_idle = false;
@@ -291,26 +261,26 @@ rt::RunOutcome Cluster::wait_idle_rank0(std::chrono::nanoseconds deadline) {
     probe.type = FrameType::Probe;
     probe.src_rank = 0;
     probe.round = round;
-    bool send_failed = false;
     for (std::uint32_t r = 1; r < ranks(); ++r) {
       try {
         send_ctl(r, probe);
       } catch (const std::exception&) {
-        send_failed = true;  // peer lost; keep probing the rest
+        std::lock_guard<std::mutex> lk(state_m_);
+        follower_lost_ = true;  // its link is gone, or this rank stopped
       }
     }
-    if (send_failed) {
-      rt::RunOutcome o = deadline_outcome();
-      o.status = rt::RunStatus::NodeLost;
-      return o;
-    }
 
-    bool complete = false;
     {
       std::unique_lock<std::mutex> lk(state_m_);
-      complete = state_cv_.wait_until(lk, deadline_tp, [&] {
-        return replies_.size() == ranks() - 1;
+      const bool complete = state_cv_.wait_until(lk, deadline_tp, [&] {
+        return follower_lost_ || replies_.size() == ranks() - 1;
       });
+      if (follower_lost_) {
+        lk.unlock();
+        rt::RunOutcome o = deadline_outcome();
+        o.status = rt::RunStatus::NodeLost;
+        return o;
+      }
       if (complete) {
         bool all_idle = local_idle;
         std::uint64_t tx = local_tx, rx = local_rx;
@@ -327,16 +297,9 @@ rt::RunOutcome Cluster::wait_idle_rank0(std::chrono::nanoseconds deadline) {
         prev_rx = rx;
         if (stable) {
           lk.unlock();
-          Frame rel;
-          rel.type = FrameType::Release;
-          rel.src_rank = 0;
-          rel.round = round;
-          for (std::uint32_t r = 1; r < ranks(); ++r) send_ctl(r, rel);
-          const auto left = deadline_tp - std::chrono::steady_clock::now();
-          return machine_->wait_idle_for(
-              left > std::chrono::nanoseconds(1)
-                  ? std::chrono::duration_cast<std::chrono::nanoseconds>(left)
-                  : std::chrono::nanoseconds(1));
+          return machine_->wait_idle_for(std::max<std::chrono::nanoseconds>(
+              deadline_tp - std::chrono::steady_clock::now(),
+              std::chrono::nanoseconds(1)));
         }
       }
     }
@@ -344,25 +307,11 @@ rt::RunOutcome Cluster::wait_idle_rank0(std::chrono::nanoseconds deadline) {
   }
 }
 
-rt::RunOutcome Cluster::wait_idle_follower(std::chrono::nanoseconds deadline) {
-  const auto deadline_tp = std::chrono::steady_clock::now() + deadline;
-  std::unique_lock<std::mutex> lk(state_m_);
-  const std::uint64_t seen = release_round_;
-  const bool ok = state_cv_.wait_until(lk, deadline_tp, [&] {
-    return release_round_ > seen || shutdown_seen_;
-  });
-  lk.unlock();
-  if (!ok) return deadline_outcome();
-  const auto left = deadline_tp - std::chrono::steady_clock::now();
-  return machine_->wait_idle_for(
-      left > std::chrono::nanoseconds(1)
-          ? std::chrono::duration_cast<std::chrono::nanoseconds>(left)
-          : std::chrono::nanoseconds(1));
-}
-
 void Cluster::serve() {
   if (rank() == 0) return;
   {
+    // shutdown_seen_ is also set when rank 0's link is lost, so this wait
+    // ends without a Shutdown from a rank 0 that went away.
     std::unique_lock<std::mutex> lk(state_m_);
     state_cv_.wait(lk, [&] { return shutdown_seen_; });
   }

@@ -12,21 +12,22 @@
 // shipping closures. Every rank must register the same handlers in the
 // same order before start() — the index is the wire-level name.
 //
-// Lifecycle (rank 0 coordinates):
-//   * start()      — followers bring the transport up and send Join;
-//                    rank 0 waits for all Joins. Follower start() does
-//                    not wait for rank 0, so an all-in-one-thread
-//                    loopback cluster can start its followers first and
-//                    rank 0 last.
-//   * wait_idle_for — distributed termination detection, rank-0 driven:
-//                    probe rounds collect (idle, tx, rx) from every rank;
+// Lifecycle (rank 0 drives, followers serve):
+//   * start()      — brings the transport up. Every rank registers its
+//                    handlers first and dials rank 0 inside its own
+//                    start(), so rank 0's start() returns once every rank
+//                    is up. Loopback start is a no-op: the receivers are
+//                    set at construction, so start order does not matter.
+//   * wait_idle_for — rank 0 only: distributed termination detection.
+//                    Probe rounds collect (idle, tx, rx) from every rank;
 //                    the run is done when all ranks are idle and the
 //                    global sent == received frame counts are *stable
 //                    across two consecutive rounds* (no message can be in
 //                    flight — the classic four-counter argument, same
 //                    family as the Link algebra in runtime/termination.hpp).
-//                    On success rank 0 broadcasts Release.
-//   * serve()      — follower main loop: block until Shutdown arrives.
+//                    A follower's lost link ends it at once with NodeLost.
+//   * serve()      — follower main loop: block until rank 0's Shutdown
+//                    arrives or rank 0's link is lost.
 //   * shutdown()   — rank 0 broadcasts Shutdown, then stops the transport.
 //
 // Fault seam: ClusterConfig::net_faults applies the FaultPlan lottery to
@@ -44,7 +45,6 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -98,21 +98,22 @@ class Cluster {
   /// be called before start(), identically on every rank.
   std::uint16_t register_handler(std::string name, Handler h);
 
-  /// Brings the cluster up (see lifecycle note above). Throws if a rank
-  /// fails to join within 30 s.
+  /// Brings the cluster up (see lifecycle note above). Throws if the
+  /// transport's bring-up fails or misses its deadline.
   void start();
 
   /// Runs `handler(payload)` as a task on global node `dst` — locally or
   /// across the wire. Callable from machine tasks and external threads.
   void post(GlobalNode dst, std::uint16_t handler, term::Term payload);
 
-  /// Distributed wait_idle (rank 0) / wait-for-Release (followers).
+  /// Distributed wait_idle; rank 0 only (std::logic_error elsewhere).
   /// Returns the local machine's classification once the cluster is
-  /// globally quiescent, or DeadlineExceeded/NodeLost on timeout.
+  /// globally quiescent, DeadlineExceeded on timeout, or NodeLost as soon
+  /// as a follower's link is lost.
   rt::RunOutcome wait_idle_for(std::chrono::nanoseconds deadline);
 
-  /// Follower main loop: blocks until Shutdown arrives, then stops the
-  /// transport. Returns immediately on rank 0.
+  /// Follower main loop: blocks until rank 0's Shutdown arrives or rank
+  /// 0's link is lost, then stops the transport. Returns at once on rank 0.
   void serve();
 
   /// Rank 0: broadcast Shutdown, then stop the transport. Followers just
@@ -135,8 +136,6 @@ class Cluster {
   /// termination detection.
   void flush_delayed(std::uint32_t to);
   bool delayed_empty() const;
-  rt::RunOutcome wait_idle_rank0(std::chrono::nanoseconds deadline);
-  rt::RunOutcome wait_idle_follower(std::chrono::nanoseconds deadline);
   rt::RunOutcome deadline_outcome();
 
   static constexpr std::uint32_t kAllRanks = static_cast<std::uint32_t>(-1);
@@ -165,9 +164,8 @@ class Cluster {
   // Control-plane state, guarded by state_m_.
   mutable std::mutex state_m_;
   std::condition_variable state_cv_;
-  std::set<std::uint32_t> joined_;      // rank 0: ranks that sent Join
-  std::uint64_t release_round_ = 0;     // follower: latest Release round
-  bool shutdown_seen_ = false;
+  bool shutdown_seen_ = false;          // follower: rank 0 said stop or is lost
+  bool follower_lost_ = false;          // rank 0: a follower is unreachable
   std::uint64_t reply_round_ = 0;       // rank 0: round being collected
   std::map<std::uint32_t, Frame> replies_;  // rank 0: ProbeReply per rank
   bool shutdown_done_ = false;

@@ -1,12 +1,13 @@
 // TCP transport: one process per rank, full mesh over localhost or a LAN.
 //
 // Connection setup is deterministic regardless of start order: every rank
-// listens on its own peers[rank] port, *dials* every lower rank (retrying
-// while the peer's listener comes up) and *accepts* from every higher
-// rank; the first frame on each connection is a Hello carrying the
-// dialer's rank, so accepted sockets are attributed without trusting
-// addresses. After the mesh is up each socket goes nonblocking and gets a
-// dedicated I/O thread:
+// but the highest binds and listens on its peers[rank] address when it is
+// constructed (port 0 takes any free port). start() *dials* every lower
+// rank (retrying while the peer's process comes up) and *accepts* from
+// every higher rank, all within one bring-up deadline; the first frame on
+// each connection is a Hello carrying the dialer's rank, so accepted
+// sockets are attributed without trusting addresses. After the mesh is up
+// each socket goes nonblocking and gets a dedicated I/O thread:
 //
 //   * writes — send() appends the encoded frame to a bounded outbound
 //     queue (backpressure: producers block on a condvar when the queue is
@@ -47,7 +48,10 @@ namespace {
 constexpr std::size_t kMaxOutboundFrames = 1024;
 constexpr std::size_t kMaxOutboundBytes = 4u << 20;
 constexpr std::size_t kCoalesceBytes = 256u << 10;
-constexpr int kDialAttempts = 300;  // x 50ms = 15s to wait for a peer
+/// The whole of start(): every dial retry and accept ends by then.
+constexpr std::chrono::seconds kBringUp{30};
+/// Bounds one handshake read or write: a silent stray cannot hold start().
+constexpr timeval kHandshakeTimeout{5, 0};
 
 [[noreturn]] void sys_fail(const std::string& what) {
   throw std::runtime_error(what + ": " + std::strerror(errno));
@@ -64,10 +68,23 @@ HostPort parse_host_port(const std::string& s) {
     throw std::runtime_error("bad peer address (want host:port): " + s);
   }
   const int port = std::stoi(s.substr(colon + 1));
-  if (port <= 0 || port > 0xFFFF) {
+  if (port < 0 || port > 0xFFFF) {
     throw std::runtime_error("bad peer port: " + s);
   }
   return {s.substr(0, colon), static_cast<std::uint16_t>(port)};
+}
+
+/// The IPv4 address of `hp`, or nullopt when its host does not resolve.
+std::optional<sockaddr_in> resolve(const HostPort& hp) {
+  addrinfo hints{};
+  hints.ai_family = AF_INET;
+  hints.ai_socktype = SOCK_STREAM;
+  addrinfo* res = nullptr;
+  if (::getaddrinfo(hp.host.c_str(), nullptr, &hints, &res) != 0) return {};
+  sockaddr_in addr = *reinterpret_cast<sockaddr_in*>(res->ai_addr);
+  ::freeaddrinfo(res);
+  addr.sin_port = htons(hp.port);
+  return addr;
 }
 
 void set_nonblocking(int fd) {
@@ -131,6 +148,7 @@ class TcpTransport final : public Transport {
       throw std::runtime_error("tcp transport: rank outside peer list");
     }
     conns_.resize(peers_.size());
+    if (rank_ + 1 < peers_.size()) open_listener();
   }
 
   ~TcpTransport() override { stop(); }
@@ -142,12 +160,12 @@ class TcpTransport final : public Transport {
 
   void set_receiver(RecvFn fn) override { recv_ = std::move(fn); }
 
+  std::string listen_address() const override { return address_; }
+
   void start() override {
-    if (peers_.size() == 1) return;  // nothing to connect
-    const std::uint32_t higher = ranks() - rank_ - 1;
-    if (higher > 0) open_listener();
-    for (std::uint32_t r = 0; r < rank_; ++r) dial(r);
-    for (std::uint32_t i = 0; i < higher; ++i) accept_one();
+    const auto deadline = std::chrono::steady_clock::now() + kBringUp;
+    for (std::uint32_t r = 0; r < rank_; ++r) dial(r, deadline);
+    for (std::uint32_t r = rank_ + 1; r < ranks(); ++r) accept_one(deadline);
     if (listen_fd_ >= 0) {
       ::close(listen_fd_);
       listen_fd_ = -1;
@@ -261,60 +279,54 @@ class TcpTransport final : public Transport {
 
   void open_listener() {
     const HostPort hp = parse_host_port(peers_[rank_]);
-    listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (listen_fd_ < 0) sys_fail("socket");
+    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    if (fd < 0) sys_fail("socket");
     int one = 1;
-    ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
+    ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
     // Bind the configured interface, not INADDR_ANY: a localhost mesh
     // should not be reachable (or disturbable) from the LAN at all.
     // Fall back to any-interface only if the host doesn't resolve here.
-    addr.sin_addr.s_addr = htonl(INADDR_ANY);
-    addrinfo hints{};
-    hints.ai_family = AF_INET;
-    hints.ai_socktype = SOCK_STREAM;
-    addrinfo* res = nullptr;
-    if (::getaddrinfo(hp.host.c_str(), nullptr, &hints, &res) == 0 &&
-        res != nullptr) {
-      addr.sin_addr = reinterpret_cast<sockaddr_in*>(res->ai_addr)->sin_addr;
-      ::freeaddrinfo(res);
-    }
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;  // sin_addr zero: INADDR_ANY
     addr.sin_port = htons(hp.port);
-    if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) <
-        0) {
-      sys_fail("bind " + peers_[rank_]);
+    if (const auto a = resolve(hp)) addr = *a;
+    socklen_t len = sizeof(addr);
+    if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) < 0 ||
+        ::listen(fd, static_cast<int>(ranks())) < 0 ||
+        ::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len) < 0 ||
+        ::fcntl(fd, F_SETFL, O_NONBLOCK) < 0) {  // accept_one() polls it
+      ::close(fd);  // the constructor throws, so no destructor closes it
+      sys_fail("listen on " + peers_[rank_]);
     }
-    if (::listen(listen_fd_, static_cast<int>(ranks())) < 0) sys_fail("listen");
+    listen_fd_ = fd;
+    address_ = hp.host + ":" + std::to_string(ntohs(addr.sin_port));
   }
 
-  void dial(std::uint32_t r) {
-    const HostPort hp = parse_host_port(peers_[r]);
-    addrinfo hints{};
-    hints.ai_family = AF_INET;
-    hints.ai_socktype = SOCK_STREAM;
-    addrinfo* res = nullptr;
-    const std::string port_str = std::to_string(hp.port);
-    if (::getaddrinfo(hp.host.c_str(), port_str.c_str(), &hints, &res) != 0 ||
-        res == nullptr) {
-      throw std::runtime_error("cannot resolve peer " + peers_[r]);
-    }
+  void dial(std::uint32_t r, std::chrono::steady_clock::time_point deadline) {
+    const std::optional<sockaddr_in> addr =
+        resolve(parse_host_port(peers_[r]));
+    if (!addr) throw std::runtime_error("cannot resolve peer " + peers_[r]);
     int fd = -1;
-    for (int attempt = 0; attempt < kDialAttempts; ++attempt) {
-      fd = ::socket(res->ai_family, res->ai_socktype, res->ai_protocol);
-      if (fd < 0) {
-        ::freeaddrinfo(res);
-        sys_fail("socket");
+    for (;;) {
+      fd = ::socket(AF_INET, SOCK_STREAM, 0);
+      if (fd < 0) sys_fail("socket");
+      // Bounds connect() on a full backlog, and the Hello write below.
+      ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &kHandshakeTimeout,
+                   sizeof(kHandshakeTimeout));
+      if (::connect(fd, reinterpret_cast<const sockaddr*>(&*addr),
+                    sizeof(*addr)) == 0) {
+        break;
       }
-      if (::connect(fd, res->ai_addr, res->ai_addrlen) == 0) break;
       ::close(fd);
       fd = -1;
-      std::this_thread::sleep_for(std::chrono::milliseconds(50));
+      constexpr auto kRetry = std::chrono::milliseconds(50);
+      if (std::chrono::steady_clock::now() + kRetry >= deadline) break;
+      std::this_thread::sleep_for(kRetry);
     }
-    ::freeaddrinfo(res);
     if (fd < 0) {
       throw std::runtime_error("cannot connect to rank " + std::to_string(r) +
-                               " at " + peers_[r]);
+                               " at " + peers_[r] + " within " +
+                               std::to_string(kBringUp.count()) + " s");
     }
     set_nodelay(fd);
     Frame hello;
@@ -329,20 +341,31 @@ class TcpTransport final : public Transport {
   }
 
   /// Accepts connections until one presents a valid Hello from a
-  /// not-yet-connected higher rank. A stray connection (port scanner,
-  /// health checker, LAN noise) is closed and ignored rather than
-  /// aborting cluster bring-up, and a receive timeout on the handshake
-  /// socket keeps a silent one from wedging start() forever.
-  void accept_one() {
+  /// not-yet-connected higher rank, or throws at `deadline`. A stray
+  /// connection (port scanner, health checker, LAN noise) is closed and
+  /// ignored rather than aborting cluster bring-up, and a receive timeout
+  /// on the handshake socket keeps a silent one from holding start().
+  void accept_one(std::chrono::steady_clock::time_point deadline) {
     for (;;) {
+      const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
+          deadline - std::chrono::steady_clock::now());
+      if (left.count() <= 0) {
+        throw std::runtime_error(
+            "tcp transport: rank " + std::to_string(rank_) +
+            ": not every higher rank connected within " +
+            std::to_string(kBringUp.count()) + " s");
+      }
+      pollfd p{listen_fd_, POLLIN, 0};
+      const int ready = ::poll(&p, 1, static_cast<int>(left.count()));
+      if (ready < 0 && errno != EINTR) sys_fail("poll");
+      if (ready <= 0) continue;
       const int fd = ::accept(listen_fd_, nullptr, nullptr);
       if (fd < 0) {
-        if (errno == EINTR) continue;
+        if (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK) continue;
         sys_fail("accept");
       }
-      timeval tv{};
-      tv.tv_sec = 5;
-      ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+      ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &kHandshakeTimeout,
+                   sizeof(kHandshakeTimeout));
       Frame hello;
       try {
         hello = read_frame_blocking(fd);
@@ -361,9 +384,6 @@ class TcpTransport final : public Transport {
         ::close(fd);
         continue;
       }
-      // Clear the handshake timeout; the socket goes nonblocking next.
-      timeval zero{};
-      ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &zero, sizeof(zero));
       set_nodelay(fd);
       auto c = std::make_unique<Conn>();
       c->fd = fd;
@@ -400,7 +420,8 @@ class TcpTransport final : public Transport {
       fds[1] = {c.wake[0], POLLIN, 0};
       if (::poll(fds, 2, -1) < 0) {
         if (errno == EINTR) continue;
-        break;
+        io_error(c, "poll");
+        return;
       }
 
       if (fds[1].revents & POLLIN) {  // drain the wake pipe
@@ -483,21 +504,36 @@ class TcpTransport final : public Transport {
   }
 
   void io_error(Conn& c, const std::string& what) {
-    if (!stopping_.load(std::memory_order_acquire)) {
+    const bool lost = !stopping_.load(std::memory_order_acquire);
+    if (lost) {
       std::fprintf(stderr, "[net] rank %u <-> rank %u: %s\n", rank_, c.peer,
                    what.c_str());
     }
     // Mark the peer lost and unblock senders: further send() calls to it
     // throw instead of waiting on a queue nothing will ever drain.
     c.dead.store(true, std::memory_order_release);
-    std::lock_guard<std::mutex> lk(c.mu);
-    c.can_send.notify_all();
+    {
+      std::lock_guard<std::mutex> lk(c.mu);
+      c.can_send.notify_all();
+    }
+    if (lost && recv_) {  // the lost-link notice of transport.hpp
+      Frame notice;
+      notice.type = FrameType::Shutdown;
+      notice.src_rank = c.peer;
+      try {
+        recv_(std::move(notice), 0);
+      } catch (const std::exception& e) {  // must not end this I/O thread
+        std::fprintf(stderr, "[net] rank %u: lost-link receiver failed: %s\n",
+                     rank_, e.what());
+      }
+    }
   }
 
   std::uint32_t rank_;
   std::vector<std::string> peers_;
   RecvFn recv_;
   int listen_fd_ = -1;
+  std::string address_;  // listen_fd_'s "host:port"; "" without a listener
   std::vector<std::unique_ptr<Conn>> conns_;
   std::atomic<bool> stop_entered_{false};
   std::atomic<bool> stopping_{false};

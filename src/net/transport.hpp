@@ -13,11 +13,18 @@
 //     via a bounded outbound queue.
 //
 // Contract shared by both:
+//   * construction reserves the rank's address: a TCP rank that accepts
+//     (all but the highest) binds and listens there, so a peer may dial it
+//     before start(); `peers[rank]` may name port 0 (listen_address()).
 //   * set_receiver() before start(); the receiver may be invoked
 //     concurrently from multiple threads and must not call back into
 //     send() for the same peer while holding locks the sender needs.
 //   * send() is thread-safe, may block for backpressure (TCP) and returns
 //     the encoded wire size of the frame in bytes.
+//   * a link lost outside stop() is reported to the receiver once, as a
+//     Shutdown frame from the lost rank with a wire size of 0. It never
+//     crossed the wire: only rank 0 sends a real Shutdown, so a Shutdown
+//     from any other rank always means its link is gone.
 //   * stop() is idempotent and joins any I/O threads.
 #pragma once
 
@@ -48,9 +55,14 @@ class Transport {
   /// Must be called before start(). The callback may run on any thread.
   virtual void set_receiver(RecvFn fn) = 0;
 
-  /// Brings the transport up (TCP: listen + connect all peers + Hello
-  /// exchange). Throws on failure. Loopback start is a no-op.
+  /// Brings the transport up (TCP: connect all peers + Hello exchange,
+  /// within one bring-up deadline). Throws on failure. Loopback start is
+  /// a no-op.
   virtual void start() = 0;
+
+  /// The "host:port" this rank's listener is bound to, or "" when it
+  /// listens for no one (loopback, or the highest TCP rank).
+  virtual std::string listen_address() const { return {}; }
 
   /// Encodes and ships `f` to rank `to`. Returns the wire size in bytes.
   /// Throws WireError on encode failure, std::runtime_error if the peer is
@@ -85,15 +97,19 @@ class LoopbackHub {
 // ---- TCP -------------------------------------------------------------------
 
 /// `peers[r]` is rank r's "host:port" listen address; `peers.size()` is the
-/// cluster size. The transport listens on peers[rank]'s port, dials every
-/// lower rank (with retries, so start order doesn't matter), and accepts
-/// connections from higher ranks.
+/// cluster size. Unless it is the highest rank, the transport binds and
+/// listens on peers[rank] when constructed (port 0: any free port). Its
+/// start() dials every lower rank (with retries, so start order doesn't
+/// matter) and accepts connections from higher ranks. A rank dials only
+/// lower ranks, so ranks built in rank order can fill in their peer list
+/// from the listen_address() of the ranks before them.
 std::unique_ptr<Transport> make_tcp_transport(std::uint32_t rank,
                                               std::vector<std::string> peers);
 
-/// Test helper: binds `n` ephemeral localhost ports, records them, closes
-/// the sockets, and returns the port numbers. Racy by nature (another
-/// process could grab a port before the test rebinds it) but fine for CI.
+/// Binds `n` ephemeral localhost ports, records them, closes the sockets,
+/// and returns the port numbers. Racy by nature: another process can take
+/// a port before the transport binds it. Binding port 0 in the transport
+/// has no such race; perfbench is the last caller of this function.
 std::vector<std::uint16_t> pick_free_ports(std::size_t n);
 
 }  // namespace motif::net

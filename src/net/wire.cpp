@@ -183,7 +183,6 @@ std::vector<std::uint8_t> encode_frame(const Frame& f) {
   body.u32(f.src_rank);
   switch (f.type) {
     case FrameType::Hello:
-    case FrameType::Join:
     case FrameType::Shutdown:
       break;  // header only
     case FrameType::Post:
@@ -193,7 +192,6 @@ std::vector<std::uint8_t> encode_frame(const Frame& f) {
       encode_term(body, f.payload);
       break;
     case FrameType::Probe:
-    case FrameType::Release:
       body.u64(f.round);
       break;
     case FrameType::ProbeReply:
@@ -229,7 +227,6 @@ std::optional<Frame> decode_frame(const std::uint8_t* p, std::size_t n,
   f.src_rank = d.u32();
   switch (f.type) {
     case FrameType::Hello:
-    case FrameType::Join:
     case FrameType::Shutdown:
       break;
     case FrameType::Post:
@@ -239,7 +236,6 @@ std::optional<Frame> decode_frame(const std::uint8_t* p, std::size_t n,
       f.payload = decode_term(d);
       break;
     case FrameType::Probe:
-    case FrameType::Release:
       f.round = d.u64();
       break;
     case FrameType::ProbeReply:

@@ -48,7 +48,7 @@ class WireError : public std::runtime_error {
   explicit WireError(const std::string& what) : std::runtime_error(what) {}
 };
 
-inline constexpr std::uint8_t kWireVersion = 2;
+inline constexpr std::uint8_t kWireVersion = 3;
 /// Upper bound on one frame's post-length-word size; larger lengths are
 /// treated as corruption, not as a request for a 4 GiB buffer.
 inline constexpr std::uint32_t kMaxFrameBytes = 1u << 24;
@@ -161,12 +161,11 @@ term::Term term_from_bytes(const std::uint8_t* p, std::size_t n);
 
 enum class FrameType : std::uint8_t {
   Hello = 1,    ///< first frame on a TCP connection: version + sender rank
-  Join = 2,     ///< rank -> rank 0: transport up, ready to start
   Post = 4,     ///< data: deliver `payload` to `handler` on `dst_node`
   Probe = 5,    ///< rank 0 -> rank: termination probe for `round`
   ProbeReply = 6,  ///< rank -> rank 0: idle flag + tx/rx frame counts
-  Release = 7,  ///< rank 0 -> all: global quiescence confirmed
-  Shutdown = 8, ///< rank 0 -> all: tear the cluster down
+  Shutdown = 8, ///< rank 0 -> all: tear the cluster down (or, never on the
+                ///< wire, the sender's link was lost: transport.hpp)
 };
 
 /// One decoded wire frame. A plain struct rather than a variant: only the
@@ -182,7 +181,7 @@ struct Frame {
   std::uint64_t trace_id = 0;  ///< nonzero: flow id linking MsgSend/MsgRecv
   term::Term payload;          ///< argument term (default: nil)
 
-  // Probe / ProbeReply / Release
+  // Probe / ProbeReply
   std::uint64_t round = 0;
   std::uint64_t tx = 0;   ///< ProbeReply: post frames sent by this rank
   std::uint64_t rx = 0;   ///< ProbeReply: post frames received by this rank

@@ -24,8 +24,7 @@ namespace {
 constexpr auto kDeadline = 20s;
 
 /// A whole loopback cluster in one object: hub + one Cluster and one
-/// DistTreeReduce2 per rank. Followers start first (Join frames are
-/// delivered inline to rank 0's already-set receiver), rank 0 last.
+/// DistTreeReduce2 per rank, started in rank order.
 struct LoopCluster {
   n::LoopbackHub hub;
   std::vector<std::unique_ptr<n::Cluster>> cs;
@@ -46,8 +45,7 @@ struct LoopCluster {
     for (auto& c : cs) {
       trs.push_back(std::make_unique<motif::DistTreeReduce2>(*c));
     }
-    for (std::uint32_t r = 1; r < ranks; ++r) cs[r]->start();
-    cs[0]->start();
+    for (auto& c : cs) c->start();
   }
 
   n::Cluster& rank0() { return *cs[0]; }

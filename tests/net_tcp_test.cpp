@@ -1,8 +1,9 @@
 // TCP transport tests, all in-process: two ranks on real localhost
 // sockets (one thread per rank standing in for one OS process per rank —
 // same code path the 2-process tools/net_launch.sh smoke exercises), a
-// raw transport ping-pong below the cluster layer, and the
-// backpressure/shutdown edges.
+// raw transport ping-pong below the cluster layer, the
+// backpressure/shutdown edges, and a lost link ending every wait on it.
+// Every rank binds port 0, so concurrent test processes never share one.
 #include <arpa/inet.h>
 #include <gtest/gtest.h>
 #include <netinet/in.h>
@@ -12,6 +13,10 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <cstdio>
+#include <cstdlib>
+#include <future>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -28,28 +33,92 @@ using namespace std::chrono_literals;
 
 namespace {
 
-std::vector<std::string> localhost_peers(std::size_t ranks) {
-  const auto ports = n::pick_free_ports(ranks);
-  std::vector<std::string> peers;
-  for (auto p : ports) peers.push_back("127.0.0.1:" + std::to_string(p));
-  return peers;
+/// Transports of a localhost cluster, built in rank order: each rank
+/// binds port 0, and the ranks after it dial the port it got.
+std::vector<std::unique_ptr<n::Transport>> localhost_transports(
+    std::uint32_t ranks) {
+  std::vector<std::string> peers(ranks, "127.0.0.1:0");
+  std::vector<std::unique_ptr<n::Transport>> ts;
+  for (std::uint32_t r = 0; r < ranks; ++r) {
+    ts.push_back(n::make_tcp_transport(r, peers));
+    peers[r] = ts.back()->listen_address();
+  }
+  return ts;
+}
+
+/// Joins `t` once `done` is ready. A thread still running after `bound`
+/// ends the process with a failure: it blocks on objects this test is
+/// about to destroy, so it can be neither joined nor left behind.
+void join_within(std::thread& t, std::future<void> done,
+                 std::chrono::seconds bound, const char* what) {
+  if (done.wait_for(bound) != std::future_status::ready) {
+    std::fprintf(stderr, "FAILED: %s did not end within %lld s\n", what,
+                 static_cast<long long>(bound.count()));
+    std::fflush(stderr);
+    std::_Exit(1);
+  }
+  t.join();
+}
+
+/// Two DistTreeReduce2 generations on a fresh two-rank localhost cluster,
+/// rank 1 serving on its own thread; returns rank 0's counters.
+rt::NetStats reduce_over_two_ranks() {
+  auto ts = localhost_transports(2);
+
+  // Rank 1: the follower "process". Builds its own cluster and motif,
+  // then sits in serve() until rank 0's Shutdown arrives.
+  std::promise<void> served;
+  std::thread follower([&] {
+    n::ClusterConfig cfg;
+    cfg.nodes_per_rank = 2;
+    cfg.machine.seed = 0x5EED1ull;
+    n::Cluster c(*ts[1], cfg);
+    motif::DistTreeReduce2 tr(c);
+    c.start();
+    c.serve();
+    served.set_value();
+  });
+
+  rt::NetStats stats;
+  {
+    n::ClusterConfig cfg;
+    cfg.nodes_per_rank = 2;
+    cfg.machine.seed = 0x5EED0ull;
+    n::Cluster c(*ts[0], cfg);
+    motif::DistTreeReduce2 tr(c);
+    c.start();
+
+    const auto res = tr.run(6, 42, 60s);
+    EXPECT_TRUE(res.ok) << res.outcome.to_string();
+    EXPECT_EQ(res.value, res.expected);
+
+    // Repeated generations over the same connections.
+    const auto res2 = tr.run(5, 7, 60s);
+    EXPECT_TRUE(res2.ok) << res2.outcome.to_string();
+    EXPECT_EQ(res2.value, res2.expected);
+
+    stats = c.net_stats();
+    c.shutdown();
+  }
+  join_within(follower, served.get_future(), 10s, "rank 1's serve()");
+  return stats;
 }
 
 }  // namespace
 
 TEST(NetTcp, RawPingPong) {
-  const auto peers = localhost_peers(2);
-
-  auto t0 = n::make_tcp_transport(0, peers);
-  auto t1 = n::make_tcp_transport(1, peers);
+  auto ts = localhost_transports(2);
+  auto& t0 = ts[0];
+  auto& t1 = ts[1];
 
   std::mutex m;
   std::condition_variable cv;
   int pongs = 0;
   std::size_t pong_bytes = 0;
 
+  // Both receivers ignore the Shutdown notice of a link lost at stop().
   t0->set_receiver([&](n::Frame&& f, std::size_t wire_bytes) {
-    ASSERT_EQ(f.type, n::FrameType::Post);
+    if (f.type != n::FrameType::Post) return;
     EXPECT_EQ(f.src_rank, 1u);
     EXPECT_EQ(f.payload.int_value(), 2 * 21);
     std::lock_guard<std::mutex> lk(m);
@@ -59,6 +128,7 @@ TEST(NetTcp, RawPingPong) {
   });
   // Rank 1 echoes each ping back doubled.
   t1->set_receiver([&](n::Frame&& f, std::size_t) {
+    if (f.type != n::FrameType::Post) return;
     n::Frame reply;
     reply.type = n::FrameType::Post;
     reply.src_rank = 1;
@@ -89,9 +159,9 @@ TEST(NetTcp, RawPingPong) {
 }
 
 TEST(NetTcp, ManyFramesSurviveCoalescingAndBackpressure) {
-  const auto peers = localhost_peers(2);
-  auto t0 = n::make_tcp_transport(0, peers);
-  auto t1 = n::make_tcp_transport(1, peers);
+  auto ts = localhost_transports(2);
+  auto& t0 = ts[0];
+  auto& t1 = ts[1];
 
   constexpr int kFrames = 5000;
   std::mutex m;
@@ -100,6 +170,7 @@ TEST(NetTcp, ManyFramesSurviveCoalescingAndBackpressure) {
   long long sum = 0;
   t0->set_receiver([](n::Frame&&, std::size_t) {});
   t1->set_receiver([&](n::Frame&& f, std::size_t) {
+    if (f.type != n::FrameType::Post) return;
     std::lock_guard<std::mutex> lk(m);
     ++got;
     sum += f.payload.int_value();
@@ -130,9 +201,9 @@ TEST(NetTcp, ManyFramesSurviveCoalescingAndBackpressure) {
 }
 
 TEST(NetTcp, SendAfterStopThrows) {
-  const auto peers = localhost_peers(2);
-  auto t0 = n::make_tcp_transport(0, peers);
-  auto t1 = n::make_tcp_transport(1, peers);
+  auto ts = localhost_transports(2);
+  auto& t0 = ts[0];
+  auto& t1 = ts[1];
   t0->set_receiver([](n::Frame&&, std::size_t) {});
   t1->set_receiver([](n::Frame&&, std::size_t) {});
   std::thread starter([&] { t1->start(); });
@@ -149,14 +220,15 @@ TEST(NetTcp, SendAfterStopThrows) {
 }
 
 TEST(NetTcp, StrayConnectionDoesNotAbortStartup) {
-  const auto peers = localhost_peers(2);
-  auto t0 = n::make_tcp_transport(0, peers);
-  auto t1 = n::make_tcp_transport(1, peers);
+  auto ts = localhost_transports(2);
+  auto& t0 = ts[0];
+  auto& t1 = ts[1];
 
   std::mutex m;
   std::condition_variable cv;
   int got = 0;
-  t0->set_receiver([&](n::Frame&&, std::size_t) {
+  t0->set_receiver([&](n::Frame&& f, std::size_t) {
+    if (f.type != n::FrameType::Post) return;
     std::lock_guard<std::mutex> lk(m);
     ++got;
     cv.notify_all();
@@ -165,43 +237,26 @@ TEST(NetTcp, StrayConnectionDoesNotAbortStartup) {
 
   // A port scanner / health checker hitting rank 0's listener during
   // bring-up: connects first, writes bytes that can never be a Hello
-  // (length prefix far over kMaxFrameBytes), hangs up. The mesh must
-  // still form around it.
-  const std::uint16_t port = static_cast<std::uint16_t>(
-      std::stoi(peers[0].substr(peers[0].rfind(':') + 1)));
-  std::atomic<bool> stray_done{false};
-  std::thread stray([&] {
-    for (int i = 0; i < 300; ++i) {
-      const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-      ASSERT_GE(fd, 0);
-      sockaddr_in addr{};
-      addr.sin_family = AF_INET;
-      addr.sin_port = htons(port);
-      ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
-      if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) ==
-          0) {
-        const std::uint8_t junk[8] = {0xFF, 0xFF, 0xFF, 0xFF, 1, 2, 3, 4};
-        ::send(fd, junk, sizeof(junk), MSG_NOSIGNAL);
-        ::close(fd);
-        stray_done.store(true);
-        return;
-      }
-      ::close(fd);
-      std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    }
-    stray_done.store(true);  // listener never came up; start() will fail loudly
-  });
-  // Hold rank 1 back until the stray connection is already queued, so
-  // accept_one() deterministically sees the garbage first.
-  std::thread starter([&] {
-    while (!stray_done.load()) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    }
-    t1->start();
-  });
+  // (length prefix far over kMaxFrameBytes), hangs up. The listener is
+  // bound at construction, so the stray is queued before rank 1 dials
+  // and accept_one() deterministically sees the garbage first. The mesh
+  // must still form around it.
+  const std::string addr = t0->listen_address();
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  sockaddr_in sa{};
+  sa.sin_family = AF_INET;
+  sa.sin_port = htons(static_cast<std::uint16_t>(
+      std::stoi(addr.substr(addr.rfind(':') + 1))));
+  ::inet_pton(AF_INET, "127.0.0.1", &sa.sin_addr);
+  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&sa), sizeof(sa)), 0);
+  const std::uint8_t junk[8] = {0xFF, 0xFF, 0xFF, 0xFF, 1, 2, 3, 4};
+  ::send(fd, junk, sizeof(junk), MSG_NOSIGNAL);
+  ::close(fd);
+
+  std::thread starter([&] { t1->start(); });
   t0->start();
   starter.join();
-  stray.join();
 
   n::Frame f;
   f.type = n::FrameType::Post;
@@ -217,47 +272,60 @@ TEST(NetTcp, StrayConnectionDoesNotAbortStartup) {
 }
 
 TEST(NetTcp, DistTreeReduce2OverRealSockets) {
-  const auto peers = localhost_peers(2);
-
-  // Rank 1: the follower "process". Builds its own transport, cluster,
-  // and motif, then sits in serve() until rank 0's Shutdown arrives.
-  std::thread follower([&] {
-    auto tp = n::make_tcp_transport(1, peers);
-    n::ClusterConfig cfg;
-    cfg.nodes_per_rank = 2;
-    cfg.machine.seed = 0x5EED1ull;
-    n::Cluster c(*tp, cfg);
-    motif::DistTreeReduce2 tr(c);
-    c.start();
-    c.serve();
-  });
-
-  auto tp = n::make_tcp_transport(0, peers);
-  rt::NetStats stats;
-  {
-    n::ClusterConfig cfg;
-    cfg.nodes_per_rank = 2;
-    cfg.machine.seed = 0x5EED0ull;
-    n::Cluster c(*tp, cfg);
-    motif::DistTreeReduce2 tr(c);
-    c.start();
-
-    const auto res = tr.run(6, 42, 60s);
-    EXPECT_TRUE(res.ok) << res.outcome.to_string();
-    EXPECT_EQ(res.value, res.expected);
-
-    // Repeated generations over the same connections.
-    const auto res2 = tr.run(5, 7, 60s);
-    EXPECT_TRUE(res2.ok) << res2.outcome.to_string();
-    EXPECT_EQ(res2.value, res2.expected);
-
-    stats = c.net_stats();
-    c.shutdown();
-  }
-  follower.join();
-
+  const rt::NetStats stats = reduce_over_two_ranks();
   EXPECT_GT(stats.tx_frames, 0u);
   EXPECT_GT(stats.rx_frames, 0u);
   EXPECT_GT(stats.tx_bytes, stats.tx_frames);  // every frame > 1 byte
   EXPECT_GT(stats.ctl_frames, 0u);
+}
+
+TEST(NetTcp, TwoClustersAtOnce) {
+  // Two clusters in one process, each on the ports its own ranks bound:
+  // neither can dial the other's rank 0, and each result is exact.
+  std::thread other([] { reduce_over_two_ranks(); });
+  reduce_over_two_ranks();
+  other.join();
+}
+
+TEST(NetTcp, ServeReturnsWhenRankZeroIsLost) {
+  auto ts = localhost_transports(2);
+  ts[0]->set_receiver([](n::Frame&&, std::size_t) {});
+  std::promise<void> served;
+  std::thread follower([&] {
+    n::Cluster c(*ts[1], n::ClusterConfig{});
+    c.start();
+    c.serve();
+    served.set_value();
+  });
+  ts[0]->start();
+  // Rank 0 goes away without a Shutdown, as a crashed process would.
+  ts[0]->stop();
+  join_within(follower, served.get_future(), 5s,
+              "serve() under a lost rank 0");
+}
+
+TEST(NetTcp, LostFollowerEndsTheRunAsNodeLost) {
+  auto ts = localhost_transports(2);
+  // Rank 1 is a bare transport that swallows every frame, so rank 0's
+  // run cannot finish; then its link drops mid-run.
+  ts[1]->set_receiver([](n::Frame&&, std::size_t) {});
+  n::ClusterConfig cfg;
+  cfg.nodes_per_rank = 2;
+  n::Cluster c(*ts[0], cfg);
+  motif::DistTreeReduce2 tr(c);
+  std::thread starter([&] { ts[1]->start(); });
+  c.start();
+  starter.join();
+
+  std::thread dropper([&] {
+    std::this_thread::sleep_for(200ms);
+    ts[1]->stop();
+  });
+  const auto t0 = std::chrono::steady_clock::now();
+  const auto res = tr.run(6, 42, 60s);
+  const auto took = std::chrono::steady_clock::now() - t0;
+  dropper.join();
+  EXPECT_EQ(res.outcome.status, rt::RunStatus::NodeLost)
+      << res.outcome.to_string();
+  EXPECT_LT(took, 10s);  // the lost link, not the 60 s deadline, ended it
 }

@@ -248,7 +248,7 @@ TEST(WireFrame, TwoFramesBackToBack) {
 
 TEST(WireFrame, VersionMismatchRejected) {
   n::Frame f;
-  f.type = n::FrameType::Join;
+  f.type = n::FrameType::Shutdown;
   auto b = n::encode_frame(f);
   b[4] = n::kWireVersion + 1;  // version byte follows the 4-byte length
   std::size_t consumed = 0;
@@ -257,10 +257,11 @@ TEST(WireFrame, VersionMismatchRejected) {
 
 TEST(WireFrame, UnknownTypeAndBadLengthRejected) {
   n::Frame f;
-  f.type = n::FrameType::Join;
+  f.type = n::FrameType::Shutdown;
   std::size_t consumed = 0;
-  // Type bytes: none, the retired Start frame, and out of range.
-  for (const std::uint8_t type : {0x00, 0x03, 0x7F}) {
+  // Type bytes: none, the retired Join, Start and Release frames, and out
+  // of range.
+  for (const std::uint8_t type : {0x00, 0x02, 0x03, 0x07, 0x7F}) {
     auto b = n::encode_frame(f);
     b[5] = type;
     EXPECT_THROW(n::decode_frame(b.data(), b.size(), &consumed), n::WireError)
@@ -278,7 +279,7 @@ TEST(WireFrame, UnknownTypeAndBadLengthRejected) {
 
 TEST(WireFrame, TrailingPayloadBytesRejected) {
   n::Frame f;
-  f.type = n::FrameType::Join;
+  f.type = n::FrameType::Shutdown;
   auto b = n::encode_frame(f);
   // Grow the declared length and append a stray byte: the payload no
   // longer ends where the frame does.

@@ -36,9 +36,12 @@
 //     the deterministic loopback transport — every frame still passes
 //     through the wire codec, so :netrun measures real message counts.
 //   * `--rank R --peers host:port,host:port,...` joins a TCP cluster as
-//     rank R (peers[r] is rank r's listen address). Rank 0 gets the
-//     shell; every other rank serves until rank 0's :quit broadcasts
-//     Shutdown. tools/net_launch.sh scripts the 2-process version.
+//     rank R (peers[r] is rank r's listen address). The rank binds its
+//     own address first and prints `cluster: rank R listening on
+//     HOST:PORT`, so its own entry may name port 0 (a lower rank's may
+//     not: it is dialled). Rank 0 gets the shell; every other rank
+//     serves until rank 0's :quit broadcasts Shutdown or rank 0's link is
+//     lost. tools/net_launch.sh scripts the 2-process version.
 //   * `:netrun treereduce2 DEPTH SEED` runs the distributed Tree-Reduce-2
 //     across the cluster and prints the value, the sequential oracle and
 //     the net counters; `:stats` adds a net: line while a cluster is up.
@@ -519,6 +522,11 @@ int main(int argc, char** argv) {
         return 2;
       }
       shell.net.tcp = motif::net::make_tcp_transport(rank, peers);
+      const std::string addr = shell.net.tcp->listen_address();
+      if (!addr.empty()) {
+        std::cout << "cluster: rank " << rank << " listening on " << addr
+                  << std::endl;  // flushed: a launcher waits for the port
+      }
       motif::net::ClusterConfig cfg;
       shell.net.cs.push_back(
           std::make_unique<motif::net::Cluster>(*shell.net.tcp, cfg));
@@ -530,7 +538,8 @@ int main(int argc, char** argv) {
                 << " global nodes)\n";
       if (rank != 0) {
         // Followers have no shell: everything they do arrives as
-        // messages. serve() returns when rank 0 broadcasts Shutdown.
+        // messages. serve() returns when rank 0 broadcasts Shutdown or
+        // its link is lost.
         shell.net.self().serve();
         std::cout << "rank " << rank << ": shutdown received\n";
         return 0;
@@ -546,10 +555,7 @@ int main(int argc, char** argv) {
         shell.net.trs.push_back(
             std::make_unique<motif::DistTreeReduce2>(*c));
       }
-      // Followers first: their Join frames deliver inline into rank 0's
-      // already-set receiver, so rank 0's start() finds them all joined.
-      for (std::uint32_t r = 1; r < loopback; ++r) shell.net.cs[r]->start();
-      shell.net.self().start();
+      for (auto& c : shell.net.cs) c->start();
       std::cout << "cluster: " << loopback << " loopback ranks up ("
                 << shell.net.self().global_nodes() << " global nodes)\n";
     }

@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
-# Two-process TCP cluster smoke: launches rank 1 as a background server,
-# drives rank 0's shell through `:netrun treereduce2 DEPTH SEED`, and
-# checks the distributed value matched the in-process sequential oracle
-# (the same number a single-process run computes) and that real frames
-# crossed the socket.
+# Two-process TCP cluster smoke: starts rank 0 on a port the kernel picks
+# and reads that port from its output, then starts rank 1 against it.
+# Rank 0 runs `:netrun treereduce2 DEPTH SEED` from a command file; the
+# script checks the distributed value matched the in-process sequential
+# oracle (the same number a single-process run computes) and that real
+# frames crossed the socket.
 #
 # usage: net_launch.sh path/to/motifsh [DEPTH] [SEED]
 set -u
@@ -13,37 +14,44 @@ depth=${2:-6}
 seed=${3:-42}
 
 workdir=$(mktemp -d)
-trap 'rm -rf "$workdir"' EXIT
+leader=""
+trap '[ -n "$leader" ] && kill "$leader" 2>/dev/null; rm -rf "$workdir"' EXIT
 
-out=""
-rc=1
-for attempt in 1 2 3; do
-  # Random ephemeral port pair so parallel CI jobs don't collide; on a
-  # bind clash both processes fail fast and we redraw.
-  base=$(( (RANDOM % 20000) + 20000 ))
-  peers="127.0.0.1:${base},127.0.0.1:$((base + 1))"
+printf ':netrun treereduce2 %s %s\n:stats\n:quit\n' "$depth" "$seed" \
+    > "$workdir/commands"
+"$shell" --rank 0 --peers 127.0.0.1:0,127.0.0.1:0 < "$workdir/commands" \
+    > "$workdir/rank0.log" 2>&1 &
+leader=$!
 
-  "$shell" --rank 1 --peers "$peers" < /dev/null \
-      > "$workdir/rank1.log" 2>&1 &
-  follower=$!
-
-  out=$(printf ':netrun treereduce2 %s %s\n:stats\n:quit\n' \
-               "$depth" "$seed" \
-        | "$shell" --rank 0 --peers "$peers" 2>&1)
-  rc=$?
-  wait "$follower"
-  frc=$?
-  if [ "$rc" -eq 0 ] && [ "$frc" -eq 0 ]; then
-    break
-  fi
-  echo "attempt $attempt failed (rank0 rc=$rc, rank1 rc=$frc); retrying" >&2
-  sed 's/^/  rank1: /' "$workdir/rank1.log" >&2 || true
-  rc=1
+# Rank 0 prints its bound address before its start() waits for rank 1.
+port=""
+for _ in $(seq 100); do  # up to 10 s
+  port=$(sed -n 's/^cluster: rank 0 listening on .*:\([0-9][0-9]*\)$/\1/p' \
+             "$workdir/rank0.log")
+  [ -n "$port" ] && break
+  kill -0 "$leader" 2>/dev/null || break
+  sleep 0.1
 done
+if [ -z "$port" ]; then
+  echo "net_launch: rank 0 printed no listen address" >&2
+  sed 's/^/  rank0: /' "$workdir/rank0.log" >&2
+  exit 1
+fi
 
+"$shell" --rank 1 --peers "127.0.0.1:${port},127.0.0.1:0" < /dev/null \
+    > "$workdir/rank1.log" 2>&1 &
+follower=$!
+wait "$leader"
+rc=$?
+leader=""
+wait "$follower"
+frc=$?
+
+out=$(cat "$workdir/rank0.log")
 echo "$out"
-if [ "$rc" -ne 0 ]; then
-  echo "net_launch: cluster never came up" >&2
+if [ "$rc" -ne 0 ] || [ "$frc" -ne 0 ]; then
+  echo "net_launch: cluster failed (rank0 rc=$rc, rank1 rc=$frc)" >&2
+  sed 's/^/  rank1: /' "$workdir/rank1.log" >&2
   exit 1
 fi
 case "$out" in
