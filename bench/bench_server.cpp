@@ -1,7 +1,7 @@
-// Experiment E9 (DESIGN.md §4): the Server motif and termination
-// machinery scale — message throughput over the fully-connected network
-// (Figure 3/4), halt propagation cost, and the short-circuit termination
-// detector's overhead (Section 3.3).
+// Experiment E9 (DESIGN.md §4): the Server motif scales — message
+// throughput over the fully-connected network (Figure 3/4) and halt
+// propagation cost. The paper's short circuit (Section 3.3) is the
+// Terminate transformation (transform/terminate.hpp).
 #include <benchmark/benchmark.h>
 
 #include "bench_report.hpp"
@@ -9,7 +9,6 @@
 #include <atomic>
 
 #include "motifs/server.hpp"
-#include "runtime/termination.hpp"
 
 namespace m = motif;
 namespace rt = motif::rt;
@@ -65,30 +64,11 @@ void BM_HaltLatency(benchmark::State& state) {
   MOTIF_BENCH_REPORT(state);
 }
 
-void BM_ShortCircuitForkClose(benchmark::State& state) {
-  const auto n = static_cast<std::uint64_t>(state.range(0));
-  for (auto _ : state) {
-    rt::ShortCircuit sc;
-    auto root = sc.root();
-    std::vector<rt::ShortCircuit::Link> links;
-    links.reserve(n);
-    for (std::uint64_t i = 0; i < n; ++i) links.push_back(root.fork());
-    root.close();
-    for (auto& l : links) l.close();
-    benchmark::DoNotOptimize(sc.done());
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(n));
-  MOTIF_BENCH_REPORT(state);
-}
-
 }  // namespace
 
 BENCHMARK(BM_ServerThroughput)->Arg(2)->Arg(8)->Arg(32)->Arg(128)
     ->Unit(benchmark::kMillisecond)->Iterations(1);
 BENCHMARK(BM_HaltLatency)->Arg(4)->Arg(32)->Arg(128)
     ->Unit(benchmark::kMillisecond)->Iterations(1);
-BENCHMARK(BM_ShortCircuitForkClose)->Arg(1000)->Arg(100000)
-    ->Unit(benchmark::kMicrosecond)->MinTime(0.02);
 
 BENCHMARK_MAIN();

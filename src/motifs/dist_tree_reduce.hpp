@@ -185,9 +185,10 @@ class DistTreeReduce2 {
       e->result.set_name("dist_tree_reduce2.result");
       e->start();
       res.outcome = wire.cluster->wait_idle_for(deadline);
-      if (res.outcome.ok() && !e->result.bound()) {
-        // Globally quiet but the root value never landed: a frame was lost.
-        rt::mark_unfinished(res.outcome, rt::RunStatus::Stalled);
+      if (!e->result.bound()) {
+        // The root value never landed: a frame was lost (Stalled), or a
+        // rank was lost or the deadline passed first.
+        rt::mark_unfinished(res.outcome, e->result.name());
       }
       if (auto v = e->result.peek()) res.value = *v;
       res.ok = res.outcome.ok() && res.value == res.expected;

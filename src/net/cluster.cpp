@@ -226,7 +226,8 @@ rt::RunOutcome Cluster::deadline_outcome() {
   rt::RunOutcome o = machine_->wait_idle_for(std::chrono::milliseconds(1));
   if (o.ok()) {
     // Locally quiet but the cluster never converged.
-    rt::mark_unfinished(o, rt::RunStatus::DeadlineExceeded);
+    o.status = rt::RunStatus::DeadlineExceeded;
+    rt::mark_unfinished(o, "");
   }
   return o;
 }

@@ -23,8 +23,7 @@
 //                    the run is done when all ranks are idle and the
 //                    global sent == received frame counts are *stable
 //                    across two consecutive rounds* (no message can be in
-//                    flight — the classic four-counter argument, same
-//                    family as the Link algebra in runtime/termination.hpp).
+//                    flight — the classic four-counter argument).
 //                    A follower's lost link ends it at once with NodeLost.
 //   * serve()      — follower main loop: block until rank 0's Shutdown
 //                    arrives or rank 0's link is lost.

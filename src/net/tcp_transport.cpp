@@ -190,6 +190,9 @@ class TcpTransport final : public Transport {
     std::vector<std::uint8_t> bytes = encode_frame(f);
     const std::size_t wire = bytes.size();
     Conn& c = *conns_[to];
+    if (f.type == FrameType::Shutdown) {
+      c.said_bye.store(true, std::memory_order_release);
+    }
     {
       std::unique_lock<std::mutex> lk(c.mu);
       c.can_send.wait(lk, [&] {
@@ -268,6 +271,7 @@ class TcpTransport final : public Transport {
     std::uint64_t enq_bytes = 0;  // under mu: total bytes ever enqueued
     std::atomic<std::uint64_t> sent_bytes{0};  // written to the socket
     std::atomic<bool> dead{false};  // peer lost; senders must not block
+    std::atomic<bool> said_bye{false};  // a Shutdown crossed: close is orderly
   };
 
   static void poke(Conn& c) {
@@ -462,9 +466,7 @@ class TcpTransport final : public Transport {
         continue;
       }
       if (r == 0) {
-        if (!stopping_.load(std::memory_order_acquire)) {
-          io_error(c, "peer closed connection");
-        }
+        io_error(c, "peer closed connection");
         return false;
       }
       if (errno == EAGAIN || errno == EWOULDBLOCK) break;
@@ -480,6 +482,9 @@ class TcpTransport final : public Transport {
             decode_frame(inbuf.data() + inpos, inbuf.size() - inpos, &consumed);
         if (!f) break;
         inpos += consumed;
+        if (f->type == FrameType::Shutdown) {
+          c.said_bye.store(true, std::memory_order_release);
+        }
         if (recv_) recv_(std::move(*f), consumed);
       }
     } catch (const WireError& e) {
@@ -503,8 +508,13 @@ class TcpTransport final : public Transport {
     return true;
   }
 
+  /// Fails `c`'s link. A close after rank 0's Shutdown crossed the link
+  /// is orderly (the follower obeys it while rank 0 still flushes), and
+  /// so is every close once stop() has begun; only a failure before both
+  /// is reported and noticed as a lost link.
   void io_error(Conn& c, const std::string& what) {
-    const bool lost = !stopping_.load(std::memory_order_acquire);
+    const bool lost = !stop_entered_.load(std::memory_order_acquire) &&
+                      !c.said_bye.load(std::memory_order_acquire);
     if (lost) {
       std::fprintf(stderr, "[net] rank %u <-> rank %u: %s\n", rank_, c.peer,
                    what.c_str());
@@ -535,8 +545,8 @@ class TcpTransport final : public Transport {
   int listen_fd_ = -1;
   std::string address_;  // listen_fd_'s "host:port"; "" without a listener
   std::vector<std::unique_ptr<Conn>> conns_;
-  std::atomic<bool> stop_entered_{false};
-  std::atomic<bool> stopping_{false};
+  std::atomic<bool> stop_entered_{false};  // stop() began: closes are orderly
+  std::atomic<bool> stopping_{false};       // the flush is over: I/O exits
 };
 
 }  // namespace

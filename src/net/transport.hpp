@@ -21,10 +21,11 @@
 //     send() for the same peer while holding locks the sender needs.
 //   * send() is thread-safe, may block for backpressure (TCP) and returns
 //     the encoded wire size of the frame in bytes.
-//   * a link lost outside stop() is reported to the receiver once, as a
-//     Shutdown frame from the lost rank with a wire size of 0. It never
-//     crossed the wire: only rank 0 sends a real Shutdown, so a Shutdown
-//     from any other rank always means its link is gone.
+//   * a link lost outside stop(), before rank 0's Shutdown crossed it, is
+//     reported to the receiver once, as a Shutdown frame from the lost
+//     rank with a wire size of 0. It never crossed the wire: only rank 0
+//     sends a real Shutdown, so a Shutdown from any other rank always
+//     means its link is gone.
 //   * stop() is idempotent and joins any I/O threads.
 #pragma once
 

@@ -1,6 +1,6 @@
 // The single-assignment cell: Strand's write-once variable (paper Section
-// 2.1), the one synchronisation primitive under SVar, Stream list cells,
-// ShortCircuit's done flag and interpreter Term variables.
+// 2.1), the one synchronisation primitive under SVar, Stream list cells
+// and interpreter Term variables.
 //
 // The binder builds the value under a small mutex, then publishes it with
 // a release store of the state word; peek() is one acquire load, so a

@@ -3,7 +3,6 @@
 #include <utility>
 
 #include "runtime/rng.hpp"
-#include "runtime/svar.hpp"
 
 namespace motif::rt {
 
@@ -77,13 +76,11 @@ std::string RunOutcome::to_string() const {
   return s;
 }
 
-void mark_unfinished(RunOutcome& o, RunStatus why) {
-  o.status = o.lost_nodes.empty() ? why : RunStatus::NodeLost;
-  o.blocked_on.clear();
-  for (const auto& name : unbound_svar_names()) {
-    if (!o.blocked_on.empty()) o.blocked_on += ", ";
-    o.blocked_on += name;
-  }
+void mark_unfinished(RunOutcome& o, const char* awaited) {
+  if (o.status == RunStatus::TaskFailed) return;
+  if (o.status == RunStatus::Completed) o.status = RunStatus::Stalled;
+  if (!o.lost_nodes.empty()) o.status = RunStatus::NodeLost;
+  o.blocked_on = awaited;
 }
 
 RunIncomplete::RunIncomplete(RunOutcome o)

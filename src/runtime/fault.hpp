@@ -113,8 +113,10 @@ struct RunOutcome {
   std::string error_message;       ///< what() of `error`, for reports
   std::vector<NodeId> lost_nodes;  ///< nodes dead at classification time
   FaultTotals faults;              ///< injections so far on this machine
-  /// Names of still-unbound named SVars (see SVar::set_name) — the same
-  /// "waiting on X" diagnostic the interpreter's deadlock reporter gives.
+  /// The name (SVar::set_name) of the variable the wait was for, while the
+  /// run is unfinished and that variable unbound; empty otherwise — the
+  /// same "waiting on X" diagnostic the interpreter's deadlock reporter
+  /// gives.
   std::string blocked_on;
 
   bool ok() const { return status == RunStatus::Completed; }
@@ -123,11 +125,12 @@ struct RunOutcome {
   std::string to_string() const;
 };
 
-/// The one rule for a run that ended without its result: `why` —
-/// Stalled when everything went quiet but the result stayed unbound,
-/// DeadlineExceeded when the run never went quiet — becomes NodeLost if
-/// nodes died, and `blocked_on` names every still-unbound named SVar.
-void mark_unfinished(RunOutcome& o, RunStatus why);
+/// The one rule for a wait that ended without its result. A quiet run
+/// (Completed) becomes Stalled; Stalled and DeadlineExceeded become
+/// NodeLost if nodes died; and `blocked_on` becomes `awaited`, the name of
+/// the variable the wait was for ("" for a wait for no variable). A
+/// TaskFailed outcome is left as it is.
+void mark_unfinished(RunOutcome& o, const char* awaited);
 
 /// Thrown by a blocking wait (Machine::wait_result, and every blocking
 /// motif through it) when the machine went idle but the awaited result

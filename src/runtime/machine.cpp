@@ -829,7 +829,8 @@ RunOutcome Machine::wait_idle_for(std::chrono::nanoseconds deadline) {
   out.faults = fault_totals_;
   out.lost_nodes = lost_nodes();
   if (!idle) {
-    mark_unfinished(out, RunStatus::DeadlineExceeded);
+    out.status = RunStatus::DeadlineExceeded;
+    mark_unfinished(out, "");
     return out;
   }
   out.error = take_error();
@@ -842,11 +843,11 @@ RunOutcome Machine::wait_idle_for(std::chrono::nanoseconds deadline) {
   return out;
 }
 
-void Machine::throw_incomplete() const {
+void Machine::throw_incomplete(const char* awaited) const {
   RunOutcome o;
   o.faults = fault_totals_;
   o.lost_nodes = lost_nodes();
-  mark_unfinished(o, RunStatus::Stalled);
+  mark_unfinished(o, awaited);
   throw RunIncomplete(std::move(o));
 }
 

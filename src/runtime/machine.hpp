@@ -14,7 +14,8 @@
 // node b != a is counted as a remote (inter-processor) message.
 //
 // Scheduling core (DESIGN.md §10): each node's mailbox is a lock-free
-// Vyukov MPSC queue; node *activations* (ids of nodes with mail) live in
+// Vyukov MPSC queue, the `merge` of its senders that is a server's input
+// (Figure 3); node *activations* (ids of nodes with mail) live in
 // per-worker Chase-Lev deques with randomized work stealing plus a small
 // mutex-guarded inject queue for external posts, batch re-arms and
 // fairness; idle workers spin, yield, then park on an eventcount, and
@@ -164,30 +165,31 @@ class Machine {
   ///     captured in the outcome (and cleared here), not rethrown.
   ///   - DeadlineExceeded: still busy when the deadline expired.
   ///   - NodeLost:         deadline expired with at least one dead node.
-  /// The outcome also carries fault totals, dead nodes, and — like the
-  /// interpreter's deadlock reporter — the names of still-unbound named
-  /// SVars (SVar::set_name) in `blocked_on`.
+  /// The outcome also carries fault totals and dead nodes. It awaits no
+  /// variable, so its `blocked_on` is empty; wait_result_for names one.
   RunOutcome wait_idle_for(std::chrono::nanoseconds deadline);
 
   /// The one blocking result wait. wait_idle() — so a task's error is
   /// rethrown first — then `v`'s value; if the machine went idle with `v`
   /// unbound (a fault ate a message or a node died) it throws
-  /// RunIncomplete carrying Stalled, or NodeLost when nodes are dead.
-  /// Never hangs on a lost value.
+  /// RunIncomplete carrying Stalled, or NodeLost when nodes are dead,
+  /// waiting on `v`'s name. Never hangs on a lost value.
   template <class T>
   T wait_result(const SVar<T>& v) {
     wait_idle();
-    if (!v.bound()) throw_incomplete();
+    if (!v.bound()) throw_incomplete(v.name());
     return v.get();
   }
 
-  /// The deadline form: wait_idle_for(deadline), with Completed refined
-  /// by mark_unfinished to Stalled / NodeLost when `v` is still unbound.
+  /// The deadline form: wait_idle_for(deadline), refined by
+  /// mark_unfinished when `v` is still unbound — Completed becomes Stalled
+  /// (NodeLost when nodes are dead), and an unfinished outcome names `v`
+  /// in `blocked_on`.
   template <class T>
   RunOutcome wait_result_for(const SVar<T>& v,
                              std::chrono::nanoseconds deadline) {
     RunOutcome o = wait_idle_for(deadline);
-    if (o.ok() && !v.bound()) mark_unfinished(o, RunStatus::Stalled);
+    if (!v.bound()) mark_unfinished(o, v.name());
     return o;
   }
 
@@ -340,9 +342,9 @@ class Machine {
   /// Credits `done` finished or shed tasks to pending_, with w's unspent
   /// credit lease (see post()).
   void settle(Worker* w, std::uint64_t done);
-  /// Throws RunIncomplete for an idle machine whose awaited result is
-  /// unbound.
-  [[noreturn]] void throw_incomplete() const;
+  /// Throws RunIncomplete for an idle machine whose awaited result, the
+  /// variable named `awaited`, is unbound.
+  [[noreturn]] void throw_incomplete(const char* awaited) const;
   void note_pending_sub(std::uint64_t k);
   void emit_fault(NodeId track, const char* kind, std::uint64_t ordinal,
                   NodeId peer);

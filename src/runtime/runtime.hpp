@@ -7,4 +7,3 @@
 #include "runtime/rng.hpp"
 #include "runtime/stream.hpp"
 #include "runtime/svar.hpp"
-#include "runtime/termination.hpp"

@@ -7,13 +7,12 @@
 // first unbound one. This gives exactly the producer/consumer coupling of
 // the paper's Figure 1.
 //
-// StreamWriter<T> is the multi-producer append handle used to implement the
-// `merge` primitive of the Server motif: N servers' output streams are
-// interleaved into one input stream per server (Figure 3).
+// A Stream has one producer. The Server motif's `merge` of many producers
+// into one input (Figure 3) is the node mailbox in native code
+// (motifs/server.hpp) and `make_ports` in the interpreter.
 #pragma once
 
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <stdexcept>
 #include <utility>
@@ -119,95 +118,5 @@ class Stream {
  private:
   std::shared_ptr<Cell<Link>> c_;
 };
-
-/// Multi-producer append handle. Several producers may send() concurrently;
-/// the result is some interleaving, exactly like Strand's merge. The stream
-/// is closed when close() has been called `expected_closes` times (one per
-/// producer), supporting the merge-of-N-streams pattern.
-template <class T>
-class StreamWriter {
- public:
-  explicit StreamWriter(Stream<T> head, std::size_t expected_closes = 1)
-      : s_(std::make_shared<State>(std::move(head), expected_closes)) {}
-
-  /// Creates the head itself; read it back with head().
-  explicit StreamWriter(std::size_t expected_closes = 1)
-      : StreamWriter(Stream<T>(), expected_closes) {}
-
-  Stream<T> head() const { return s_->head; }
-
-  void send(T value) {
-    // Reserve the cell under the lock, bind it outside: binding runs
-    // consumer continuations, which may call back into this writer
-    // (e.g. a server sending a message to itself).
-    Stream<T> cell, fresh;
-    {
-      std::lock_guard lock(s_->m);
-      cell = s_->tail;
-      s_->tail = fresh;
-    }
-    cell.bind_cons(std::move(value), fresh);
-  }
-
-  /// One producer is done; the stream ends when all are.
-  void close() {
-    Stream<T> cell;
-    bool last = false;
-    {
-      std::lock_guard lock(s_->m);
-      if (s_->remaining == 0) throw StreamReuse();
-      last = (--s_->remaining == 0);
-      cell = s_->tail;
-    }
-    if (last) cell.close();
-  }
-
- private:
-  struct State {
-    State(Stream<T> h, std::size_t n) : head(h), tail(h), remaining(n) {}
-    std::mutex m;
-    Stream<T> head;
-    Stream<T> tail;
-    std::size_t remaining;
-  };
-  std::shared_ptr<State> s_;
-};
-
-/// The `merge` primitive ([8] and Figure 3): interleaves `inputs` into one
-/// output stream, closing it when every input has closed. Fairness is
-/// event-driven: items are forwarded in the order their cells resolve.
-template <class T>
-Stream<T> merge(std::vector<Stream<T>> inputs) {
-  StreamWriter<T> out(inputs.empty() ? 1 : inputs.size());
-  if (inputs.empty()) {
-    out.close();
-    return out.head();
-  }
-  // pump() walks one input, forwarding resolved cells without recursion
-  // (a fully materialised input must not overflow the stack) and
-  // re-registering on the first unresolved cell.
-  struct Pump {
-    static void run(Stream<T> cur, StreamWriter<T> out) {
-      for (;;) {
-        bool nil = false;
-        auto nx = cur.try_next(nil);
-        if (nx) {
-          out.send(std::move(nx->first));
-          cur = nx->second;
-          continue;
-        }
-        if (nil) {
-          out.close();
-          return;
-        }
-        Stream<T> pending = cur;
-        pending.when_ready([cur, out] { Pump::run(cur, out); });
-        return;
-      }
-    }
-  };
-  for (auto& in : inputs) Pump::run(in, out);
-  return out.head();
-}
 
 }  // namespace motif::rt

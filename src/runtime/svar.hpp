@@ -8,58 +8,14 @@
 // the machine — worker threads must never block on data, CP.42/CP.4).
 #pragma once
 
-#include <map>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <stdexcept>
-#include <string>
 #include <utility>
-#include <vector>
 
 #include "runtime/cell.hpp"
 
 namespace motif::rt {
-
-namespace svar_detail {
-
-/// Process-wide registry of named, still-unbound SVar cells. The runtime's
-/// deadline classifier (Machine::wait_idle_for) reads it to report *which*
-/// dataflow variable a stalled run is waiting on — the Machine-level
-/// counterpart of the interpreter's "(waiting on X)" deadlock diagnostic.
-struct NameRegistry {
-  std::mutex m;
-  std::map<std::string, std::size_t> pending;  // name -> unbound cell count
-
-  static NameRegistry& instance() {
-    static NameRegistry r;
-    return r;
-  }
-  void add(const std::string& name) {
-    std::lock_guard lock(m);
-    ++pending[name];
-  }
-  void remove(const std::string& name) {
-    std::lock_guard lock(m);
-    auto it = pending.find(name);
-    if (it != pending.end() && --it->second == 0) pending.erase(it);
-  }
-};
-
-}  // namespace svar_detail
-
-/// Names of every named SVar that is still unbound, sorted. Diagnostics
-/// only: the set is sampled without stopping writers.
-inline std::vector<std::string> unbound_svar_names() {
-  auto& reg = svar_detail::NameRegistry::instance();
-  std::vector<std::string> out;
-  std::lock_guard lock(reg.m);
-  out.reserve(reg.pending.size());
-  for (const auto& [name, n] : reg.pending) {
-    if (n > 0) out.push_back(name);
-  }
-  return out;
-}
 
 /// Thrown when a single-assignment variable is bound twice.
 class SingleAssignmentViolation : public std::logic_error {
@@ -86,29 +42,19 @@ class SVar {
   }
 
   /// Binds unless already bound; returns whether this call bound it.
-  bool try_bind(T value) const {
-    if (!s_->cell.try_bind(std::move(value))) return false;
-    std::lock_guard lock(s_->name_m);
-    s_->deregister_name();
-    return true;
-  }
+  bool try_bind(T value) const { return s_->cell.try_bind(std::move(value)); }
 
-  /// Names this variable for stall diagnostics: while it stays unbound,
-  /// the name appears in unbound_svar_names() and thus in
-  /// RunOutcome::blocked_on. Renaming an unbound variable replaces the
-  /// registration; naming a bound one is a no-op. Returns *this.
-  const SVar& set_name(std::string name) const {
-    // A binder publishes before it takes name_m to deregister, so either
-    // this sees the binding or the binder sees this registration.
-    std::lock_guard lock(s_->name_m);
-    if (s_->cell.bound()) return *this;
-    s_->deregister_name();
-    s_->name = std::move(name);
-    if (!s_->name.empty()) {
-      svar_detail::NameRegistry::instance().add(s_->name);
-    }
+  /// Names this variable for stall reports: a wait for it that ends with
+  /// the variable unbound names it in RunOutcome::blocked_on. `name` must
+  /// outlive the variable (a literal). Call it before the variable is
+  /// handed to whoever waits on it; only the waits read it. Returns *this.
+  const SVar& set_name(const char* name) const {
+    s_->name = name;
     return *this;
   }
+
+  /// The set_name name; "" for an unnamed variable.
+  const char* name() const { return s_->name; }
 
   bool bound() const { return s_->cell.bound(); }
 
@@ -137,17 +83,7 @@ class SVar {
  private:
   struct State {
     Cell<T> cell;
-    std::mutex name_m;
-    std::string name;  // guarded by name_m; nonempty while registered
-
-    /// Caller holds `name_m` (or is the last owner, in ~State).
-    void deregister_name() {
-      if (!name.empty()) {
-        svar_detail::NameRegistry::instance().remove(name);
-        name.clear();
-      }
-    }
-    ~State() { deregister_name(); }
+    const char* name = "";
   };
   std::shared_ptr<State> s_;
 };

@@ -154,12 +154,12 @@ struct TracerOptions {
 };
 
 /// A set of single-writer timelines with a shared epoch, activity flag
-/// and message-id source. A Machine owns one (one track per virtual
-/// node); a Pipeline can own its own (one track per stage thread).
+/// and message-id source. A Machine owns one, with one track per virtual
+/// node.
 ///
 /// Thread contract: emit() is safe from one writer per track at a time;
 /// add_track(), start(), stop() and drain() must not race with emitters
-/// (call them while the machine / pipeline is quiescent).
+/// (call them while the machine is quiescent).
 class Tracer {
  public:
   explicit Tracer(TracerOptions opts = {}) : opts_(opts) {}

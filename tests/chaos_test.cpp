@@ -921,6 +921,7 @@ TEST(Chaos, NetDropsClassifyAsStalled) {
   ASSERT_FALSE(r.result.ok);
   EXPECT_EQ(r.result.outcome.status, rt::RunStatus::Stalled)
       << r.result.outcome.to_string();
+  EXPECT_EQ(r.result.outcome.blocked_on, "dist_tree_reduce2.result");
   EXPECT_GT(r.totals.drops, 0u);
 }
 
@@ -1008,22 +1009,35 @@ std::array<std::uint64_t, 4> exact_align_node_tasks(const rt::FaultPlan& plan,
   return tasks;
 }
 
+/// Runs exact_align_node_tasks rounds, passing each round's tasks to
+/// `check`, until an idle worker has taken a helper or 20 s have passed:
+/// a round may finish before an idle worker gets a core, more often on a
+/// loaded host. Returns the helpers counted.
+template <class Check>
+std::uint64_t align_rounds_until_helped(const rt::FaultPlan& plan,
+                                        rt::Rng& rng, Check check) {
+  const auto until = std::chrono::steady_clock::now() + 20s;
+  std::uint64_t helpers = 0;
+  while (helpers == 0 && !::testing::Test::HasFailure() &&
+         std::chrono::steady_clock::now() < until) {
+    const auto tasks = exact_align_node_tasks(plan, rng);
+    check(tasks);
+    helpers += tasks[1] + tasks[2] + tasks[3];
+  }
+  return helpers;
+}
+
 }  // namespace
 
 TEST(Chaos, TiledAlignNodeWithEveryHelperDroppedIsExact) {
   // drop = 1.0 loses every node-to-node post. A helper post comes from an
   // idle worker, outside any node, so the lottery never reaches it:
   // helpers still run, and the align-node returns the caller-alone bytes.
-  // A round may finish before an idle worker comes; a few rounds make
-  // sure one did.
   rt::FaultPlan plan;
   plan.drop = 1.0;
   rt::Rng rng(2024);
-  std::uint64_t helpers = 0;
-  for (int round = 0; round < 10 && helpers == 0; ++round) {
-    const auto tasks = exact_align_node_tasks(plan, rng);
-    helpers += tasks[1] + tasks[2] + tasks[3];
-  }
+  const std::uint64_t helpers =
+      align_rounds_until_helped(plan, rng, [](const auto&) {});
   EXPECT_GT(helpers, 0u) << "no idle worker took a helper";
 }
 
@@ -1034,14 +1048,12 @@ TEST(Chaos, TiledAlignNodeWithEveryHelperNodeKilledIsExact) {
   rt::FaultPlan plan;
   for (rt::NodeId n = 1; n < 4; ++n) plan.kills.push_back({n, 1});
   rt::Rng rng(2025);
-  std::uint64_t helpers = 0;
-  for (int round = 0; round < 10 && helpers == 0; ++round) {
-    const auto tasks = exact_align_node_tasks(plan, rng);
-    for (rt::NodeId n = 1; n < 4; ++n) {
-      EXPECT_LE(tasks[n], 1u) << "node " << n << " ran a task after dying";
-      helpers += tasks[n];
-    }
-  }
+  const std::uint64_t helpers =
+      align_rounds_until_helped(plan, rng, [](const auto& tasks) {
+        for (rt::NodeId n = 1; n < 4; ++n) {
+          EXPECT_LE(tasks[n], 1u) << "node " << n << " ran a task after dying";
+        }
+      });
   EXPECT_GT(helpers, 0u) << "no idle worker took a helper";
 }
 

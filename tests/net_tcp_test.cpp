@@ -279,6 +279,15 @@ TEST(NetTcp, DistTreeReduce2OverRealSockets) {
   EXPECT_GT(stats.ctl_frames, 0u);
 }
 
+TEST(NetTcp, OrderlyShutdownReportsNoLostLink) {
+  // Rank 0's shutdown() flushes its Shutdown broadcast while the follower
+  // obeys it and closes: that close is orderly, not a lost link.
+  testing::internal::CaptureStderr();
+  reduce_over_two_ranks();
+  const std::string err = testing::internal::GetCapturedStderr();
+  EXPECT_EQ(err.find("peer closed connection"), std::string::npos) << err;
+}
+
 TEST(NetTcp, TwoClustersAtOnce) {
   // Two clusters in one process, each on the ports its own ranks bound:
   // neither can dial the other's rank 0, and each result is exact.

@@ -243,15 +243,76 @@ TEST(Fault, WaitIdleForClassifiesDeadline) {
 }
 
 TEST(Fault, BlockedOnReportsNamedUnboundSvars) {
+  rt::Machine m({.nodes = 1, .workers = 1});
   rt::SVar<int> answer;
   answer.set_name("fault_test.answer");
-  auto names = rt::unbound_svar_names();
-  EXPECT_NE(std::find(names.begin(), names.end(), "fault_test.answer"),
-            names.end());
+  rt::RunOutcome o = m.wait_result_for(answer, 1s);
+  EXPECT_EQ(o.status, rt::RunStatus::Stalled);
+  EXPECT_EQ(o.blocked_on, "fault_test.answer");
+  EXPECT_NE(o.to_string().find("waiting on fault_test.answer"),
+            std::string::npos);
+  try {
+    (void)m.wait_result(answer);
+    ADD_FAILURE() << "wait_result returned an unbound variable";
+  } catch (const rt::RunIncomplete& e) {
+    EXPECT_EQ(e.outcome().status, rt::RunStatus::Stalled);
+    EXPECT_EQ(e.outcome().blocked_on, "fault_test.answer");
+  }
+
+  // A wait that hits its deadline names the variable too; a wait for no
+  // variable names none.
+  m.post(0, [] { std::this_thread::sleep_for(200ms); });
+  o = m.wait_result_for(answer, 1ms);
+  EXPECT_EQ(o.status, rt::RunStatus::DeadlineExceeded);
+  EXPECT_EQ(o.blocked_on, "fault_test.answer");
+  o = m.wait_idle_for(1ms);
+  EXPECT_EQ(o.status, rt::RunStatus::DeadlineExceeded);
+  EXPECT_EQ(o.blocked_on, "");
+  m.wait_idle();
+
+  // Once bound, the variable is no longer reported.
   answer.bind(7);
-  names = rt::unbound_svar_names();
-  EXPECT_EQ(std::find(names.begin(), names.end(), "fault_test.answer"),
-            names.end());
+  o = m.wait_result_for(answer, 1s);
+  EXPECT_TRUE(o.ok()) << o.to_string();
+  EXPECT_EQ(o.blocked_on, "");
+  EXPECT_EQ(m.wait_result(answer), 7);
+
+  // An unnamed variable stalls with an empty report.
+  rt::SVar<int> unnamed;
+  o = m.wait_result_for(unnamed, 1s);
+  EXPECT_EQ(o.status, rt::RunStatus::Stalled);
+  EXPECT_EQ(o.blocked_on, "");
+}
+
+TEST(Fault, StallReportNamesOnlyTheAwaitedVariable) {
+  // Two Machines in one process, each stalled on its own named variable:
+  // each report names the variable its wait was for, and no other.
+  rt::Machine ma({.nodes = 1, .workers = 1});
+  rt::Machine mb({.nodes = 1, .workers = 1});
+  rt::SVar<int> va;
+  rt::SVar<int> vb;
+  va.set_name("a.result");
+  vb.set_name("b.result");
+  const auto expect_only = [](rt::Machine& m, const rt::SVar<int>& v,
+                              const std::string& own,
+                              const std::string& other) {
+    const rt::RunOutcome o = m.wait_result_for(v, 1s);
+    EXPECT_EQ(o.status, rt::RunStatus::Stalled);
+    EXPECT_EQ(o.blocked_on, own);
+    EXPECT_EQ(o.to_string().find(other), std::string::npos) << o.to_string();
+    try {
+      (void)m.wait_result(v);
+      ADD_FAILURE() << "wait_result returned an unbound variable";
+    } catch (const rt::RunIncomplete& e) {
+      EXPECT_EQ(e.outcome().blocked_on, own);
+      EXPECT_NE(std::string(e.what()).find(own), std::string::npos)
+          << e.what();
+      EXPECT_EQ(std::string(e.what()).find(other), std::string::npos)
+          << e.what();
+    }
+  };
+  expect_only(mb, vb, "b.result", "a.result");
+  expect_only(ma, va, "a.result", "b.result");
 }
 
 TEST(Fault, AbandonPendingDiscardsQueuedWork) {

@@ -2,10 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <atomic>
-#include <numeric>
-#include <set>
 #include <thread>
 #include <vector>
 
@@ -80,122 +76,4 @@ TEST(Stream, ProducerConsumerAcrossThreads) {
   producer.join();
   ASSERT_EQ(got.size(), size_t(kN));
   for (int i = 0; i < kN; ++i) EXPECT_EQ(got[i], i);
-}
-
-TEST(StreamWriter, SingleProducerOrder) {
-  rt::StreamWriter<int> w;
-  for (int i = 0; i < 100; ++i) w.send(i);
-  w.close();
-  auto got = w.head().collect_blocking();
-  ASSERT_EQ(got.size(), 100u);
-  EXPECT_TRUE(std::is_sorted(got.begin(), got.end()));
-}
-
-TEST(StreamWriter, MultiProducerInterleavesAllItems) {
-  constexpr int kProducers = 8;
-  constexpr int kEach = 2000;
-  rt::StreamWriter<int> w(kProducers);
-  std::vector<std::thread> ts;
-  for (int p = 0; p < kProducers; ++p) {
-    ts.emplace_back([w, p]() mutable {
-      for (int i = 0; i < kEach; ++i) w.send(p * kEach + i);
-      w.close();
-    });
-  }
-  auto got = w.head().collect_blocking();
-  for (auto& t : ts) t.join();
-  ASSERT_EQ(got.size(), size_t(kProducers * kEach));
-  std::set<int> uniq(got.begin(), got.end());
-  EXPECT_EQ(uniq.size(), got.size());
-  // Per-producer order is preserved even though producers interleave.
-  std::vector<int> last(kProducers, -1);
-  for (int v : got) {
-    int p = v / kEach;
-    EXPECT_GT(v, last[p]);
-    last[p] = v;
-  }
-}
-
-TEST(StreamWriter, ExtraCloseThrows) {
-  rt::StreamWriter<int> w(1);
-  w.close();
-  EXPECT_THROW(w.close(), rt::StreamReuse);
-}
-
-TEST(Merge, EmptyInputsGivesNil) {
-  auto out = rt::merge<int>({});
-  EXPECT_TRUE(out.is_nil());
-}
-
-TEST(Merge, MergesAlreadyMaterializedStreams) {
-  std::vector<rt::Stream<int>> ins(3);
-  for (int s = 0; s < 3; ++s) {
-    auto t = ins[s];
-    for (int i = 0; i < 5; ++i) t = t.push(s * 10 + i);
-    t.close();
-  }
-  auto got = rt::merge(ins).collect_blocking();
-  ASSERT_EQ(got.size(), 15u);
-  std::multiset<int> expect, actual(got.begin(), got.end());
-  for (int s = 0; s < 3; ++s)
-    for (int i = 0; i < 5; ++i) expect.insert(s * 10 + i);
-  EXPECT_EQ(actual, expect);
-}
-
-TEST(Merge, LongMaterializedStreamDoesNotOverflowStack) {
-  rt::Stream<int> in;
-  auto t = in;
-  constexpr int kN = 200000;
-  for (int i = 0; i < kN; ++i) t = t.push(i);
-  t.close();
-  auto got = rt::merge<int>({in}).collect_blocking();
-  EXPECT_EQ(got.size(), size_t(kN));
-}
-
-TEST(Merge, ConcurrentProducersAllArrive) {
-  constexpr int kStreams = 4;
-  constexpr int kEach = 3000;
-  std::vector<rt::Stream<int>> ins(kStreams);
-  auto out = rt::merge(ins);
-  std::vector<std::thread> ts;
-  for (int s = 0; s < kStreams; ++s) {
-    ts.emplace_back([&ins, s]() mutable {
-      auto t = ins[s];
-      for (int i = 0; i < kEach; ++i) t = t.push(s * kEach + i);
-      t.close();
-    });
-  }
-  auto got = out.collect_blocking();
-  for (auto& t : ts) t.join();
-  ASSERT_EQ(got.size(), size_t(kStreams * kEach));
-  std::set<int> uniq(got.begin(), got.end());
-  EXPECT_EQ(uniq.size(), got.size());
-}
-
-TEST(Merge, PreservesPerInputOrder) {
-  std::vector<rt::Stream<int>> ins(2);
-  auto out = rt::merge(ins);
-  std::thread a([&] {
-    auto t = ins[0];
-    for (int i = 0; i < 1000; ++i) t = t.push(i * 2);
-    t.close();
-  });
-  std::thread b([&] {
-    auto t = ins[1];
-    for (int i = 0; i < 1000; ++i) t = t.push(i * 2 + 1);
-    t.close();
-  });
-  auto got = out.collect_blocking();
-  a.join();
-  b.join();
-  int last_even = -2, last_odd = -1;
-  for (int v : got) {
-    if (v % 2 == 0) {
-      EXPECT_GT(v, last_even);
-      last_even = v;
-    } else {
-      EXPECT_GT(v, last_odd);
-      last_odd = v;
-    }
-  }
 }
