@@ -13,14 +13,18 @@
 // second are not its steady state), then times kReps alignments and
 // reports their median. The Sweep cases repeat Sequential and TR2 at
 // W = 1…nproc workers and report speedup and efficiency against W = 1,
-// with the scheduler's steals and parks per alignment.
+// with the scheduler's steals and parks per alignment. AlignKernel times
+// the align-node kernel alone: serial align_profiles over every node of
+// six 64 × 200 guide trees, in cells per µs and ns per cell.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <chrono>
 #include <map>
+#include <memory>
 #include <thread>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "bench_report.hpp"
@@ -159,6 +163,59 @@ void sweep_args(benchmark::internal::Benchmark* b) {
   b->Unit(benchmark::kMillisecond)->Iterations(1)->UseManualTime();
 }
 
+/// The inputs of every align-node of six 64 × 200 guide trees (378 nodes),
+/// as the Sequential schedule meets them.
+std::vector<std::pair<al::ProfilePtr, al::ProfilePtr>> kernel_nodes() {
+  std::vector<std::pair<al::ProfilePtr, al::ProfilePtr>> nodes;
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    const auto fam = al::synthetic_family(64, 200, seed);
+    const auto tree = fam.guide->map<al::ProfilePtr>([&](int taxon) {
+      return std::make_shared<const al::Profile>(
+          fam.sequences[static_cast<std::size_t>(taxon)]);
+    });
+    motif::reduce_sequential<al::ProfilePtr, char>(
+        tree, [&](const char&, const al::ProfilePtr& a,
+                  const al::ProfilePtr& b) {
+          nodes.emplace_back(a, b);
+          return std::make_shared<const al::Profile>(
+              al::align_profiles(*a, *b));
+        });
+  }
+  return nodes;
+}
+
+void BM_AlignKernel(benchmark::State& state) {
+  const auto nodes = kernel_nodes();
+  double cells = 0, sp = 0;
+  for (const auto& [a, b] : nodes) {
+    cells += static_cast<double>(a->length() * b->length());
+    sp += al::sum_of_pairs(al::align_profiles(*a, *b));
+  }
+  std::vector<double> ms;
+  for (auto _ : state) {
+    const auto t0 = std::chrono::steady_clock::now();
+    for (const auto& [a, b] : nodes) {
+      benchmark::DoNotOptimize(al::align_profiles(*a, *b).length());
+    }
+    ms.push_back(seconds_since(t0) * 1e3);
+    state.SetIterationTime(ms.back() / 1e3);
+  }
+  std::sort(ms.begin(), ms.end());
+  const double median = ms[ms.size() / 2];
+  state.counters["nodes"] = static_cast<double>(nodes.size());
+  state.counters["cells"] = cells;
+  state.counters["ms_median"] = median;
+  state.counters["ms_min"] = ms.front();
+  state.counters["cells_per_us"] = cells / (median * 1e3);
+  state.counters["ns_per_cell"] = median * 1e6 / cells;
+  state.counters["sp_total"] = sp;
+  MOTIF_BENCH_REPORT(state);
+}
+
+BENCHMARK(BM_AlignKernel)
+    ->Unit(benchmark::kMillisecond)
+    ->Iterations(15)
+    ->UseManualTime();
 BENCHMARK(BM_MSA_Sequential)->Apply(args);
 BENCHMARK(BM_MSA_TreeReduce1)->Apply(args);
 BENCHMARK(BM_MSA_TreeReduce2)->Apply(args);

@@ -11,11 +11,14 @@
 namespace motif::align {
 
 namespace {
-// Substitution scorer of DP row i: a[i - 1] against b[j - 1].
+// Substitution scorer of DP row i: a[i - 1] against b[j - 1]. It holds
+// copies, not references, so a move-byte store cannot make the row loop
+// reload them.
 auto nw_row(const std::string& a, const std::string& b, const NWParams& p) {
-  return [&a, &b, &p](std::size_t i) {
-    return [ai = a[i - 1], &b, &p](std::size_t j) {
-      return ai == b[j - 1] ? p.match : p.mismatch;
+  return [&a, bs = b.data(), &p](std::size_t i) {
+    return [ai = a[i - 1], bs, match = p.match,
+            mismatch = p.mismatch](std::size_t j) {
+      return ai == bs[j - 1] ? match : mismatch;
     };
   };
 }

@@ -1,7 +1,9 @@
 #include "align/profile.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "align/sequence.hpp"
 #include "align/traceback.hpp"
@@ -97,7 +99,7 @@ Column merge_columns(const Column& a, const Column& b) {
   return out;
 }
 
-// Column j of the second profile, folded with the unit-score table:
+// A column of the second profile, folded with the unit-score table:
 // w[x] = sum_y col[y] * unit(x, y), so column_score(a, col) is
 // (sum_x a[x] * w[x]) / (na * n).
 struct ScoredColumn {
@@ -105,43 +107,90 @@ struct ScoredColumn {
   double n = 0.0;
 };
 
+// The distinct columns of a profile, numbered in first-seen order:
+// id[i] is column i's number and first[k] the first column numbered k.
+struct ColumnIds {
+  std::vector<std::uint32_t> id, first;
+};
+
+ColumnIds column_ids(const Profile& p) {
+  const std::size_t n = p.length();
+  ColumnIds ids;
+  ids.id.resize(n);
+  // Open addressing over the column's five counts. Adding 0.0f maps a
+  // -0 count to +0, so equal columns hash alike; equality is exact.
+  unsigned bits = 4;
+  while ((std::size_t{1} << bits) < 2 * n) ++bits;
+  constexpr std::uint32_t kEmpty = UINT32_MAX;
+  std::vector<std::uint32_t> slot(std::size_t{1} << bits, kEmpty);
+  const std::size_t mask = slot.size() - 1;
+  for (std::size_t i = 0; i < n; ++i) {
+    const Column& col = p.column(i);
+    std::uint64_t h = 0;
+    for (float f : col) {
+      h = (h ^ std::bit_cast<std::uint32_t>(f + 0.0f)) * 0x9E3779B97F4A7C15u;
+    }
+    for (std::size_t s = h >> (64 - bits);; s = (s + 1) & mask) {
+      if (slot[s] == kEmpty) {
+        slot[s] = static_cast<std::uint32_t>(ids.first.size());
+        ids.first.push_back(static_cast<std::uint32_t>(i));
+      }
+      if (p.column(ids.first[slot[s]]) == col) {
+        ids.id[i] = slot[s];
+        break;
+      }
+    }
+  }
+  return ids;
+}
+
 Profile align_on(rt::Machine* mach, const Profile& a, const Profile& b,
                  const ProfileAlignParams& params) {
   using detail::Move;
   const std::size_t n = a.length(), m = b.length();
   const NWParams& p = params.pairwise;
 
-  // Column counts are whole numbers (see Profile::assemble), so every
-  // product and partial sum of the regrouped score is an exact integer and
-  // the one division rounds exactly as column_score's does.
-  std::vector<ScoredColumn> bcols(m);
-  for (std::size_t j = 0; j < m; ++j) {
-    const Column& col = b.column(j);
-    ScoredColumn& sc = bcols[j];
-    for (std::size_t y = 0; y < 5; ++y) {
-      sc.n += col[y];
+  // A cell's score depends only on its two columns, so the kernel scores
+  // each pair of distinct columns once, into table[x * kb + y], and a
+  // cell reads its entry. Column counts are whole numbers (see
+  // Profile::assemble), so every product and partial sum of the regrouped
+  // score is an exact integer and the one division rounds exactly as
+  // column_score's does.
+  const ColumnIds ia = column_ids(a), ib = column_ids(b);
+  const std::size_t kb = ib.first.size();
+  std::vector<ScoredColumn> bcols(kb);
+  for (std::size_t y = 0; y < kb; ++y) {
+    const Column& col = b.column(ib.first[y]);
+    ScoredColumn& sc = bcols[y];
+    for (std::size_t v = 0; v < 5; ++v) {
+      sc.n += col[v];
       for (std::size_t x = 0; x < 5; ++x) {
-        sc.w[x] += static_cast<double>(col[y]) * unit_score(x, y, p);
+        sc.w[x] += static_cast<double>(col[v]) * unit_score(x, v, p);
       }
     }
   }
-  auto row_sub = [&](std::size_t i) {
-    const Column& col = a.column(i - 1);
+  std::vector<double> table;
+  table.reserve(ia.first.size() * kb);
+  for (std::uint32_t first : ia.first) {
+    const Column& col = a.column(first);
     std::array<double, 5> ac{};
     double na = 0.0;
-    for (std::size_t x = 0; x < 5; ++x) {
-      ac[x] = col[x];
-      na += col[x];
+    for (std::size_t v = 0; v < 5; ++v) {
+      ac[v] = col[v];
+      na += col[v];
     }
-    return [ac, na, bc = bcols.data()](std::size_t j) {
-      const ScoredColumn& sc = bc[j - 1];
+    for (const ScoredColumn& sc : bcols) {
       const double nab = na * sc.n;
-      return nab > 0.0 ? (ac[0] * sc.w[0] + ac[1] * sc.w[1] +
-                          ac[2] * sc.w[2] + ac[3] * sc.w[3] +
-                          ac[4] * sc.w[4]) /
-                             nab
-                       : 0.0;
-    };
+      table.push_back(nab > 0.0 ? (ac[0] * sc.w[0] + ac[1] * sc.w[1] +
+                                   ac[2] * sc.w[2] + ac[3] * sc.w[3] +
+                                   ac[4] * sc.w[4]) /
+                                      nab
+                                : 0.0);
+    }
+  }
+  auto row_sub = [&](std::size_t i) {
+    return [entry = table.data() + ia.id[i - 1] * kb,
+            idb = ib.id.data()](std::size_t j) { return entry[idb[j - 1]]; };
   };
   std::vector<Move> moves;
   detail::fill_moves(mach, n, m, static_cast<double>(p.gap), row_sub, moves);

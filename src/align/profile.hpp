@@ -69,13 +69,15 @@ struct ProfileAlignParams {
 /// are non-uniform and grow toward the root, exactly the behaviour the
 /// paper's dynamic motifs target.
 ///
-/// The kernel folds each column of `b` with the unit-score table once, so
-/// a DP cell costs five multiply-adds and one division, and keeps two
-/// score rows plus one move byte per cell. Because counts are whole
-/// numbers (see Profile::assemble), every cell score equals
-/// column_score's bit for bit, and the alignment is the one the plain
-/// O(n*m)-doubles DP with a rescoring traceback produces: ties go to the
-/// diagonal, then the gap in `b`, then the gap in `a`.
+/// A cell's score depends only on its two columns, and profiles repeat
+/// columns, so the kernel numbers each profile's distinct columns and
+/// scores each pair of distinct columns once, into a table, before the
+/// DP; a DP cell reads its entry (two loads) and keeps one move byte. The
+/// table holds at most one double per cell. Because counts are whole
+/// numbers (see Profile::assemble), every entry equals column_score's bit
+/// for bit, and the alignment is the one the plain O(n*m)-doubles DP with
+/// a rescoring traceback produces: ties go to the diagonal, then the gap
+/// in `b`, then the gap in `a`.
 ///
 /// The DP runs as wavefront tiles (motifs/wavefront.hpp); this form runs
 /// every tile on the calling thread.

@@ -3,6 +3,9 @@
 // updates cells with dp_row and records one Move byte per cell; the
 // tiled callers fill the matrix with fill_moves on the wavefront engine
 // and walk the bytes back with trace_moves, without rescoring.
+//
+// dp_row carries the cell to the left in a register, so the one
+// loop-carried chain never waits on a reload of the cell just stored.
 #pragma once
 
 #include <algorithm>
@@ -43,8 +46,8 @@ inline void dp_row(Score* row, std::size_t j0, std::size_t w, Score left,
   row[0] = left;
   for (std::size_t k = 1; k <= w; ++k) {
     const Score up = row[k];
-    row[k] = best_move(diag + sub(j0 + k), up + gap, row[k - 1] + gap,
-                       moves[k - 1]);
+    left = best_move(diag + sub(j0 + k), up + gap, left + gap, moves[k - 1]);
+    row[k] = left;
     diag = up;
   }
 }

@@ -1,10 +1,56 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include "align/nw.hpp"
 #include "align/sequence.hpp"
 
 namespace al = motif::align;
 namespace rt = motif::rt;
+
+namespace {
+
+// Needleman–Wunsch as first written: a full (n+1) x (m+1) integer matrix,
+// traced back by rescoring each cell against its predecessors in the
+// order diagonal, up, left.
+al::NWResult reference_nw(const std::string& a, const std::string& b,
+                          const al::NWParams& p) {
+  const std::size_t n = a.size(), m = b.size();
+  auto sub = [&](std::size_t i, std::size_t j) {
+    return a[i - 1] == b[j - 1] ? p.match : p.mismatch;
+  };
+  std::vector<std::vector<int>> dp(n + 1, std::vector<int>(m + 1));
+  for (std::size_t i = 0; i <= n; ++i) dp[i][0] = static_cast<int>(i) * p.gap;
+  for (std::size_t j = 0; j <= m; ++j) dp[0][j] = static_cast<int>(j) * p.gap;
+  for (std::size_t i = 1; i <= n; ++i) {
+    for (std::size_t j = 1; j <= m; ++j) {
+      dp[i][j] = std::max({dp[i - 1][j - 1] + sub(i, j), dp[i - 1][j] + p.gap,
+                           dp[i][j - 1] + p.gap});
+    }
+  }
+  al::NWResult r;
+  r.score = dp[n][m];
+  std::size_t i = n, j = m;
+  while (i > 0 || j > 0) {
+    if (i > 0 && j > 0 && dp[i][j] == dp[i - 1][j - 1] + sub(i, j)) {
+      r.aligned_a.push_back(a[--i]);
+      r.aligned_b.push_back(b[--j]);
+    } else if (i > 0 && dp[i][j] == dp[i - 1][j] + p.gap) {
+      r.aligned_a.push_back(a[--i]);
+      r.aligned_b.push_back(al::kGap);
+    } else {
+      r.aligned_a.push_back(al::kGap);
+      r.aligned_b.push_back(b[--j]);
+    }
+  }
+  std::reverse(r.aligned_a.begin(), r.aligned_a.end());
+  std::reverse(r.aligned_b.begin(), r.aligned_b.end());
+  return r;
+}
+
+}  // namespace
 
 TEST(Sequence, SymbolIndex) {
   EXPECT_EQ(al::symbol_index('A'), 0);
@@ -98,6 +144,33 @@ TEST(NW, ScoreOnlyMatchesFull) {
     auto a = al::random_sequence(rng, 20 + rng.below(30));
     auto b = al::random_sequence(rng, 20 + rng.below(30));
     EXPECT_EQ(al::nw_score(a, b), al::needleman_wunsch(a, b).score);
+  }
+}
+
+TEST(NW, MatchesFullMatrixReference) {
+  // Random and evolved pairs on and around the 64-column tile edge, under
+  // the default scores and under unit scores (many more ties).
+  rt::Machine mach({.nodes = 4, .workers = 2});
+  rt::Rng rng(65);
+  const std::vector<std::size_t> lengths{1, 63, 64, 65, 129};
+  for (const al::NWParams& p : {al::NWParams{}, al::NWParams{1, -1, -1}}) {
+    for (std::size_t la : lengths) {
+      const std::string a = al::random_sequence(rng, la);
+      std::vector<std::string> others{al::evolve(a, 2.0, {}, rng)};
+      for (std::size_t lb : lengths) {
+        others.push_back(al::random_sequence(rng, lb));
+      }
+      for (const std::string& b : others) {
+        SCOPED_TRACE(testing::Message() << a << " / " << b);
+        const al::NWResult want = reference_nw(a, b, p);
+        const al::NWResult got = al::needleman_wunsch(a, b, p);
+        EXPECT_EQ(got.score, want.score);
+        EXPECT_EQ(got.aligned_a, want.aligned_a);
+        EXPECT_EQ(got.aligned_b, want.aligned_b);
+        EXPECT_EQ(al::nw_score(a, b, p), want.score);
+        EXPECT_EQ(al::nw_score_wavefront(mach, a, b, p), want.score);
+      }
+    }
   }
 }
 

@@ -223,6 +223,73 @@ TEST(ProfileAlign, KernelMatchesReferenceBitwise) {
   }
 }
 
+TEST(ProfileAlign, ScoreTableMatchesReference) {
+  // The kernel scores each pair of distinct columns once, into a table.
+  // Its edges: one distinct column, all columns distinct, and new columns
+  // only in the last tile band, so the table's last rows and columns are
+  // read only by the last tiles.
+  std::vector<std::unique_ptr<rt::Machine>> machines;
+  for (std::uint32_t w : {1u, 2u, 4u}) {
+    machines.push_back(std::make_unique<rt::Machine>(
+        rt::MachineConfig{.nodes = 4, .workers = w}));
+  }
+  auto check = [&](const al::Profile& a, const al::Profile& b) {
+    SCOPED_TRACE(testing::Message() << a.length() << " x " << b.length());
+    const al::Profile want = reference_align(a, b, {});
+    EXPECT_TRUE(bitwise_equal(al::align_profiles(a, b), want));
+    for (auto& mach : machines) {
+      EXPECT_TRUE(bitwise_equal(al::align_profiles(*mach, a, b), want));
+    }
+  };
+  rt::Rng rng(32);
+  constexpr std::size_t kDepth = 16;
+  // A column of kDepth whole-number counts.
+  auto random_column = [&] {
+    al::Column c{};
+    for (std::size_t k = 0; k < kDepth; ++k) c[rng.below(5)] += 1.0f;
+    return c;
+  };
+  // n columns, all distinct.
+  auto distinct = [&](std::size_t n) {
+    std::vector<al::Column> cols;
+    while (cols.size() < n) {
+      const al::Column c = random_column();
+      if (std::find(cols.begin(), cols.end(), c) == cols.end()) {
+        cols.push_back(c);
+      }
+    }
+    return al::Profile::assemble(std::move(cols), kDepth);
+  };
+  // n columns drawn from two, then `fresh` new ones from column n on.
+  auto late = [&](std::size_t n, std::size_t fresh) {
+    const al::Column x{kDepth, 0, 0, 0, 0}, y{0, kDepth / 2, kDepth / 2, 0, 0};
+    std::vector<al::Column> cols;
+    for (std::size_t i = 0; i < n; ++i) cols.push_back(rng.below(2) ? x : y);
+    for (std::size_t i = 0; i < fresh; ++i) {
+      al::Column c = random_column();
+      while (c == x || c == y) c = random_column();
+      cols.push_back(c);
+    }
+    return al::Profile::assemble(std::move(cols), kDepth);
+  };
+
+  const al::Profile one(std::string(130, 'A'));
+  const al::Profile one_deep = al::Profile::assemble(
+      std::vector<al::Column>(100, al::Column{3, 0, 5, 0, 8}), kDepth);
+  const al::Profile all = distinct(130), all_short = distinct(70);
+  check(one, one);
+  check(one, one_deep);
+  check(one_deep, all);
+  check(all, one);
+  check(all, all_short);
+  check(all_short, all);
+
+  // Rows 128 and on, and columns 128 and on, are the last tile band.
+  check(late(128, 1), late(128, 22));
+  check(late(128, 3), all_short);
+  check(all_short, late(128, 5));
+}
+
 TEST(ProfileAlign, DepthAccumulates) {
   al::Profile a("ACGU"), b("ACGU"), c("ACGU");
   auto ab = al::align_profiles(a, b);
